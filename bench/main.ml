@@ -88,23 +88,18 @@ let ripe_summaries =
 
 (* One journal entry per protection: CI watches for a hijack slipping
    past CPS/CPI/SoftBound, which the paper says stop everything. *)
-let ripe_journal_entry (s : R.summary) : Journal.entry =
+let ripe_journal_entry (s : R.summary) =
   let must_stop_all =
     match s.R.protection with
     | P.Cps | P.Cpi | P.Cpi_crypt | P.Softbound -> true
     | _ -> false
   in
-  { Journal.workload = "ripe-matrix";
-    protection = P.protection_name s.R.protection;
-    store = "array";
-    outcome =
-      Printf.sprintf "hijacked=%d trapped=%d crashed=%d of %d" s.R.hijacked
-        s.R.trapped_count s.R.crashed s.R.total;
-    status = (if must_stop_all && s.R.hijacked > 0 then 1 else 0);
-    cycles = 0; instrs = 0; mem_ops = 0; instrumented_mem_ops = 0;
-    store_accesses = 0; store_footprint = 0; heap_peak = 0; checksum = 0;
-    checks_elided = 0; mem_ops_demoted = 0; threads = 0; ctx_switches = 0;
-    races = 0; attempts = 1; wall_us = 0 }
+  Engine.entry ~workload:"ripe-matrix" ~protection:s.R.protection
+    ~store_impl:M.Safestore.Simple_array
+    ~ok:(not (must_stop_all && s.R.hijacked > 0)) ~attempts:1 ~wall_us:0
+    (Engine.Not_run
+       (Printf.sprintf "hijacked=%d trapped=%d crashed=%d of %d" s.R.hijacked
+          s.R.trapped_count s.R.crashed s.R.total))
 
 let bench_ripe () =
   header "RIPE-style attack matrix (paper Section 5.1)";
@@ -568,24 +563,21 @@ let usage () =
   exit 2
 
 let () =
-  let rec parse acc = function
-    | [] -> List.rev acc
-    | "--jobs" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n when n >= 1 -> jobs_flag := n
-       | _ -> usage ());
-      parse acc rest
-    | "--json" :: rest -> json_flag := true; parse acc rest
-    | "--no-json" :: rest -> json_flag := false; parse acc rest
-    | "--fuel-cap" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n when n >= 1 -> fuel_cap := Some n
-       | _ -> usage ());
-      parse acc rest
-    | ("--help" | "-h" | "--jobs" | "--fuel-cap") :: _ -> usage ()
-    | name :: rest -> parse (name :: acc) rest
+  let names = ref [] in
+  let positive k =
+    Arg.Int (fun n -> if n >= 1 then k n else raise (Arg.Bad "must be >= 1"))
   in
-  let names = parse [] (List.tl (Array.to_list Sys.argv)) in
+  (try
+     Arg.parse_argv Sys.argv
+       [ ("--jobs", positive (fun n -> jobs_flag := n), "");
+         ("--json", Arg.Set json_flag, "");
+         ("--no-json", Arg.Clear json_flag, "");
+         ("--fuel-cap", positive (fun n -> fuel_cap := Some n), "");
+         ("-h", Arg.Unit usage, "") ]
+       (fun name -> names := name :: !names)
+       ""
+   with Arg.Bad _ | Arg.Help _ -> usage ());
+  let names = List.rev !names in
   List.iter
     (fun name ->
       if not (List.mem_assoc name all_targets) then begin

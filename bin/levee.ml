@@ -49,7 +49,7 @@
        Run the deterministic fault-injection smoke campaign: seeded
        corruption plans swept over defense configs x store organisations,
        every run classified against its un-faulted baseline. --json emits
-       the levee-faults/1 document (byte-identical for any --jobs).
+       the levee-faults/3 document (byte-identical for any --jobs).
        Exits 1 iff a campaign invariant is violated.
 
      levee conc [--threads N] [--sched-seed S] [--jobs N] [--json]
@@ -86,13 +86,18 @@
        A and B are 0-based indices (negative counts from the end),
        "last"/"prev", or a config name (most recent match); --gate
        alone compares prev vs last. Malformed store lines are precise
-       errors (file:line), exit 2. *)
+       errors (file:line), exit 2.
+
+   Every subcommand flag also answers to its single-dash spelling
+   (--json / -json). Unknown flags and malformed values (-fuel abc,
+   -input 1,x, --jobs 0) print the usage and exit 2. *)
 
 module P = Levee_core.Pipeline
 module M = Levee_machine
 module Pool = Levee_support.Pool
 module Journal = Levee_support.Journal
 module Runstore = Levee_support.Runstore
+module Engine = Levee_harness.Engine
 module Faults = Levee_harness.Faults
 
 let usage () =
@@ -117,145 +122,135 @@ let usage () =
     \                     [--tol field=pct]";
   exit 2
 
-let read_file file =
-  let ic = open_in_bin file in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+(* ---------- the one flag parser ---------- *)
+
+(* Parse [args] against [specs]; every "--flag" also answers to "-flag".
+   Any Arg error (unknown flag, missing or malformed value, a value a
+   spec rejects) prints the reason and the usage, and exits 2. *)
+let parse_args ~anon specs args =
+  let specs =
+    List.concat_map
+      (fun ((key, spec, doc) as s) ->
+        if String.length key > 2 && String.sub key 0 2 = "--" then
+          [ s; (String.sub key 1 (String.length key - 1), spec, doc) ]
+        else [ s ])
+      specs
+  in
+  try
+    Arg.parse_argv ~current:(ref 0) (Array.of_list ("levee" :: args)) specs
+      anon ""
+  with
+  | Arg.Bad msg ->
+    prerr_endline (List.hd (String.split_on_char '\n' msg));
+    usage ()
+  | Arg.Help _ -> usage ()
+
+let no_anon a = raise (Arg.Bad ("unexpected argument " ^ a))
+
+let int_in lo hi k =
+  Arg.Int
+    (fun n ->
+      if n >= lo && n <= hi then k n
+      else if hi = max_int then
+        raise (Arg.Bad (Printf.sprintf "%d is not an integer >= %d" n lo))
+      else raise (Arg.Bad (Printf.sprintf "%d is not in %d..%d" n lo hi)))
+
+(* The flags the report subcommands share. *)
+let json = ref false
+let jobs = ref 1
+let record = ref None
+let jobs_arg = int_in 1 max_int (fun n -> jobs := n)
+let json_spec = ("--json", Arg.Set json, "")
+let jobs_spec = ("--jobs", jobs_arg, "")
+let record_spec = ("--record", Arg.String (fun p -> record := Some p), "")
+let seeds_spec hi k = ("--seeds", int_in 1 hi k, "")
+
+(* The tail they share: print the JSON document or the human table,
+   append the run-store records when --record was given. *)
+let emit ~doc ~human ~records rep =
+  print_string (if !json then doc rep else human rep);
+  match !record with
+  | Some path -> List.iter (Runstore.append ~path) (records rep)
+  | None -> ()
+
+(* ... and exit 0 iff the report's invariants hold. *)
+let finish ~doc ~human ~records ~ok rep =
+  emit ~doc ~human ~records rep;
+  exit (if ok rep then 0 else 1)
 
 let compile_or_die file =
-  try Levee_minic.Lower.compile_checked ~name:file (read_file file) with
+  let src = In_channel.with_open_bin file In_channel.input_all in
+  try Levee_minic.Lower.compile ~name:file src with
   | Failure msg ->
     prerr_endline msg;
     exit 1
 
+(* ---------- subcommands ---------- *)
+
 (* levee analyze [--json] [--races] [--record FILE] file.c... *)
 let run_analyze args =
-  let json = ref false in
+  let module D = Levee_analysis.Diag in
   let races = ref false in
-  let record = ref None in
   let files = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | ("--json" | "-json") :: rest -> json := true; parse rest
-    | ("--races" | "-races") :: rest -> races := true; parse rest
-    | ("--record" | "-record") :: path :: rest ->
-      record := Some path;
-      parse rest
-    | f :: rest when String.length f > 0 && f.[0] <> '-' ->
-      files := f :: !files;
-      parse rest
-    | _ -> usage ()
-  in
-  parse args;
+  parse_args
+    ~anon:(fun f -> files := f :: !files)
+    [ json_spec; ("--races", Arg.Set races, ""); record_spec ]
+    args;
   let files = List.rev !files in
   if files = [] then usage ();
   let any_errors = ref false in
   List.iter
     (fun file ->
-      let checked, prog = compile_or_die file in
-      let annotated = checked.Levee_minic.Typecheck.sensitive_structs in
-      let report =
-        Levee_analysis.Diag.analyze ~annotated
-          ~name:(Filename.basename file) prog
-      in
+      let prog = compile_or_die file in
+      let name = Filename.basename file in
+      let report = D.analyze ~name prog in
       (* The instrumented build supplies the authoritative pipeline
          counts: what elision and demotion actually did under CPI. *)
-      let built = P.build ~annotated P.Cpi prog in
+      let built = P.build P.Cpi prog in
       let report =
         if not !races then report
         else
           (* Race verdicts come from the uninstrumented program (what the
              programmer wrote); the separation proof is about the CPI
              build (what actually runs). *)
-          let rs = Levee_analysis.Racecheck.races ~annotated prog in
-          let sep = Levee_analysis.Racecheck.separation built.P.prog in
-          Levee_analysis.Diag.add_separation
-            (Levee_analysis.Diag.add_races report rs)
-            sep
+          D.add_separation
+            (D.add_races report (Levee_analysis.Racecheck.races prog))
+            (Levee_analysis.Racecheck.separation built.P.prog)
       in
       let elided = built.P.stats.Levee_core.Stats.checks_elided in
       let demoted = built.P.stats.Levee_core.Stats.mem_ops_demoted in
-      print_string
-        (if !json then Levee_analysis.Diag.to_json ~elided ~demoted report
-         else Levee_analysis.Diag.to_human ~elided ~demoted report);
-      (match !record with
-       | Some path ->
-         Runstore.append ~path
-           (Levee_analysis.Diag.to_record ~name:(Filename.basename file) report)
-       | None -> ());
-      if Levee_analysis.Diag.has_errors report then any_errors := true)
+      emit ~doc:(D.to_json ~elided ~demoted)
+        ~human:(D.to_human ~elided ~demoted)
+        ~records:(fun r -> [ D.to_record ~name r ])
+        report;
+      if D.has_errors report then any_errors := true)
     files;
   exit (if !any_errors then 1 else 0)
 
 (* levee crossval [--json] [--jobs N] [--seeds N] [--record FILE] *)
 let run_crossval args =
   let module X = Levee_harness.Crossval in
-  let json = ref false in
-  let jobs = ref 1 in
   let nseeds = ref 8 in
-  let record = ref None in
-  let rec parse = function
-    | [] -> ()
-    | ("--json" | "-json") :: rest -> json := true; parse rest
-    | ("--jobs" | "-jobs") :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n when n >= 1 -> jobs := n
-       | _ -> usage ());
-      parse rest
-    | ("--seeds" | "-seeds") :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n when n >= 1 && n <= 64 -> nseeds := n
-       | _ -> usage ());
-      parse rest
-    | ("--record" | "-record") :: path :: rest ->
-      record := Some path;
-      parse rest
-    | _ -> usage ()
-  in
-  parse args;
-  let seeds = List.init !nseeds (fun i -> i) in
-  let rep = X.run ~jobs:!jobs ~seeds X.corpus in
+  parse_args ~anon:no_anon
+    [ json_spec; jobs_spec; seeds_spec 64 (fun n -> nseeds := n); record_spec ]
+    args;
+  let rep = X.run ~jobs:!jobs ~seeds:(List.init !nseeds Fun.id) X.corpus in
   let faults = X.faults_cross ~jobs:!jobs () in
-  print_string
-    (if !json then X.to_json ~faults rep else X.to_human ~faults rep);
-  (match !record with
-   | Some path -> Runstore.append ~path (X.to_record rep)
-   | None -> ());
-  exit (if X.invariants_ok rep && X.faults_consistent faults then 0 else 1)
+  finish ~doc:(X.to_json ~faults) ~human:(X.to_human ~faults)
+    ~records:(fun r -> [ X.to_record r ])
+    ~ok:(fun r -> X.invariants_ok r && X.faults_consistent faults)
+    rep
 
 (* levee faults [--json] [--jobs N] [--seed S] [--record FILE] *)
 let run_faults args =
-  let json = ref false in
-  let jobs = ref 1 in
   let seed = ref 42 in
-  let record = ref None in
-  let rec parse = function
-    | [] -> ()
-    | ("--json" | "-json") :: rest -> json := true; parse rest
-    | ("--jobs" | "-jobs") :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n when n >= 1 -> jobs := n
-       | _ -> usage ());
-      parse rest
-    | ("--seed" | "-seed") :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n -> seed := n
-       | None -> usage ());
-      parse rest
-    | ("--record" | "-record") :: path :: rest ->
-      record := Some path;
-      parse rest
-    | _ -> usage ()
-  in
-  parse args;
-  let rep = Faults.run ~jobs:!jobs (Faults.smoke ~seed:!seed ()) in
-  print_string (if !json then Faults.to_json rep else Faults.to_human rep);
-  (match !record with
-   | Some path -> Runstore.append ~path (Faults.to_record rep)
-   | None -> ());
-  exit (if Faults.invariants_ok rep then 0 else 1)
+  parse_args ~anon:no_anon
+    [ json_spec; jobs_spec; ("--seed", Arg.Set_int seed, ""); record_spec ]
+    args;
+  finish ~doc:Faults.to_json ~human:Faults.to_human
+    ~records:(fun r -> [ Faults.to_record r ])
+    ~ok:Faults.invariants_ok
+    (Faults.run ~jobs:!jobs (Faults.smoke ~seed:!seed ()))
 
 (* levee history [--file FILE] [--diff A B] [--gate [A B]] [--tol f=p] *)
 let run_history args =
@@ -265,36 +260,48 @@ let run_history args =
   let tols = ref [] in
   (* A run spec never starts with '-' except a negative index. *)
   let is_spec s =
-    String.length s > 0
-    && (s.[0] <> '-' || int_of_string_opt s <> None)
+    String.length s > 0 && (s.[0] <> '-' || int_of_string_opt s <> None)
   in
-  let parse_tol spec =
+  let run_spec k =
+    Arg.String
+      (fun s ->
+        if is_spec s then k s else raise (Arg.Bad ("bad run spec " ^ s)))
+  in
+  let diff_a = ref "" in
+  let tol spec =
+    let bad () = raise (Arg.Bad ("bad tolerance " ^ spec)) in
     match String.index_opt spec '=' with
     | Some i ->
       let f = String.sub spec 0 i in
       let v = String.sub spec (i + 1) (String.length spec - i - 1) in
       (match float_of_string_opt v with
-       | Some p when f <> "" -> Some (f, p)
-       | _ -> None)
-    | None -> None
+       | Some p when f <> "" -> tols := (f, p) :: !tols
+       | _ -> bad ())
+    | None -> bad ()
   in
-  let rec parse = function
-    | [] -> ()
-    | ("--file" | "-file") :: p :: rest -> file := p; parse rest
-    | ("--diff" | "-diff") :: a :: b :: rest when is_spec a && is_spec b ->
-      diff := Some (a, b);
-      parse rest
-    | ("--gate" | "-gate") :: a :: b :: rest when is_spec a && is_spec b ->
-      gate := Some (a, b);
-      parse rest
-    | ("--gate" | "-gate") :: rest -> gate := Some ("prev", "last"); parse rest
-    | ("--tol" | "-tol") :: spec :: rest ->
-      (match parse_tol spec with
-       | Some t -> tols := t :: !tols
-       | None -> usage ());
-      parse rest
-    | ("--list" | "-list") :: rest -> parse rest
-    | _ -> usage ()
+  (* --gate takes its two run specs only when both follow it, so it
+     reads the rest of the line itself and hands back what it leaves. *)
+  let rec parse args =
+    parse_args ~anon:no_anon
+      [ ("--file", Arg.Set_string file, "");
+        ( "--diff",
+          Arg.Tuple
+            [ run_spec (fun a -> diff_a := a);
+              run_spec (fun b -> diff := Some (!diff_a, b)) ],
+          "" );
+        ( "--gate",
+          Arg.Rest_all
+            (function
+              | a :: b :: rest when is_spec a && is_spec b ->
+                gate := Some (a, b);
+                parse rest
+              | rest ->
+                gate := Some ("prev", "last");
+                parse rest),
+          "" );
+        ("--tol", Arg.String tol, "");
+        ("--list", Arg.Unit ignore, "") ]
+      args
   in
   parse args;
   match Runstore.load ~path:!file () with
@@ -329,35 +336,12 @@ let run_history args =
    [--record FILE] *)
 let run_conc args =
   let module W = Levee_workloads in
-  let json = ref false in
-  let jobs = ref 1 in
   let threads = ref 4 in
   let seed = ref 0 in
-  let record = ref None in
-  let rec parse = function
-    | [] -> ()
-    | ("--json" | "-json") :: rest -> json := true; parse rest
-    | ("--record" | "-record") :: path :: rest ->
-      record := Some path;
-      parse rest
-    | ("--jobs" | "-jobs") :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n when n >= 1 -> jobs := n
-       | _ -> usage ());
-      parse rest
-    | ("--threads" | "-threads") :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n -> threads := n
-       | None -> usage ());
-      parse rest
-    | ("--sched-seed" | "-sched-seed") :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n -> seed := n
-       | None -> usage ());
-      parse rest
-    | _ -> usage ()
-  in
-  parse args;
+  parse_args ~anon:no_anon
+    [ json_spec; record_spec; jobs_spec; ("--threads", Arg.Set_int threads, "");
+      ("--sched-seed", Arg.Set_int seed, "") ]
+    args;
   (* The worker cap lives with the workload (Webstack.max_workers), so
      the conc and serve CLIs can't drift from what the machine supports. *)
   (try W.Webstack.check_workers ~flag:"--threads" !threads with
@@ -378,144 +362,88 @@ let run_conc args =
         else [ (prot, M.Safestore.Simple_array) ])
       [ P.Vanilla; P.Safe_stack; P.Cps; P.Cpi ]
   in
-  let pool = Pool.create ~jobs:!jobs in
-  let outcomes =
-    Pool.map pool
+  let runs =
+    Pool.sweep ~jobs:!jobs
       (fun (prot, store_impl) ->
         let b = P.build ~store_impl prot prog in
-        let r =
+        ( prot, store_impl, b.P.stats,
           M.Interp.run_program ~sched_seed:!seed ~fuel:w.W.Workload.fuel
-            b.P.prog b.P.config
-        in
-        (b.P.stats, r))
+            b.P.prog b.P.config ))
       cells
-  in
-  Pool.shutdown pool;
-  let runs =
-    List.map2
-      (fun (prot, store_impl) outcome ->
-        match outcome with
-        | Ok (st, r) -> (prot, store_impl, st, r)
-        | Error e -> raise e)
-      cells outcomes
   in
   let base =
     match runs with (_, _, _, r) :: _ -> r | [] -> assert false
   in
-  let bad = ref 0 in
   let check (r : M.Interp.result) =
-    r.M.Interp.outcome = M.Trap.Exit 0
+    Engine.exited r
     && r.M.Interp.checksum = base.M.Interp.checksum
     && r.M.Interp.output = base.M.Interp.output
     && r.M.Interp.races = 0
   in
   (* The journal is a pure function of (--threads, --sched-seed): results
-     are integrated in cell order whatever the pool width, and wall_us is
-     zeroed, so any --jobs emits the identical document. *)
+     come back in cell order whatever the pool width, and wall_us is
+     zeroed, so any --jobs emits the identical document and record. *)
   let j =
     Journal.create
       ~target:(Printf.sprintf "%s-s%d" w.W.Workload.name !seed) ()
   in
   List.iter
-    (fun (prot, store_impl, (st : Levee_core.Stats.t), (r : M.Interp.result)) ->
-      if not (check r) then incr bad;
+    (fun (protection, store_impl, st, r) ->
       Journal.record j
-        { Journal.workload = w.W.Workload.name;
-          protection = P.protection_name prot;
-          store = M.Safestore.impl_name store_impl;
-          outcome = M.Trap.outcome_to_string r.M.Interp.outcome;
-          status = (if check r then 0 else 1);
-          cycles = r.M.Interp.cycles; instrs = r.M.Interp.instrs;
-          mem_ops = r.M.Interp.mem_ops;
-          instrumented_mem_ops = r.M.Interp.instrumented_mem_ops;
-          store_accesses = r.M.Interp.store_accesses;
-          store_footprint = r.M.Interp.store_footprint;
-          heap_peak = r.M.Interp.heap_peak; checksum = r.M.Interp.checksum;
-          checks_elided = st.Levee_core.Stats.checks_elided;
-          mem_ops_demoted = st.Levee_core.Stats.mem_ops_demoted;
-          threads = r.M.Interp.threads;
-          ctx_switches = r.M.Interp.ctx_switches;
-          races = r.M.Interp.races;
-          attempts = 1; wall_us = 0 })
+        (Engine.entry ~workload:w.W.Workload.name ~protection ~store_impl
+           ~ok:(check r) ~attempts:1 ~wall_us:0 (Engine.Ran (st, r))))
     runs;
-  if !json then print_string (Journal.to_json j)
-  else begin
-    Printf.printf "%-18s %-10s %-12s %10s %8s %6s %6s\n" "protection" "store"
-      "outcome" "cycles" "ctxsw" "races" "ok";
-    List.iter
-      (fun (prot, store_impl, _, (r : M.Interp.result)) ->
-        Printf.printf "%-18s %-10s %-12s %10d %8d %6d %6s\n"
-          (P.protection_name prot) (M.Safestore.impl_name store_impl)
-          (M.Trap.outcome_to_string r.M.Interp.outcome)
-          r.M.Interp.cycles r.M.Interp.ctx_switches r.M.Interp.races
-          (if check r then "yes" else "NO"))
-      runs;
-    Printf.printf "[conc] threads=%d sched-seed=%d checksum=%d\n" !threads
-      !seed base.M.Interp.checksum
-  end;
-  (* wall_us is already zeroed in every entry, so the appended record is
-     byte-identical whatever --jobs was (the @history-smoke contract). *)
-  (match !record with
-   | Some path ->
-     Runstore.append ~path (Journal.to_record ~kind:"conc" ~seed:!seed j)
-   | None -> ());
-  exit (if !bad = 0 then 0 else 1)
+  let human _ =
+    String.concat ""
+      (Printf.sprintf "%-18s %-10s %-12s %10s %8s %6s %6s\n" "protection"
+         "store" "outcome" "cycles" "ctxsw" "races" "ok"
+      :: List.map
+           (fun (prot, store_impl, _, (r : M.Interp.result)) ->
+             Printf.sprintf "%-18s %-10s %-12s %10d %8d %6d %6s\n"
+               (P.protection_name prot) (M.Safestore.impl_name store_impl)
+               (M.Trap.outcome_to_string r.M.Interp.outcome)
+               r.M.Interp.cycles r.M.Interp.ctx_switches r.M.Interp.races
+               (if check r then "yes" else "NO"))
+           runs
+      @ [ Printf.sprintf "[conc] threads=%d sched-seed=%d checksum=%d\n"
+            !threads !seed base.M.Interp.checksum ])
+  in
+  finish ~doc:Journal.to_json ~human
+    ~records:(fun j -> [ Journal.to_record ~kind:"conc" ~seed:!seed j ])
+    ~ok:(fun _ -> List.for_all (fun (_, _, _, r) -> check r) runs)
+    j
 
 (* levee serve [--json] [--jobs N] [--seeds N] [--workers N] [--shards N]
    [--requests N] [--no-faults] [--record FILE] *)
 let run_serve args =
   let module Serve = Levee_harness.Serve in
-  let json = ref false in
-  let jobs = ref 1 in
   let cfg = ref Serve.default in
-  let record = ref None in
-  let int_arg n k rest parse =
-    match int_of_string_opt n with
-    | Some n -> k n; parse rest
-    | None -> usage ()
-  in
-  let rec parse = function
-    | [] -> ()
-    | ("--json" | "-json") :: rest -> json := true; parse rest
-    | ("--no-faults" | "-no-faults") :: rest ->
-      cfg := { !cfg with Serve.faulted = false };
-      parse rest
-    | ("--record" | "-record") :: path :: rest ->
-      record := Some path;
-      parse rest
-    | ("--jobs" | "-jobs") :: n :: rest ->
-      int_arg n (fun n -> if n >= 1 then jobs := n else usage ()) rest parse
-    | ("--seeds" | "-seeds") :: n :: rest ->
-      int_arg n
-        (fun n ->
-          if n >= 1 then cfg := { !cfg with Serve.seeds = List.init n Fun.id }
-          else usage ())
-        rest parse
-    | ("--workers" | "-workers") :: n :: rest ->
-      int_arg n (fun n -> cfg := { !cfg with Serve.workers = n }) rest parse
-    | ("--shards" | "-shards") :: n :: rest ->
-      int_arg n (fun n -> cfg := { !cfg with Serve.shards = n }) rest parse
-    | ("--requests" | "-requests") :: n :: rest ->
-      int_arg n (fun n -> cfg := { !cfg with Serve.requests = n }) rest parse
-    | _ -> usage ()
-  in
-  parse args;
+  let set f = Arg.Int (fun n -> cfg := f !cfg n) in
+  parse_args ~anon:no_anon
+    [ json_spec; record_spec; jobs_spec;
+      ( "--no-faults",
+        Arg.Unit (fun () -> cfg := { !cfg with Serve.faulted = false }),
+        "" );
+      seeds_spec max_int (fun n ->
+          cfg := { !cfg with Serve.seeds = List.init n Fun.id });
+      ("--workers", set (fun c n -> { c with Serve.workers = n }), "");
+      ("--shards", set (fun c n -> { c with Serve.shards = n }), "");
+      ("--requests", set (fun c n -> { c with Serve.requests = n }), "") ]
+    args;
   let rep =
     try Serve.run ~jobs:!jobs !cfg with
     | Invalid_argument msg ->
       Printf.eprintf "levee serve: %s\n" msg;
       exit 2
   in
-  if !json then print_string (Serve.to_json rep)
-  else print_string (Serve.to_human rep);
   (* Every metric is in simulated cycles (wall_us is zero), so the
      appended records are byte-identical whatever --jobs was. *)
-  (match !record with
-   | Some path -> List.iter (Runstore.append ~path) (Serve.to_records rep)
-   | None -> ());
-  exit (if Serve.invariants_ok rep then 0 else 1)
+  finish ~doc:Serve.to_json ~human:Serve.to_human ~records:Serve.to_records
+    ~ok:Serve.invariants_ok rep
 
-let () =
+(* ---------- levee [options] file.c ---------- *)
+
+let run_file args =
   let protection = ref P.Cpi in
   let emit_ir = ref false in
   let stats = ref false in
@@ -526,99 +454,72 @@ let () =
   let isolation = ref M.Config.Info_hiding in
   let file = ref None in
   let matrix = ref false in
-  let jobs = ref 1 in
   let json_out = ref None in
   let sched_seed = ref 0 in
-  (match Array.to_list Sys.argv with
-   | _ :: "analyze" :: rest -> run_analyze rest
-   | _ :: "crossval" :: rest -> run_crossval rest
-   | _ :: "faults" :: rest -> run_faults rest
-   | _ :: "conc" :: rest -> run_conc rest
-   | _ :: "serve" :: rest -> run_serve rest
-   | _ :: "history" :: rest -> run_history rest
-   | _ -> ());
-  let rec parse = function
-    | [] -> ()
-    | "-matrix" :: rest -> matrix := true; parse rest
-    | "-jobs" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n when n >= 1 -> jobs := n
-       | _ -> usage ());
-      parse rest
-    | "-json" :: f :: rest -> json_out := Some f; parse rest
-    | "-fcpi" :: rest -> protection := P.Cpi; parse rest
-    | "-fcps" :: rest -> protection := P.Cps; parse rest
-    | "-fstack-protector-safe" :: rest -> protection := P.Safe_stack; parse rest
-    | "-fsoftbound" :: rest -> protection := P.Softbound; parse rest
-    | "-fcfi" :: rest -> protection := P.Cfi; parse rest
-    | "-fcfi-type" :: rest -> protection := P.Cfi_type; parse rest
-    | "-fcpi-crypt" :: rest -> protection := P.Cpi_crypt; parse rest
-    | "-fcookies" :: rest -> protection := P.Cookies; parse rest
-    | "-fvanilla" :: rest -> protection := P.Vanilla; parse rest
-    | "-fhardened" :: rest -> protection := P.Hardened; parse rest
-    | "-fcpi-debug" :: rest -> protection := P.Cpi_debug; parse rest
-    | "-emit-ir" :: rest -> emit_ir := true; parse rest
-    | "-stats" :: rest -> stats := true; parse rest
-    | "-time" :: rest -> time := true; parse rest
-    | "-sfi" :: rest -> isolation := M.Config.Sfi; parse rest
-    | "-input" :: spec :: rest ->
-      input :=
-        Array.of_list
-          (List.map int_of_string
-             (List.filter (fun s -> s <> "") (String.split_on_char ',' spec)));
-      parse rest
-    | "-fuel" :: n :: rest -> fuel := int_of_string n; parse rest
-    | ("-sched-seed" | "--sched-seed") :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n -> sched_seed := n
-       | None -> usage ());
-      parse rest
-    | "-store" :: s :: rest ->
-      (store_impl :=
-         match s with
-         | "array" -> M.Safestore.Simple_array
-         | "two-level" -> M.Safestore.Two_level
-         | "hash" -> M.Safestore.Hashtable
-         | _ -> usage ());
-      parse rest
-    | f :: rest when String.length f > 0 && f.[0] <> '-' ->
-      file := Some f;
-      parse rest
-    | _ -> usage ()
+  let input_words spec =
+    input :=
+      Array.of_list
+        (List.filter_map
+           (fun s ->
+             if s = "" then None
+             else
+               match int_of_string_opt s with
+               | Some n -> Some n
+               | None -> raise (Arg.Bad ("bad input word " ^ s)))
+           (String.split_on_char ',' spec))
   in
-  parse (List.tl (Array.to_list Sys.argv));
+  let stores =
+    [ ("array", M.Safestore.Simple_array); ("two-level", M.Safestore.Two_level);
+      ("hash", M.Safestore.Hashtable) ]
+  in
+  parse_args
+    ~anon:(fun f -> file := Some f)
+    (List.map
+       (fun (flag, p) -> (flag, Arg.Unit (fun () -> protection := p), ""))
+       [ ("-fcpi", P.Cpi); ("-fcps", P.Cps);
+         ("-fstack-protector-safe", P.Safe_stack); ("-fsoftbound", P.Softbound);
+         ("-fcfi", P.Cfi); ("-fcfi-type", P.Cfi_type);
+         ("-fcpi-crypt", P.Cpi_crypt); ("-fcookies", P.Cookies);
+         ("-fvanilla", P.Vanilla); ("-fhardened", P.Hardened);
+         ("-fcpi-debug", P.Cpi_debug) ]
+    @ [ ("-matrix", Arg.Set matrix, ""); ("-jobs", jobs_arg, "");
+        ("-json", Arg.String (fun f -> json_out := Some f), "");
+        ("-emit-ir", Arg.Set emit_ir, ""); ("-stats", Arg.Set stats, "");
+        ("-time", Arg.Set time, "");
+        ("-sfi", Arg.Unit (fun () -> isolation := M.Config.Sfi), "");
+        ("-input", Arg.String input_words, ""); ("-fuel", Arg.Set_int fuel, "");
+        ("--sched-seed", Arg.Set_int sched_seed, "");
+        ( "-store",
+          Arg.Symbol
+            (List.map fst stores, fun s -> store_impl := List.assoc s stores),
+          "" ) ])
+    args;
   let file = match !file with Some f -> f | None -> usage () in
-  let checked, prog = compile_or_die file in
-  let annotated = checked.Levee_minic.Typecheck.sensitive_structs in
-  let journal_entry prot (st : Levee_core.Stats.t) (r : M.Interp.result)
-      wall_us : Journal.entry =
-    { Journal.workload = Filename.basename file;
-      protection = P.protection_name prot;
-      store = M.Safestore.impl_name !store_impl;
-      outcome = M.Trap.outcome_to_string r.M.Interp.outcome;
-      status = (match r.M.Interp.outcome with M.Trap.Exit 0 -> 0 | _ -> 1);
-      cycles = r.M.Interp.cycles; instrs = r.M.Interp.instrs;
-      mem_ops = r.M.Interp.mem_ops;
-      instrumented_mem_ops = r.M.Interp.instrumented_mem_ops;
-      store_accesses = r.M.Interp.store_accesses;
-      store_footprint = r.M.Interp.store_footprint;
-      heap_peak = r.M.Interp.heap_peak; checksum = r.M.Interp.checksum;
-      checks_elided = st.Levee_core.Stats.checks_elided;
-      mem_ops_demoted = st.Levee_core.Stats.mem_ops_demoted;
-      threads = r.M.Interp.threads;
-      ctx_switches = r.M.Interp.ctx_switches;
-      races = r.M.Interp.races;
-      attempts = 1;
-      wall_us }
+  let prog = compile_or_die file in
+  let build prot =
+    P.build ~store_impl:!store_impl ~isolation:!isolation prot prog
   in
-  let write_journal entries =
+  (* [t0] starts the entry's wall clock: -matrix times the build too. *)
+  let run t0 (b : P.built) =
+    let r =
+      M.Interp.run_program ~input:!input ~fuel:!fuel ~sched_seed:!sched_seed
+        b.P.prog b.P.config
+    in
+    ( b.P.protection, b.P.stats, r,
+      int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) )
+  in
+  let write_journal runs =
     match !json_out with
     | None -> ()
     | Some path ->
-      let j =
-        Journal.create ~jobs:!jobs ~target:(Filename.basename file) ()
-      in
-      List.iter (Journal.record j) entries;
+      let j = Journal.create ~jobs:!jobs ~target:(Filename.basename file) () in
+      List.iter
+        (fun (protection, st, r, wall_us) ->
+          Journal.record j
+            (Engine.entry ~workload:(Filename.basename file) ~protection
+               ~store_impl:!store_impl ~ok:(Engine.exited r) ~attempts:1
+               ~wall_us (Engine.Ran (st, r))))
+        runs;
       (try
          let oc = open_out path in
          output_string oc (Journal.to_json j);
@@ -630,31 +531,12 @@ let () =
   if !matrix then begin
     (* Build + run the file under every protection, fanned out over the
        pool; vanilla is the behavioural reference. *)
-    let pool = Pool.create ~jobs:!jobs in
-    let prots = P.all_protections in
-    let outcomes =
-      Pool.map pool
+    let runs =
+      Pool.sweep ~jobs:!jobs
         (fun prot ->
           let t0 = Unix.gettimeofday () in
-          let b =
-            P.build ~annotated ~store_impl:!store_impl ~isolation:!isolation
-              prot prog
-          in
-          let r =
-            M.Interp.run_program ~input:!input ~fuel:!fuel
-              ~sched_seed:!sched_seed b.P.prog b.P.config
-          in
-          (b.P.stats, r, int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)))
-        prots
-    in
-    Pool.shutdown pool;
-    let runs =
-      List.map2
-        (fun prot outcome ->
-          match outcome with
-          | Ok (st, r, wall) -> (prot, st, r, wall)
-          | Error e -> raise e)
-        prots outcomes
+          run t0 (build prot))
+        P.all_protections
     in
     let base =
       match List.find_opt (fun (p, _, _, _) -> p = P.Vanilla) runs with
@@ -681,8 +563,7 @@ let () =
           r.M.Interp.mem_ops
           (if agrees then "yes" else "NO"))
       runs;
-    write_journal
-      (List.map (fun (p, st, r, wall) -> journal_entry p st r wall) runs);
+    write_journal runs;
     (match base.M.Interp.outcome with
      | M.Trap.Exit 0 -> ()
      | o ->
@@ -690,10 +571,7 @@ let () =
        exit 101);
     exit (if !divergent = 0 then 0 else 1)
   end;
-  let built =
-    P.build ~annotated ~store_impl:!store_impl ~isolation:!isolation !protection
-      prog
-  in
+  let built = build !protection in
   if !stats then begin
     let s = built.P.stats in
     Printf.printf "protection:            %s\n" (P.protection_name !protection);
@@ -713,14 +591,8 @@ let () =
     print_string (Levee_ir.Printer.program built.P.prog);
     exit 0
   end;
-  let t0 = Unix.gettimeofday () in
-  let r =
-    M.Interp.run_program ~input:!input ~fuel:!fuel ~sched_seed:!sched_seed
-      built.P.prog built.P.config
-  in
-  write_journal
-    [ journal_entry !protection built.P.stats r
-        (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)) ];
+  let ((_, _, r, _) as single) = run (Unix.gettimeofday ()) built in
+  write_journal [ single ];
   print_string r.M.Interp.output;
   if !time then begin
     Printf.printf "[levee] cycles:  %d\n" r.M.Interp.cycles;
@@ -733,3 +605,13 @@ let () =
   | o ->
     Printf.eprintf "[levee] %s\n" (M.Trap.outcome_to_string o);
     exit 101
+
+let () =
+  match List.tl (Array.to_list Sys.argv) with
+  | "analyze" :: rest -> run_analyze rest
+  | "crossval" :: rest -> run_crossval rest
+  | "faults" :: rest -> run_faults rest
+  | "conc" :: rest -> run_conc rest
+  | "serve" :: rest -> run_serve rest
+  | "history" :: rest -> run_history rest
+  | args -> run_file args

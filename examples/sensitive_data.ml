@@ -12,9 +12,10 @@ module M = Levee_machine
 
 (* A login service keeps per-session credentials next to a parsing buffer.
    The classic heap/global overflow rewrites uid to 0 — unless the ucred
-   type is annotated sensitive. *)
-let source = {|
-sensitive struct ucred { int uid; int gid; int jailed; };
+   type is annotated sensitive. The two builds differ only in that one
+   keyword of the source. *)
+let source annotation = Printf.sprintf {|
+%sstruct ucred { int uid; int gid; int jailed; };
 
 char parsebuf[12];
 struct ucred session;
@@ -33,16 +34,19 @@ int main() {
   print_int(session.jailed);
   return session.uid == 1000 && session.jailed == 1 ? 0 : 1;
 }
-|}
+|} annotation
 
 let () =
-  let checked, prog = Levee_minic.Lower.compile_checked source in
-  let annotated = checked.Levee_minic.Typecheck.sensitive_structs in
-  Printf.printf "programmer-annotated sensitive structs: %s\n\n"
-    (String.concat ", " annotated);
+  let plain = Levee_minic.Lower.compile (source "") in
+  let annotated = Levee_minic.Lower.compile (source "sensitive ") in
+  let marked (p : Levee_ir.Prog.t) =
+    Levee_ir.Ty.marked_sensitive p.Levee_ir.Prog.tenv "ucred"
+  in
+  Printf.printf "ucred marked sensitive: plain source %b, annotated %b\n\n"
+    (marked plain) (marked annotated);
 
   (* The exploit: overflow parsebuf to zero uid and jailed. *)
-  let vanilla = P.build P.Vanilla prog in
+  let vanilla = P.build P.Vanilla plain in
   let image = M.Loader.load vanilla.P.prog vanilla.P.config in
   let buf = Hashtbl.find image.M.Loader.global_addr "parsebuf" in
   let cred = Hashtbl.find image.M.Loader.global_addr "session" in
@@ -50,14 +54,14 @@ let () =
 
   Printf.printf "%-22s %-30s %s\n" "config" "outcome" "printed uid/jailed";
   List.iter
-    (fun (name, prot, ann) ->
-      let built = P.build ~annotated:ann prot prog in
+    (fun (name, prot, prog) ->
+      let built = P.build prot prog in
       let r = M.Interp.run_program ~input:payload built.P.prog built.P.config in
       Printf.printf "%-22s %-30s %s\n" name
         (M.Trap.outcome_to_string r.M.Interp.outcome)
         (String.concat "/" (String.split_on_char '\n' (String.trim r.M.Interp.output))))
-    [ ("vanilla", P.Vanilla, []);
-      ("cpi (no annotation)", P.Cpi, []);
+    [ ("vanilla", P.Vanilla, plain);
+      ("cpi (no annotation)", P.Cpi, plain);
       ("cpi + sensitive ucred", P.Cpi, annotated) ];
 
   print_endline "";

@@ -66,25 +66,7 @@ let count sev r =
 
 let has_errors r = List.exists (fun f -> f.severity = Error) r.findings
 
-(* Registers locally addressing into a programmer-annotated struct
-   (mirrors the CPI pass: those accesses must stay instrumented). *)
-let annotated_regs annotated (fn : Prog.func) =
-  let marked = Hashtbl.create 8 in
-  let is_annot s = List.mem s annotated in
-  Prog.iter_instrs fn (fun i ->
-      match i with
-      | I.Alloca { dst; ty = Ty.Struct s; _ } when is_annot s ->
-        Hashtbl.replace marked dst ()
-      | I.Gep { dst; base_ty = Ty.Struct s; _ } when is_annot s ->
-        Hashtbl.replace marked dst ()
-      | I.Gep { dst; base = I.Reg r; _ } | I.Cast { dst; v = I.Reg r; _ }
-        when Hashtbl.mem marked r ->
-        Hashtbl.replace marked dst ()
-      | I.Alloca _ | I.Gep _ | I.Cast _ | I.Bin _ | I.Cmp _ | I.Load _
-      | I.Store _ | I.Call _ | I.Intrin _ -> ());
-  marked
-
-let analyze ?(annotated = []) ?(name = "<program>") (prog : Prog.t) : report =
+let analyze ?(name = "<program>") (prog : Prog.t) : report =
   let findings = ref [] in
   let emit severity kind func block idx msg =
     findings := { severity; kind; func; block; idx; msg } :: !findings
@@ -92,7 +74,7 @@ let analyze ?(annotated = []) ?(name = "<program>") (prog : Prog.t) : report =
   (match Levee_ir.Verify.program_result prog with
    | Ok () -> ()
    | Error e -> emit Error "invalid-ir" "" (-1) (-1) e);
-  let ctx = Sensitivity.create prog.Prog.tenv ~annotated in
+  let ctx = Sensitivity.create prog.Prog.tenv in
   let pt = Pointsto.analyze prog in
   let demoted_map = Strheur.demoted prog in
   (* Per-function analysis tables, shared by the findings below and by the
@@ -104,7 +86,7 @@ let analyze ?(annotated = []) ?(name = "<program>") (prog : Prog.t) : report =
           Castflow.forced_load_positions ctx fn,
           Castflow.unsafe_cast_positions ctx fn,
           Strheur.demoted_positions_in demoted_map fn,
-          annotated_regs annotated fn ));
+          Sensitivity.annotated_addr_regs ctx fn ));
   let access_addr (fn : Prog.func) (blk, idx) =
     if blk < 0 || blk >= Array.length fn.Prog.blocks then None
     else
@@ -431,88 +413,63 @@ let to_human ?elided ?demoted r =
    canonical finding order; /1 documents are a strict subset. *)
 let schema_id = "levee-analyze/2"
 
-(* Shared escaping and float formatting so every JSON dialect agrees. *)
-let escape = Levee_support.Jsonenc.escape
-
 let to_json ?elided ?demoted r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "{\n\"schema\":\"%s\",\n\"source\":\"%s\",\n" schema_id
-       (escape r.source));
-  Buffer.add_string b "\"findings\":[\n";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"severity\":\"%s\",\"kind\":\"%s\",\"func\":\"%s\",\
-            \"block\":%d,\"idx\":%d,\"msg\":\"%s\"}"
-           (severity_name f.severity) (escape f.kind) (escape f.func) f.block
-           f.idx (escape f.msg)))
-    r.findings;
-  Buffer.add_string b "\n],\n\"functions\":[\n";
-  List.iteri
-    (fun i fs ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"mem_ops\":%d,\"sensitive\":%d,\
-            \"sensitive_pct\":%s,\"forced\":%d,\"char_demoted\":%d,\
-            \"demotable\":%d,\"indirect_calls\":%d}"
-           (escape fs.fs_name) fs.fs_mem_ops fs.fs_sensitive
-           (Levee_support.Jsonenc.float_str (pct fs.fs_sensitive fs.fs_mem_ops))
-           fs.fs_forced fs.fs_char_demoted fs.fs_demotable
-           fs.fs_indirect_calls))
-    r.funcs;
-  Buffer.add_string b "\n],\n";
-  (match r.races with
-   | None -> ()
-   | Some races ->
-     Buffer.add_string b "\"races\":[\n";
-     List.iteri
-       (fun i (rc : Racecheck.race) ->
-         if i > 0 then Buffer.add_string b ",\n";
-         Buffer.add_string b
-           (Printf.sprintf "{\"object\":\"%s\",\"storage\":\"%s\",\"sites\":["
-              (escape rc.Racecheck.rc_obj)
-              (escape rc.Racecheck.rc_storage));
-         List.iteri
-           (fun j (s : Racecheck.site) ->
-             if j > 0 then Buffer.add_string b ",";
-             Buffer.add_string b
-               (Printf.sprintf
-                  "{\"func\":\"%s\",\"block\":%d,\"idx\":%d,\"write\":%b,\
-                   \"locked\":%b}"
-                  (escape s.Racecheck.st_func) s.Racecheck.st_block
-                  s.Racecheck.st_idx s.Racecheck.st_write
-                  s.Racecheck.st_locked))
-           rc.Racecheck.rc_sites;
-         Buffer.add_string b "]}")
-       races;
-     Buffer.add_string b "\n],\n");
-  (match r.sep with
-   | None -> ()
-   | Some s ->
-     Buffer.add_string b
-       (Printf.sprintf
-          "\"separation\":{\"plain_stores\":%d,\"certified\":%d,\
-           \"unproven\":%d,\"opaque_safe\":%d,\"replay_ok\":%b},\n"
-          s.ss_plain s.ss_certified s.ss_unproven s.ss_opaque s.ss_replay_ok));
-  (match (elided, demoted) with
-   | Some e, Some d ->
-     Buffer.add_string b
-       (Printf.sprintf "\"cpi\":{\"checks_elided\":%d,\"mem_ops_demoted\":%d},\n"
-          e d)
-   | Some e, None ->
-     Buffer.add_string b (Printf.sprintf "\"cpi\":{\"checks_elided\":%d},\n" e)
-   | None, Some d ->
-     Buffer.add_string b
-       (Printf.sprintf "\"cpi\":{\"mem_ops_demoted\":%d},\n" d)
-   | None, None -> ());
-  Buffer.add_string b
-    (Printf.sprintf "\"totals\":{\"errors\":%d,\"warnings\":%d,\"info\":%d}\n}\n"
-       (count Error r) (count Warning r) (count Info r));
-  Buffer.contents b
+  let module J = Levee_support.Jsonenc in
+  let str s = J.Jstr s and int i = J.Jint i in
+  let finding f =
+    J.Jobj
+      [ ("severity", str (severity_name f.severity)); ("kind", str f.kind);
+        ("func", str f.func); ("block", int f.block); ("idx", int f.idx);
+        ("msg", str f.msg) ]
+  in
+  let func fs =
+    J.Jobj
+      [ ("name", str fs.fs_name); ("mem_ops", int fs.fs_mem_ops);
+        ("sensitive", int fs.fs_sensitive);
+        ("sensitive_pct", J.Jfloat (pct fs.fs_sensitive fs.fs_mem_ops));
+        ("forced", int fs.fs_forced); ("char_demoted", int fs.fs_char_demoted);
+        ("demotable", int fs.fs_demotable);
+        ("indirect_calls", int fs.fs_indirect_calls) ]
+  in
+  let site (s : Racecheck.site) =
+    J.Jobj
+      [ ("func", str s.Racecheck.st_func);
+        ("block", int s.Racecheck.st_block);
+        ("idx", int s.Racecheck.st_idx);
+        ("write", J.Jbool s.Racecheck.st_write);
+        ("locked", J.Jbool s.Racecheck.st_locked) ]
+  in
+  let race (rc : Racecheck.race) =
+    J.Jobj
+      [ ("object", str rc.Racecheck.rc_obj);
+        ("storage", str rc.Racecheck.rc_storage);
+        ("sites", J.Jlist (List.map site rc.Racecheck.rc_sites)) ]
+  in
+  let opt name f = function None -> [] | Some v -> [ (name, f v) ] in
+  let cpi =
+    opt "checks_elided" int elided @ opt "mem_ops_demoted" int demoted
+  in
+  J.to_document
+    (J.Jobj
+       ([ ("schema", str schema_id); ("source", str r.source);
+          ("findings", J.Jlist (List.map finding r.findings));
+          ("functions", J.Jlist (List.map func r.funcs)) ]
+       @ opt "races" (fun races -> J.Jlist (List.map race races)) r.races
+       @ opt "separation"
+           (fun s ->
+             J.Jobj
+               [ ("plain_stores", int s.ss_plain);
+                 ("certified", int s.ss_certified);
+                 ("unproven", int s.ss_unproven);
+                 ("opaque_safe", int s.ss_opaque);
+                 ("replay_ok", J.Jbool s.ss_replay_ok) ])
+           r.sep
+       @ (if cpi = [] then [] else [ ("cpi", J.Jobj cpi) ])
+       @ [ ( "totals",
+             J.Jobj
+               [ ("errors", int (count Error r));
+                 ("warnings", int (count Warning r));
+                 ("info", int (count Info r)) ] ) ]))
 
 (* Analysis counts are a pure function of the source, so every field sits
    at 0% tolerance under `levee history --gate`: any drift in finding or

@@ -54,11 +54,11 @@ val count : severity -> report -> int
     bugs), never user errors; [levee analyze] exits non-zero on them. *)
 val has_errors : report -> bool
 
-(** Lint the (uninstrumented) program. [annotated] lists programmer-marked
-    sensitive structs; [name] labels the report. Deterministic: equal
-    inputs produce byte-equal reports. *)
-val analyze :
-  ?annotated:string list -> ?name:string -> Levee_ir.Prog.t -> report
+(** Lint the (uninstrumented) program; [name] labels the report.
+    Programmer-marked sensitive structs are read from the program's type
+    environment. Deterministic: equal inputs produce byte-equal
+    reports. *)
+val analyze : ?name:string -> Levee_ir.Prog.t -> report
 
 (** Fold static race verdicts ({!Racecheck.races}) into a report: one
     ["potential-race"] warning per racy object, plus the [races] section

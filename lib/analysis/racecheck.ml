@@ -71,12 +71,12 @@ let published_allocas (fn : Prog.func) : (int, unit) Hashtbl.t =
       | _ -> ());
   pub
 
-let races ?(annotated = []) (prog : Prog.t) : race list =
+let races (prog : Prog.t) : race list =
   let pt = Pointsto.analyze prog in
   let ls = Lockset.analyze prog pt in
   if not (Lockset.has_spawn ls) then []
   else begin
-    let sctx = Sensitivity.create prog.Prog.tenv ~annotated in
+    let sctx = Sensitivity.create prog.Prog.tenv in
     let published = Hashtbl.create 8 in
     Prog.iter_funcs prog (fun fn ->
         Hashtbl.replace published fn.Prog.fname (published_allocas fn));

@@ -42,7 +42,7 @@ type race = {
 
 (** Static race verdicts over the uninstrumented program, sorted by
     object key. Empty when the program never spawns a thread. *)
-val races : ?annotated:string list -> Prog.t -> race list
+val races : Prog.t -> race list
 
 (** One unproven plain store and why it could not be certified. *)
 type unproven = {

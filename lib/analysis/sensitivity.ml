@@ -4,20 +4,19 @@
     types, pointers to composite types with at least one sensitive member,
     and universal pointers (void*/char pointers and, in full C, opaque
     forward-declared structs). Programmer-annotated structs (the paper's
-    struct-ucred example) are additionally sensitive. *)
+    struct-ucred example, marked in the type environment by the front
+    end) are additionally sensitive. *)
 
 module Ty = Levee_ir.Ty
+module I = Levee_ir.Instr
+module Prog = Levee_ir.Prog
 
 type ctx = {
   tenv : Ty.env;
-  annotated : (string, unit) Hashtbl.t;     (* programmer-marked structs *)
   memo : (Ty.t, bool) Hashtbl.t;
 }
 
-let create tenv ~annotated =
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun s -> Hashtbl.replace tbl s ()) annotated;
-  { tenv; annotated = tbl; memo = Hashtbl.create 64 }
+let create tenv = { tenv; memo = Hashtbl.create 64 }
 
 (** [is_sensitive ctx ty] implements the [sensitive] criterion of Fig. 7.
     Recursion through struct pointers is cut with a visited set (a pointer
@@ -35,7 +34,7 @@ let is_sensitive ctx ty =
         | Ty.Ptr t -> go visited t
         | Ty.Arr (t, _) -> go visited t
         | Ty.Struct s ->
-          Hashtbl.mem ctx.annotated s
+          Ty.marked_sensitive ctx.tenv s
           || (if List.mem s visited then false
               else
                 List.exists
@@ -60,3 +59,20 @@ let is_cps_sensitive _ctx ty =
     pointer to [ty] be safety-checked? True when the pointer type [Ptr ty]
     is itself sensitive. *)
 let deref_needs_check ctx ty = is_sensitive ctx (Ty.Ptr ty)
+
+(** Registers that (locally) address into a programmer-annotated struct:
+    accesses through them stay instrumented whatever their type. *)
+let annotated_addr_regs ctx (fn : Prog.func) =
+  let marked = Hashtbl.create 8 in
+  let is_annot s = Ty.marked_sensitive ctx.tenv s in
+  Prog.iter_instrs fn (fun i ->
+      match i with
+      | I.Alloca { dst; ty = Ty.Struct s; _ } when is_annot s ->
+        Hashtbl.replace marked dst ()
+      | I.Gep { dst; base_ty = Ty.Struct s; _ } when is_annot s ->
+        Hashtbl.replace marked dst ()
+      | I.Gep { dst; base = I.Reg r; _ } | I.Cast { dst; v = I.Reg r; _ }
+        when Hashtbl.mem marked r ->
+        Hashtbl.replace marked dst ()
+      | _ -> ());
+  marked

@@ -20,22 +20,6 @@ module Ty = Levee_ir.Ty
 module Prog = Levee_ir.Prog
 module An = Levee_analysis
 
-(* Registers that (locally) address into a programmer-annotated struct. *)
-let annotated_addr_regs annotated (fn : Prog.func) =
-  let marked = Hashtbl.create 8 in
-  let is_annot s = List.mem s annotated in
-  Prog.iter_instrs fn (fun i ->
-      match i with
-      | I.Alloca { dst; ty = Ty.Struct s; _ } when is_annot s -> Hashtbl.replace marked dst ()
-      | I.Gep { dst; base_ty = Ty.Struct s; _ } when is_annot s ->
-        Hashtbl.replace marked dst ()
-      | I.Gep { dst; base; _ } | I.Cast { dst; v = base; _ } ->
-        (match base with
-         | I.Reg r when Hashtbl.mem marked r -> Hashtbl.replace marked dst ()
-         | _ -> ())
-      | _ -> ());
-  marked
-
 (* Can we prove that the memory reachable from operand [o] holds no
    sensitive values? Used to keep plain memcpy/memset where possible.
    [summaries] holds the interprocedural parameter facts below. *)
@@ -151,8 +135,8 @@ let access_addr (fi : fninfo) (blk, idx) =
       | I.Load { addr; _ } | I.Store { addr; _ } -> Some addr
       | _ -> None
 
-let run ?(debug = false) ?(refine = true) ~annotated (prog : Prog.t) : int =
-  let ctx = An.Sensitivity.create prog.Prog.tenv ~annotated in
+let run ?(debug = false) ?(refine = true) (prog : Prog.t) : int =
+  let ctx = An.Sensitivity.create prog.Prog.tenv in
   let safe_where = if debug then I.SafeDebug else I.SafeFull in
   let demoted_map = An.Strheur.demoted prog in
   let summaries = param_summaries ctx prog in
@@ -163,7 +147,7 @@ let run ?(debug = false) ?(refine = true) ~annotated (prog : Prog.t) : int =
           fi_ud = An.Usedef.build fn;
           fi_demoted = An.Strheur.demoted_positions_in demoted_map fn;
           fi_forced = An.Castflow.forced_load_positions ctx fn;
-          fi_annot = annotated_addr_regs annotated fn;
+          fi_annot = An.Sensitivity.annotated_addr_regs ctx fn;
           fi_safe = safe_slot_regs fn });
   (* Points-to refinement: demote type-rule-sensitive accesses whose
      points-to sets provably never reach a code pointer. Merged into the

@@ -81,9 +81,8 @@ let crypt_globals ctx (prog : Prog.t) : (string * bool array) list =
     masks. Returns [(demoted, crypt_cells)]: the number of accesses the
     points-to refinement demoted, and the per-global masks for
     [Config.crypt_cells]. *)
-let run ?(refine = true) ~annotated (prog : Prog.t) :
-    int * (string * bool array) list =
-  let ctx = An.Sensitivity.create prog.Prog.tenv ~annotated in
+let run ?(refine = true) (prog : Prog.t) : int * (string * bool array) list =
+  let ctx = An.Sensitivity.create prog.Prog.tenv in
   let demoted_map = An.Strheur.demoted prog in
   let infos : (string, Cpi_pass.fninfo) Hashtbl.t = Hashtbl.create 16 in
   Prog.iter_funcs prog (fun fn ->
@@ -92,7 +91,7 @@ let run ?(refine = true) ~annotated (prog : Prog.t) :
           fi_ud = An.Usedef.build fn;
           fi_demoted = An.Strheur.demoted_positions_in demoted_map fn;
           fi_forced = An.Castflow.forced_load_positions ctx fn;
-          fi_annot = Cpi_pass.annotated_addr_regs annotated fn;
+          fi_annot = An.Sensitivity.annotated_addr_regs ctx fn;
           (* no safe stack: nothing to skip *)
           fi_safe = Hashtbl.create 1 })
   ;

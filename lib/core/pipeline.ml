@@ -48,15 +48,15 @@ type built = {
   stats : Stats.t;
 }
 
-(** [build ?annotated ?store_impl ?isolation ?refine ?elide protection prog]
-    instruments a copy of [prog]. [annotated] lists programmer-marked
-    sensitive structs (Section 3.2.1); [store_impl] selects the
+(** [build ?store_impl ?isolation ?refine ?elide protection prog]
+    instruments a copy of [prog]. Programmer-marked sensitive structs
+    (Section 3.2.1) travel in [prog.tenv]; [store_impl] selects the
     safe-pointer-store organisation; [isolation] the safe-region isolation
     mechanism. [refine] (default on) enables the points-to sensitivity
     refinement inside the CPS/CPI passes; [elide] (default on) runs the
     redundant-check elision pass over CPI programs, with every elision
     independently re-justified by [Verify.check_elision]. *)
-let build ?(annotated = []) ?(store_impl = Safestore.Simple_array)
+let build ?(store_impl = Safestore.Simple_array)
     ?(isolation = Config.Info_hiding) ?(refine = true) ?(elide = true)
     protection (src : Prog.t) : built =
   let prog = Prog.clone src in
@@ -80,7 +80,7 @@ let build ?(annotated = []) ?(store_impl = Safestore.Simple_array)
       ignore (Cfi_type_pass.run prog);
       Config.cfi_type
     | Cpi_crypt ->
-      let d, crypt_cells = Crypt_pass.run ~refine ~annotated prog in
+      let d, crypt_cells = Crypt_pass.run ~refine prog in
       demoted := d;
       { Config.cpi_crypt with Config.crypt_cells }
     | Cps ->
@@ -89,11 +89,11 @@ let build ?(annotated = []) ?(store_impl = Safestore.Simple_array)
       Config.cps ~store_impl ()
     | Cpi ->
       Safestack_pass.run prog;
-      demoted := Cpi_pass.run ~refine ~annotated prog;
+      demoted := Cpi_pass.run ~refine prog;
       Config.cpi ~store_impl ()
     | Cpi_debug ->
       Safestack_pass.run prog;
-      demoted := Cpi_pass.run ~debug:true ~refine ~annotated prog;
+      demoted := Cpi_pass.run ~debug:true ~refine prog;
       { (Config.cpi ~store_impl ()) with Config.name = "cpi-debug" }
     | Softbound ->
       Softbound_pass.run prog;

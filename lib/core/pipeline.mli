@@ -29,11 +29,11 @@ type built = {
   stats : Stats.t;      (** Table-2-style instrumentation statistics *)
 }
 
-(** [build ?annotated ?store_impl ?isolation protection prog] instruments a
-    deep copy of [prog] and verifies the result.
+(** [build ?store_impl ?isolation protection prog] instruments a deep copy
+    of [prog] and verifies the result. Structs the programmer marked
+    [sensitive] (Section 3.2.1's struct-ucred case) are read from
+    [prog.tenv].
 
-    @param annotated programmer-marked sensitive struct names
-           (Section 3.2.1's struct-ucred case)
     @param store_impl safe-pointer-store organisation (default array)
     @param isolation safe-region isolation mechanism (default info hiding)
     @param refine enable the points-to sensitivity refinement inside the
@@ -44,7 +44,6 @@ type built = {
            [Verify.check_elision] and counted in [stats.checks_elided]
     @raise Failure if the instrumented IR fails verification (a pass bug) *)
 val build :
-  ?annotated:string list ->
   ?store_impl:Safestore.impl ->
   ?isolation:Config.isolation ->
   ?refine:bool ->

@@ -276,9 +276,8 @@ let exec_cell ((s, statics), prot) =
 let default_seeds = [ 0; 1; 2; 3; 4; 5; 6; 7 ]
 
 let static_verdict s =
-  let checked, prog = Levee_minic.Lower.compile_checked ~name:s.xname s.source in
-  let annotated = checked.Levee_minic.Typecheck.sensitive_structs in
-  let races = An.Racecheck.races ~annotated prog in
+  let prog = Levee_minic.Lower.compile ~name:s.xname s.source in
+  let races = An.Racecheck.races prog in
   let keys =
     List.sort_uniq compare (List.map (fun r -> r.An.Racecheck.rc_obj) races)
   in
@@ -292,14 +291,8 @@ let run ?(jobs = 1) ?(protections = [ P.Vanilla; P.Cpi ]) ?(seeds = default_seed
       (fun (s, (keys, _)) -> List.map (fun p -> ((s, keys), p)) protections)
       statics
   in
-  let pool = Pool.create ~jobs in
-  let results =
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> Pool.map pool (fun c -> exec_cell c seeds) cells)
-  in
   let flat =
-    List.concat_map (function Ok rs -> rs | Error exn -> raise exn) results
+    List.concat (Pool.sweep ~jobs (fun c -> exec_cell c seeds) cells)
   in
   let verdicts =
     List.map
@@ -386,49 +379,50 @@ let invariants_ok rep = List.for_all snd (invariants rep)
 
 (* ---------- reports ---------- *)
 
+let strs l = J.Jlist (List.map (fun s -> J.Jstr s) l)
+
 let cell_json c =
-  J.obj
-    [ J.str "protection" (P.protection_name c.c_prot);
-      J.int "seed" c.c_seed;
-      J.str "outcome" c.c_outcome;
-      "\"races\":" ^ J.arr (List.map (fun k -> "\"" ^ J.escape k ^ "\"") c.c_races);
-      "\"uncovered\":"
-      ^ J.arr (List.map (fun k -> "\"" ^ J.escape k ^ "\"") c.c_uncovered) ]
+  J.Jobj
+    [ ("protection", J.Jstr (P.protection_name c.c_prot));
+      ("seed", J.Jint c.c_seed);
+      ("outcome", J.Jstr c.c_outcome);
+      ("races", strs c.c_races);
+      ("uncovered", strs c.c_uncovered) ]
 
 let verdict_json v =
-  J.obj
-    [ J.str "subject" v.v_subject;
-      J.bool "racy_expected" v.v_racy;
-      "\"static\":"
-      ^ J.arr (List.map (fun k -> "\"" ^ J.escape k ^ "\"") v.v_static);
-      "\"cells\":" ^ J.arr (List.map cell_json v.v_cells) ]
+  J.Jobj
+    [ ("subject", J.Jstr v.v_subject);
+      ("racy_expected", J.Jbool v.v_racy);
+      ("static", strs v.v_static);
+      ("cells", J.Jlist (List.map cell_json v.v_cells)) ]
 
 let faults_json fc =
-  J.obj
-    [ J.str "subject" fc.fc_subject;
-      J.int "plain_stores" fc.fc_plain;
-      J.int "certified" fc.fc_certified;
-      J.int "unproven" fc.fc_unproven;
-      J.bool "replay_ok" fc.fc_replay_ok;
-      J.bool "cpi_hijacked" fc.fc_cpi_hijacked ]
+  J.Jobj
+    [ ("subject", J.Jstr fc.fc_subject);
+      ("plain_stores", J.Jint fc.fc_plain);
+      ("certified", J.Jint fc.fc_certified);
+      ("unproven", J.Jint fc.fc_unproven);
+      ("replay_ok", J.Jbool fc.fc_replay_ok);
+      ("cpi_hijacked", J.Jbool fc.fc_cpi_hijacked) ]
 
 let to_json ?faults rep =
-  let inv = List.map (fun (n, ok) -> J.bool n ok) (invariants rep) in
-  let inv =
+  let inv = List.map (fun (n, ok) -> (n, J.Jbool ok)) (invariants rep) in
+  let inv, cross =
     match faults with
-    | None -> inv
+    | None -> (inv, [])
     | Some fcs ->
-      inv @ [ J.bool "certified implies no cpi hijack" (faults_consistent fcs) ]
+      ( inv
+        @ [ ( "certified implies no cpi hijack",
+              J.Jbool (faults_consistent fcs) ) ],
+        [ ("faults_cross", J.Jlist (List.map faults_json fcs)) ] )
   in
-  String.concat ""
-    ([ "{\n\"schema\":\"" ^ schema_id ^ "\",\n";
-       "\"seeds\":" ^ J.arr (List.map string_of_int rep.rep_seeds);
-       ",\n\"verdicts\":";
-       J.arr (List.map verdict_json rep.rep_verdicts) ]
-    @ (match faults with
-      | None -> []
-      | Some fcs -> [ ",\n\"faults_cross\":"; J.arr (List.map faults_json fcs) ])
-    @ [ ",\n\"invariants\":"; J.obj inv; "\n}\n" ])
+  J.to_document
+    (J.Jobj
+       ([ ("schema", J.Jstr schema_id);
+          ("seeds", J.Jlist (List.map (fun s -> J.Jint s) rep.rep_seeds));
+          ("verdicts", J.Jlist (List.map verdict_json rep.rep_verdicts)) ]
+       @ cross
+       @ [ ("invariants", J.Jobj inv) ]))
 
 let to_human ?faults rep =
   let b = Buffer.create 1024 in

@@ -22,8 +22,7 @@ let cell ?(store_impl = M.Safestore.Simple_array) workload protection =
 
 type exec = {
   result : M.Interp.result;
-  elided : int;   (* static checks removed by elision (Stats.checks_elided) *)
-  demoted : int;  (* accesses demoted by the points-to refinement *)
+  stats : Levee_core.Stats.t;  (* the build's instrumentation statistics *)
   attempts : int; (* executions before this result (retry accounting) *)
   wall_us : int;
 }
@@ -72,34 +71,39 @@ let exec_cell t c =
     M.Interp.run_program ~input:w.W.Workload.input ~fuel b.P.prog b.P.config
   in
   let wall_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
-  { result;
-    elided = b.P.stats.Levee_core.Stats.checks_elided;
-    demoted = b.P.stats.Levee_core.Stats.mem_ops_demoted;
-    attempts = 1;
-    wall_us }
+  { result; stats = b.P.stats; attempts = 1; wall_us }
 
-let entry_of c (e : exec) : Journal.entry =
-  let r = e.result in
-  { Journal.workload = c.workload.W.Workload.name;
-    protection = P.protection_name c.protection;
-    store = M.Safestore.impl_name c.store_impl;
-    outcome = M.Trap.outcome_to_string r.M.Interp.outcome;
-    status = (match r.M.Interp.outcome with M.Trap.Exit 0 -> 0 | _ -> 1);
-    cycles = r.M.Interp.cycles;
-    instrs = r.M.Interp.instrs;
-    mem_ops = r.M.Interp.mem_ops;
-    instrumented_mem_ops = r.M.Interp.instrumented_mem_ops;
-    store_accesses = r.M.Interp.store_accesses;
-    store_footprint = r.M.Interp.store_footprint;
-    heap_peak = r.M.Interp.heap_peak;
-    checksum = r.M.Interp.checksum;
-    checks_elided = e.elided;
-    mem_ops_demoted = e.demoted;
-    threads = r.M.Interp.threads;
-    ctx_switches = r.M.Interp.ctx_switches;
-    races = r.M.Interp.races;
-    attempts = e.attempts;
-    wall_us = e.wall_us }
+type measured =
+  | Ran of Levee_core.Stats.t * M.Interp.result
+  | Not_run of string
+
+let entry ~workload ~protection ~store_impl ~ok ~attempts ~wall_us measured
+    : Journal.entry =
+  let e : Journal.entry =
+    { workload; protection = P.protection_name protection;
+      store = M.Safestore.impl_name store_impl; outcome = "";
+      status = (if ok then 0 else 1); cycles = 0; instrs = 0; mem_ops = 0;
+      instrumented_mem_ops = 0; store_accesses = 0; store_footprint = 0;
+      heap_peak = 0; checksum = 0; checks_elided = 0; mem_ops_demoted = 0;
+      threads = 0; ctx_switches = 0; races = 0; attempts; wall_us }
+  in
+  match measured with
+  | Not_run outcome -> { e with outcome }
+  | Ran (st, r) ->
+    { e with
+      outcome = M.Trap.outcome_to_string r.M.Interp.outcome;
+      cycles = r.M.Interp.cycles; instrs = r.M.Interp.instrs;
+      mem_ops = r.M.Interp.mem_ops;
+      instrumented_mem_ops = r.M.Interp.instrumented_mem_ops;
+      store_accesses = r.M.Interp.store_accesses;
+      store_footprint = r.M.Interp.store_footprint;
+      heap_peak = r.M.Interp.heap_peak; checksum = r.M.Interp.checksum;
+      checks_elided = st.Levee_core.Stats.checks_elided;
+      mem_ops_demoted = st.Levee_core.Stats.mem_ops_demoted;
+      threads = r.M.Interp.threads; ctx_switches = r.M.Interp.ctx_switches;
+      races = r.M.Interp.races }
+
+let exited (r : M.Interp.result) = r.M.Interp.outcome = M.Trap.Exit 0
 
 (* Integrate one freshly executed cell: memoize, journal, track vanilla
    failures. Runs on the submitting domain, in submission order. *)
@@ -121,7 +125,11 @@ let note t c (e : exec) =
      Printf.printf "!! %s under %s: %s\n" c.workload.W.Workload.name
        (P.protection_name c.protection) (M.Trap.outcome_to_string o));
   match t.journal with
-  | Some j -> Journal.record j (entry_of c e)
+  | Some j ->
+    Journal.record j
+      (entry ~workload:c.workload.W.Workload.name ~protection:c.protection
+         ~store_impl:c.store_impl ~ok:(exited e.result) ~attempts:e.attempts
+         ~wall_us:e.wall_us (Ran (e.stats, e.result)))
   | None -> ()
 
 let find_memo t k =
@@ -148,18 +156,12 @@ let note_failure t c ~reason ~attempts =
     (w ^ "/" ^ P.protection_name c.protection, reason)
     :: t.rev_harness_failures;
   Mutex.unlock t.m;
-  let r : Journal.entry =
-    { Journal.workload = w;
-      protection = P.protection_name c.protection;
-      store = M.Safestore.impl_name c.store_impl;
-      outcome = reason;
-      status = 1; cycles = 0; instrs = 0; mem_ops = 0;
-      instrumented_mem_ops = 0; store_accesses = 0;
-      store_footprint = 0; heap_peak = 0; checksum = 0;
-      checks_elided = 0; mem_ops_demoted = 0; threads = 0;
-      ctx_switches = 0; races = 0; attempts; wall_us = 0 }
-  in
-  match t.journal with Some j -> Journal.record j r | None -> ()
+  match t.journal with
+  | Some j ->
+    Journal.record j
+      (entry ~workload:w ~protection:c.protection ~store_impl:c.store_impl
+         ~ok:false ~attempts ~wall_us:0 (Not_run reason))
+  | None -> ()
 
 let prefetch t cells =
   (* Dedupe while preserving first-occurrence order, and drop cells that

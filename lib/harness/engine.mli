@@ -20,6 +20,23 @@ type cell = {
 val cell :
   ?store_impl:M.Safestore.impl -> W.Workload.t -> P.protection -> cell
 
+(** What a journal entry reports: a finished run with its build's
+    instrumentation statistics, or a cell that produced no run (the
+    outcome text; every counter is 0). *)
+type measured =
+  | Ran of Levee_core.Stats.t * M.Interp.result
+  | Not_run of string
+
+(** The one {!Levee_support.Journal.entry} constructor every harness
+    uses: status 0 iff [ok]. *)
+val entry :
+  workload:string -> protection:P.protection ->
+  store_impl:M.Safestore.impl -> ok:bool -> attempts:int -> wall_us:int ->
+  measured -> Levee_support.Journal.entry
+
+(** The run ended in [Exit 0]. *)
+val exited : M.Interp.result -> bool
+
 type t
 
 (** [create ~jobs ()] builds an engine around a [jobs]-wide pool.

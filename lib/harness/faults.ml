@@ -350,18 +350,8 @@ let run ?(jobs = 1) campaign =
       (fun s -> List.map (fun cfg -> (s, cfg)) campaign.configs)
       campaign.subjects
   in
-  let pool = Pool.create ~jobs in
-  let results =
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> Pool.map pool exec_config cells)
-  in
-  let rep_runs =
-    List.concat_map
-      (function Ok rs -> rs | Error exn -> raise exn)
-      results
-  in
-  { rep_campaign = campaign; rep_runs }
+  { rep_campaign = campaign;
+    rep_runs = List.concat (Pool.sweep ~jobs exec_config cells) }
 
 (* ---------- invariants ---------- *)
 
@@ -463,42 +453,46 @@ let plan_descrs campaign =
       List.map (fun (p : A.Faultplan.t) -> (s.sname, p)) s.splans)
     campaign.subjects
 
+let count rep cls =
+  List.length (List.filter (fun r -> r.r_class = cls) rep.rep_runs)
+
+let hijacked rep prot =
+  List.length
+    (List.filter
+       (fun r -> r.r_protection = prot && r.r_class = "hijacked")
+       rep.rep_runs)
+
 let to_json rep =
   let c = rep.rep_campaign in
+  let str s = J.Jstr s and int i = J.Jint i in
   let plan_json (sname, (p : A.Faultplan.t)) =
-    J.obj
-      [ J.str "subject" sname;
-        J.str "name" p.A.Faultplan.name;
-        J.int "seed" p.A.Faultplan.seed;
-        J.int "events" (List.length p.A.Faultplan.events);
-        J.bool "attacker_model" (A.Faultplan.within_attacker_model p);
-        J.bool "safe_tamper" (A.Faultplan.pure_safe_tamper p);
-        J.bool "targets_metadata" (A.Faultplan.targets_metadata p) ]
+    J.Jobj
+      [ ("subject", str sname);
+        ("name", str p.A.Faultplan.name);
+        ("seed", int p.A.Faultplan.seed);
+        ("events", int (List.length p.A.Faultplan.events));
+        ("attacker_model", J.Jbool (A.Faultplan.within_attacker_model p));
+        ("safe_tamper", J.Jbool (A.Faultplan.pure_safe_tamper p));
+        ("targets_metadata", J.Jbool (A.Faultplan.targets_metadata p)) ]
   in
   let run_json r =
-    J.obj
-      [ J.str "subject" r.r_subject;
-        J.str "plan" r.r_plan;
-        J.str "protection" (P.protection_name r.r_protection);
-        J.str "store" (M.Safestore.impl_name r.r_store);
-        J.int "sched_seed" r.r_sched_seed;
-        J.str "class" r.r_class;
-        J.str "outcome" r.r_outcome;
-        J.int "instrs" r.r_instrs;
-        J.int "cycles" r.r_cycles;
-        J.int "checksum" r.r_checksum ]
+    J.Jobj
+      [ ("subject", str r.r_subject);
+        ("plan", str r.r_plan);
+        ("protection", str (P.protection_name r.r_protection));
+        ("store", str (M.Safestore.impl_name r.r_store));
+        ("sched_seed", int r.r_sched_seed);
+        ("class", str r.r_class);
+        ("outcome", str r.r_outcome);
+        ("instrs", int r.r_instrs);
+        ("cycles", int r.r_cycles);
+        ("checksum", int r.r_checksum) ]
   in
-  let count cls = List.length (List.filter (fun r -> r.r_class = cls) rep.rep_runs) in
   let by_prot =
     List.filter_map
       (fun prot ->
         if List.exists (fun (p, _) -> p = prot) c.configs then
-          Some
-            (J.int (P.protection_name prot)
-               (List.length
-                  (List.filter
-                     (fun r -> r.r_protection = prot && r.r_class = "hijacked")
-                     rep.rep_runs)))
+          Some (P.protection_name prot, int (hijacked rep prot))
         else None)
       P.all_protections
   in
@@ -511,44 +505,33 @@ let to_json rep =
         "cpi_metadata_witness"; "coarse_cfi_gap"; "same_sig_pierces_cfi_type";
         "cpi_crypt_no_hijack" ]
     in
-    List.map2 (fun key (_, ok) -> J.bool key ok) keys (invariants rep)
+    List.map2 (fun key (_, ok) -> (key, J.Jbool ok)) keys (invariants rep)
   in
-  String.concat ""
-    [ Printf.sprintf "{\n\"schema\":\"%s\",\n" schema_id;
-      Printf.sprintf "\"campaign\":\"%s\",\n" (J.escape c.cname);
-      Printf.sprintf "\"seed\":%d,\n" c.seed;
-      "\"plans\":";
-      J.arr (List.map plan_json (plan_descrs c));
-      ",\n\"runs\":";
-      J.arr (List.map run_json rep.rep_runs);
-      ",\n\"summary\":";
-      J.obj
-        ([ J.int "runs" (List.length rep.rep_runs) ]
-        @ List.map (fun cls -> J.int cls (count cls)) classes
-        @ [ "\"hijacked_by_protection\":" ^ J.obj by_prot;
-            "\"invariants\":" ^ J.obj inv_json ]);
-      "\n}\n" ]
+  J.to_document
+    (J.Jobj
+       [ ("schema", str schema_id);
+         ("campaign", str c.cname);
+         ("seed", int c.seed);
+         ("plans", J.Jlist (List.map plan_json (plan_descrs c)));
+         ("runs", J.Jlist (List.map run_json rep.rep_runs));
+         ( "summary",
+           J.Jobj
+             ([ ("runs", int (List.length rep.rep_runs)) ]
+             @ List.map (fun cls -> (cls, int (count rep cls))) classes
+             @ [ ("hijacked_by_protection", J.Jobj by_prot);
+                 ("invariants", J.Jobj inv_json) ]) ) ])
 
 (* The campaign carries no wall-clock, so its run-store record is fully
    deterministic: class counts, total simulated cycles, and the
-   invariant verdict, keyed by the campaign seed. *)
-(* The per-backend hijack counts recorded in the run-store: the spectrum
-   ordering (vanilla >= cfi >= cfi-type >= cpi = cpi-crypt = 0) becomes a
-   history-gated regression surface, not just a one-shot invariant. *)
+   invariant verdict, keyed by the campaign seed. The per-backend hijack
+   counts make the spectrum ordering (vanilla >= cfi >= cfi-type >= cpi =
+   cpi-crypt = 0) a history-gated regression surface, not just a one-shot
+   invariant. *)
 let record_backends =
   [ P.Vanilla; P.Cfi; P.Cfi_type; P.Cpi; P.Cpi_crypt ]
 
 let to_record ?commit rep =
   let c = rep.rep_campaign in
-  let count cls =
-    List.length (List.filter (fun r -> r.r_class = cls) rep.rep_runs)
-  in
-  let hijacked prot =
-    List.length
-      (List.filter
-         (fun r -> r.r_protection = prot && r.r_class = "hijacked")
-         rep.rep_runs)
-  in
   let field_name prot =
     "hijacked_"
     ^ String.map
@@ -561,10 +544,10 @@ let to_record ?commit rep =
     @ List.map
         (fun cls ->
           ( (if cls = "fuel-exhausted" then "fuel_exhausted" else cls),
-            Runstore.Int (count cls) ))
+            Runstore.Int (count rep cls) ))
         classes
     @ List.map
-        (fun prot -> (field_name prot, Runstore.Int (hijacked prot)))
+        (fun prot -> (field_name prot, Runstore.Int (hijacked rep prot)))
         record_backends
     @ [ ("cycles",
          Runstore.Int

@@ -533,16 +533,7 @@ let run ?(jobs = 1) cfg =
       (fun prot -> List.map (fun seed -> (prot, seed)) cfg.seeds)
       cfg.protections
   in
-  let pool = Pool.create ~jobs in
-  let results =
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> Pool.map pool (exec_cell cfg) cells)
-  in
-  let rep_cells =
-    List.map (function Ok c -> c | Error exn -> raise exn) results
-  in
-  { rep_config = cfg; rep_cells }
+  { rep_config = cfg; rep_cells = Pool.sweep ~jobs (exec_cell cfg) cells }
 
 (* ---------- invariants ---------- *)
 
@@ -579,57 +570,53 @@ let invariants_ok rep = List.for_all snd (invariants rep)
 
 let to_json rep =
   let c = rep.rep_config in
+  let str s = J.Jstr s and int i = J.Jint i in
   let probe_json p =
-    J.obj
-      [ J.str "plan" p.p_plan;
-        J.str "class" p.p_class;
-        J.str "outcome" p.p_outcome;
-        J.int "cycles" p.p_cycles;
-        J.int "checksum" p.p_checksum ]
+    J.Jobj
+      [ ("plan", str p.p_plan);
+        ("class", str p.p_class);
+        ("outcome", str p.p_outcome);
+        ("cycles", int p.p_cycles);
+        ("checksum", int p.p_checksum) ]
   in
   let cell_json cl =
-    J.obj
-      [ J.str "protection" (P.protection_name cl.c_protection);
-        J.int "seed" cl.c_seed;
-        ("\"svc_cycles\":"
-         ^ J.arr (Array.to_list (Array.map string_of_int cl.c_svc)));
-        ("\"probes\":" ^ J.arr (List.map probe_json cl.c_probes));
-        J.int "arrivals" cl.c_arrivals;
-        J.int "served" cl.c_served;
-        J.int "shed" cl.c_shed;
-        J.int "timed_out" cl.c_timed_out;
-        J.int "retried" cl.c_retried;
-        J.int "killed_workers" cl.c_killed;
-        J.int "breaker_trips" cl.c_trips;
-        J.int "p50_cycles" cl.c_p50;
-        J.int "p99_cycles" cl.c_p99;
-        J.int "p999_cycles" cl.c_p999;
-        J.int "max_cycles" cl.c_max;
-        ("\"histogram\":"
-         ^ J.arr
-             (List.map
-                (fun (lo, n) -> Printf.sprintf "[%d,%d]" lo n)
-                cl.c_hist)) ]
+    J.Jobj
+      [ ("protection", str (P.protection_name cl.c_protection));
+        ("seed", int cl.c_seed);
+        ("svc_cycles", J.Jlist (Array.to_list (Array.map int cl.c_svc)));
+        ("probes", J.Jlist (List.map probe_json cl.c_probes));
+        ("arrivals", int cl.c_arrivals);
+        ("served", int cl.c_served);
+        ("shed", int cl.c_shed);
+        ("timed_out", int cl.c_timed_out);
+        ("retried", int cl.c_retried);
+        ("killed_workers", int cl.c_killed);
+        ("breaker_trips", int cl.c_trips);
+        ("p50_cycles", int cl.c_p50);
+        ("p99_cycles", int cl.c_p99);
+        ("p999_cycles", int cl.c_p999);
+        ("max_cycles", int cl.c_max);
+        ( "histogram",
+          J.Jlist
+            (List.map (fun (lo, n) -> J.Jlist [ int lo; int n ]) cl.c_hist) ) ]
   in
   let inv_json =
     List.map2
-      (fun key (_, ok) -> J.bool key ok)
+      (fun key (_, ok) -> (key, J.Jbool ok))
       [ "cpi_never_hijacked"; "spectrum_never_hijacked"; "all_accounted";
         "vanilla_hijack_witnessed"; "degraded_cells_still_serve" ]
       (invariants rep)
   in
-  String.concat ""
-    [ Printf.sprintf "{\n\"schema\":\"%s\",\n" schema_id;
-      Printf.sprintf "\"workers\":%d,\n" c.workers;
-      Printf.sprintf "\"shards\":%d,\n" c.shards;
-      Printf.sprintf "\"requests\":%d,\n" c.requests;
-      Printf.sprintf "\"faulted\":%b,\n" c.faulted;
-      "\"cells\":";
-      J.arr (List.map cell_json rep.rep_cells);
-      ",\n\"invariants\":";
-      J.obj inv_json;
-      ",\n";
-      Printf.sprintf "\"invariants_ok\":%b\n}\n" (invariants_ok rep) ]
+  J.to_document
+    (J.Jobj
+       [ ("schema", str schema_id);
+         ("workers", int c.workers);
+         ("shards", int c.shards);
+         ("requests", int c.requests);
+         ("faulted", J.Jbool c.faulted);
+         ("cells", J.Jlist (List.map cell_json rep.rep_cells));
+         ("invariants", J.Jobj inv_json);
+         ("invariants_ok", J.Jbool (invariants_ok rep)) ])
 
 let to_records ?commit rep =
   let c = rep.rep_config in

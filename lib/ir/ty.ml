@@ -17,15 +17,23 @@ type t =
   | Struct of string         (* named struct; layout lives in [env] *)
   | Arr of t * int           (* fixed-size array *)
 
-(** Struct layout environment: struct name -> ordered fields. *)
-type env = { structs : (string, (string * t) list) Hashtbl.t }
+(** Struct layout environment: struct name -> ordered fields, plus the
+    structs the programmer marked [sensitive]. *)
+type env = {
+  structs : (string, (string * t) list) Hashtbl.t;
+  sensitive : (string, unit) Hashtbl.t;
+}
 
-let create_env () = { structs = Hashtbl.create 16 }
+let create_env () =
+  { structs = Hashtbl.create 16; sensitive = Hashtbl.create 4 }
 
 let define_struct env name fields =
   if Hashtbl.mem env.structs name then
     invalid_arg ("Ty.define_struct: duplicate struct " ^ name);
   Hashtbl.replace env.structs name fields
+
+let mark_sensitive env name = Hashtbl.replace env.sensitive name ()
+let marked_sensitive env name = Hashtbl.mem env.sensitive name
 
 let struct_fields env name =
   match Hashtbl.find_opt env.structs name with

@@ -15,14 +15,25 @@ type t =
   | Struct of string         (** named struct; layout lives in [env] *)
   | Arr of t * int           (** fixed-size array *)
 
-(** Struct layout environment: struct name -> ordered fields. *)
-type env = { structs : (string, (string * t) list) Hashtbl.t }
+(** Struct layout environment: struct name -> ordered fields, plus the
+    structs the programmer marked [sensitive] (Section 3.2.1's
+    struct-ucred case), so the mark travels with the program. *)
+type env = {
+  structs : (string, (string * t) list) Hashtbl.t;
+  sensitive : (string, unit) Hashtbl.t;
+}
 
 val create_env : unit -> env
 
 (** [define_struct env name fields] registers a struct layout.
     @raise Invalid_argument on duplicate definition. *)
 val define_struct : env -> string -> (string * t) list -> unit
+
+(** Record a programmer [sensitive] annotation on a struct. *)
+val mark_sensitive : env -> string -> unit
+
+(** Was the struct annotated [sensitive]? *)
+val marked_sensitive : env -> string -> bool
 
 (** Ordered fields of a struct. @raise Invalid_argument if unknown. *)
 val struct_fields : env -> string -> (string * t) list

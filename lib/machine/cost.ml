@@ -13,20 +13,13 @@
 
 type t = {
   mutable cycles : int;
-  mutable instrs : int;
   mutable mem_ops : int;
   mutable instrumented_mem_ops : int;
-  mutable checks : int;
-  mutable safe_store_ops : int;
-  mutable calls : int;
-  mutable unsafe_frames : int;    (* calls that set up an unsafe stack frame *)
   mutable ctx_switches : int;     (* scheduler context switches *)
 }
 
 let create () =
-  { cycles = 0; instrs = 0; mem_ops = 0; instrumented_mem_ops = 0;
-    checks = 0; safe_store_ops = 0; calls = 0; unsafe_frames = 0;
-    ctx_switches = 0 }
+  { cycles = 0; mem_ops = 0; instrumented_mem_ops = 0; ctx_switches = 0 }
 
 let[@inline] add t n = t.cycles <- t.cycles + n
 
@@ -111,10 +104,7 @@ let[@inline] charge_mem t ~instrumented n =
   if instrumented then t.instrumented_mem_ops <- t.instrumented_mem_ops + 1;
   add t n
 
-let[@inline] charge_check t =
-  t.checks <- t.checks + 1;
-  add t check_cost
+let[@inline] charge_check t = add t check_cost
 
 let[@inline] charge_safe_store t impl =
-  t.safe_store_ops <- t.safe_store_ops + 1;
   add t (Safestore.lookup_cost impl + meta_move)

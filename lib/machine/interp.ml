@@ -380,12 +380,9 @@ let push_frame_empty st th (pf : Loader.pmeta Pr.func) ~ret_dst ~pushed_ret
   in
   Mem.write st.mem (ret_slot_base - layout.Loader.fl_ret_offset) slot_ret;
   (* Instrumentation costs of the call itself. *)
-  st.cost.Cost.calls <- st.cost.Cost.calls + 1;
   Cost.add st.cost Cost.call_base;
-  if st.cfg.Config.safe_stack && layout.Loader.fl_has_unsafe then begin
-    st.cost.Cost.unsafe_frames <- st.cost.Cost.unsafe_frames + 1;
-    Cost.add st.cost Cost.unsafe_frame_cost
-  end;
+  if st.cfg.Config.safe_stack && layout.Loader.fl_has_unsafe then
+    Cost.add st.cost Cost.unsafe_frame_cost;
   (* Locality model: a large hot frame area costs extra per call; the safe
      stack keeps the hot area small by moving buffers away. *)
   let hot_resident =
@@ -953,7 +950,6 @@ let do_load st fr dst ~what ~universal addr_op where checked =
        Cost.add st.cost Cost.load_base;
        set_reg fr dst (plain_read st a ma) None)
   | I.SafeValue ->
-    st.cost.Cost.safe_store_ops <- st.cost.Cost.safe_store_ops + 1;
     Cost.charge_mem st.cost ~instrumented:true
       (Safestore.lookup_cost st.cfg.Config.store_impl + 2
        + (if universal then 1 else 0));
@@ -1026,7 +1022,6 @@ let do_store st fr ~what ~universal v_op addr_op where checked =
        Cost.add st.cost Cost.store_base;
        plain_write st a ma vv)
   | I.SafeValue ->
-    st.cost.Cost.safe_store_ops <- st.cost.Cost.safe_store_ops + 1;
     Cost.charge_mem st.cost ~instrumented:true
       (Safestore.lookup_cost st.cfg.Config.store_impl + 2
        + (if universal then 1 else 0));

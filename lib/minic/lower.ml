@@ -494,7 +494,9 @@ let lower (checked : Typecheck.checked) : Prog.t =
   (* Structs first: layouts are needed everywhere. *)
   List.iter
     (function
-      | TStruct (name, fields, _) -> Ty.define_struct prog.Prog.tenv name fields
+      | TStruct (name, fields, sensitive) ->
+        Ty.define_struct prog.Prog.tenv name fields;
+        if sensitive then Ty.mark_sensitive prog.Prog.tenv name
       | TGlobal _ | TFunc _ -> ())
     checked.ast.tops;
   List.iter
@@ -525,14 +527,3 @@ let compile ?(name = "<input>") src : Prog.t =
    | Ok () -> ()
    | Error e -> failwith (Printf.sprintf "%s: internal error: invalid IR: %s" name e));
   prog
-
-(** [compile_checked src] also returns the type-checked AST, which carries
-    the programmer's [sensitive] annotations for the analysis. *)
-let compile_checked ?(name = "<input>") src : Typecheck.checked * Prog.t =
-  let ast = Parser.parse_program_exn ~name src in
-  let checked =
-    try Typecheck.check_program ast with
-    | Typecheck.Type_error (msg, l) ->
-      failwith (Printf.sprintf "%s:%d: type error: %s" name l msg)
-  in
-  (checked, lower checked)

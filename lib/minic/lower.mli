@@ -13,9 +13,7 @@ exception Lower_error of string * int
 val lower : Typecheck.checked -> Levee_ir.Prog.t
 
 (** [compile src] parses, type-checks, lowers and verifies MiniC source.
+    Programmer [sensitive] struct annotations are recorded in the
+    program's type environment ({!Levee_ir.Ty.marked_sensitive}).
     @raise Failure with a located message on any front-end error. *)
 val compile : ?name:string -> string -> Levee_ir.Prog.t
-
-(** Like [compile], but also returns the type-checked AST, which carries
-    the programmer's [sensitive] annotations for the analysis. *)
-val compile_checked : ?name:string -> string -> Typecheck.checked * Levee_ir.Prog.t

@@ -44,7 +44,6 @@ type checked = {
   tenv : Ty.env;
   global_tys : (string, Ty.t) Hashtbl.t;
   func_sigs : (string, Ty.t list * Ty.t) Hashtbl.t;
-  sensitive_structs : string list;
 }
 
 type scope = {
@@ -384,4 +383,4 @@ let check_program (ast : program) : checked =
         check_block sc ~ret:fd.fd_ret ~inloop:false fd.fd_body;
         pop_scope sc)
     ast.tops;
-  { ast; tenv; global_tys; func_sigs; sensitive_structs = Ast.sensitive_structs ast }
+  { ast; tenv; global_tys; func_sigs }

@@ -22,8 +22,6 @@ type checked = {
   tenv : Ty.env;
   global_tys : (string, Ty.t) Hashtbl.t;
   func_sigs : (string, Ty.t list * Ty.t) Hashtbl.t;
-  sensitive_structs : string list;
-      (** programmer-annotated sensitive struct names *)
 }
 
 (** Check a parsed program. @raise Type_error on the first violation. *)

@@ -1,6 +1,7 @@
-(* Structured run journal: a thread-safe accumulator of per-cell records
-   plus a self-contained JSON emitter/parser (the toolchain has no JSON
-   library; the schema only needs objects, arrays, strings and ints). *)
+(* Structured run journal: a thread-safe accumulator of per-cell records,
+   printed and parsed through Jsonenc. *)
+
+module J = Jsonenc
 
 type entry = {
   workload : string;
@@ -56,51 +57,33 @@ let failures t = List.filter (fun e -> e.status <> 0) (entries t)
 
 (* ---------- emitter ---------- *)
 
-let escape = Jsonenc.escape
-
-let entry_to_json e =
-  Printf.sprintf
-    "{\"workload\":\"%s\",\"protection\":\"%s\",\"store\":\"%s\",\
-     \"outcome\":\"%s\",\"status\":%d,\"cycles\":%d,\"instrs\":%d,\
-     \"mem_ops\":%d,\"instrumented_mem_ops\":%d,\"store_accesses\":%d,\
-     \"store_footprint\":%d,\"heap_peak\":%d,\"checksum\":%d,\
-     \"checks_elided\":%d,\"mem_ops_demoted\":%d,\"threads\":%d,\
-     \"ctx_switches\":%d,\"races\":%d,\"attempts\":%d,\
-     \"wall_us\":%d}"
-    (escape e.workload) (escape e.protection) (escape e.store)
-    (escape e.outcome) e.status e.cycles e.instrs e.mem_ops
-    e.instrumented_mem_ops e.store_accesses e.store_footprint e.heap_peak
-    e.checksum e.checks_elided e.mem_ops_demoted e.threads e.ctx_switches
-    e.races e.attempts e.wall_us
+let entry_json e =
+  let str s = J.Jstr s and int i = J.Jint i in
+  J.Jobj
+    [ ("workload", str e.workload); ("protection", str e.protection);
+      ("store", str e.store); ("outcome", str e.outcome);
+      ("status", int e.status); ("cycles", int e.cycles);
+      ("instrs", int e.instrs); ("mem_ops", int e.mem_ops);
+      ("instrumented_mem_ops", int e.instrumented_mem_ops);
+      ("store_accesses", int e.store_accesses);
+      ("store_footprint", int e.store_footprint);
+      ("heap_peak", int e.heap_peak); ("checksum", int e.checksum);
+      ("checks_elided", int e.checks_elided);
+      ("mem_ops_demoted", int e.mem_ops_demoted); ("threads", int e.threads);
+      ("ctx_switches", int e.ctx_switches); ("races", int e.races);
+      ("attempts", int e.attempts); ("wall_us", int e.wall_us) ]
 
 let to_json t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "{\n\"schema\":\"%s\",\n\"target\":\"%s\",\n\"jobs\":%d,\n\"entries\":[\n"
-       schema_id (escape t.target_name) t.jobs_used);
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b (entry_to_json e))
-    (entries t);
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  J.to_document
+    (J.Jobj
+       [ ("schema", J.Jstr schema_id); ("target", J.Jstr t.target_name);
+         ("jobs", J.Jint t.jobs_used);
+         ("entries", J.Jlist (List.map entry_json (entries t))) ])
 
 (* ---------- parser ---------- *)
 
-(* The recursive-descent JSON reader lives in Jsonenc, shared with the
-   run-store; only the entry projection is journal-specific. *)
-
-exception Bad = Jsonenc.Bad
-
-let parse_json = Jsonenc.parse
-let field = Jsonenc.field
-let as_str = Jsonenc.as_str
-let as_int = Jsonenc.as_int
-let as_list = Jsonenc.as_list
-
 let entry_of_json j =
-  let str k = as_str (field k j) and int k = as_int (field k j) in
+  let str k = J.as_str (J.field k j) and int k = J.as_int (J.field k j) in
   { workload = str "workload"; protection = str "protection";
     store = str "store"; outcome = str "outcome"; status = int "status";
     cycles = int "cycles"; instrs = int "instrs"; mem_ops = int "mem_ops";
@@ -114,18 +97,19 @@ let entry_of_json j =
 
 let of_json s =
   try
-    let j = parse_json s in
-    let schema = as_str (field "schema" j) in
-    if schema <> schema_id then
-      raise (Bad ("unknown schema " ^ schema));
+    let j = J.parse s in
+    let schema = J.as_str (J.field "schema" j) in
+    if schema <> schema_id then raise (J.Bad ("unknown schema " ^ schema));
     let t =
-      create ~jobs:(as_int (field "jobs" j))
-        ~target:(as_str (field "target" j)) ()
+      create ~jobs:(J.as_int (J.field "jobs" j))
+        ~target:(J.as_str (J.field "target" j)) ()
     in
-    List.iter (fun e -> record t (entry_of_json e)) (as_list (field "entries" j));
+    List.iter
+      (fun e -> record t (entry_of_json e))
+      (J.as_list (J.field "entries" j));
     t
   with
-  | Bad msg -> failwith ("Journal.of_json: " ^ msg)
+  | J.Bad msg -> failwith ("Journal.of_json: " ^ msg)
   | Failure msg -> failwith ("Journal.of_json: " ^ msg)
 
 (* ---------- comparison / reporting ---------- *)

@@ -47,10 +47,6 @@ val failures : t -> entry list
 (** Serialize to the [BENCH_*.json] schema (see EXPERIMENTS.md). *)
 val to_json : t -> string
 
-(** JSON string escaping, shared with the other emitters in the repo so
-    every schema agrees on one dialect. *)
-val escape : string -> string
-
 (** Parse [to_json] output back. @raise Failure on malformed input. *)
 val of_json : string -> t
 

@@ -1,19 +1,13 @@
-(* Shared JSON emission and parsing helpers (see jsonenc.mli). *)
+(* The one JSON printer and parser every schema shares (see jsonenc.mli). *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+type json =
+  | Jstr of string
+  | Jint of int
+  | Jfloat of float
+  | Jbool of bool
+  | Jnull
+  | Jlist of json list
+  | Jobj of (string * json) list
 
 (* One canonical float dialect for every schema: fixed-point, one decimal,
    independent of any locale (OCaml's Printf never consults the locale,
@@ -26,27 +20,65 @@ let float_str v =
   let v = if v = 0.0 then 0.0 else v in
   Printf.sprintf "%.1f" v
 
-let str k v = Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v)
-let int k v = Printf.sprintf "\"%s\":%d" (escape k) v
-let float1 k v = Printf.sprintf "\"%s\":%s" (escape k) (float_str v)
-let bool k v = Printf.sprintf "\"%s\":%s" (escape k) (if v then "true" else "false")
-let obj fields = "{" ^ String.concat "," fields ^ "}"
-let arr elems = "[\n" ^ String.concat ",\n" elems ^ "\n]"
+(* ---------- printer ---------- *)
+
+let add_quoted b s =
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
+let seq b ~op ~sep ~cl f xs =
+  Buffer.add_string b op;
+  List.iteri (fun i x -> if i > 0 then Buffer.add_string b sep; f x) xs;
+  Buffer.add_string b cl
+
+(* [lines] selects the document layout: an array that is an object
+   member's value prints one element per line. Everything else — nested
+   arrays, objects below the root, scalars — prints inline. *)
+let rec write b ~lines = function
+  | Jstr s -> add_quoted b s
+  | Jint i -> Buffer.add_string b (string_of_int i)
+  | Jfloat f -> Buffer.add_string b (float_str f)
+  | Jbool v -> Buffer.add_string b (string_of_bool v)
+  | Jnull -> Buffer.add_string b "null"
+  | Jlist l -> seq b ~op:"[" ~sep:"," ~cl:"]" (write b ~lines) l
+  | Jobj kvs -> seq b ~op:"{" ~sep:"," ~cl:"}" (member b ~lines) kvs
+
+and member b ~lines (k, v) =
+  add_quoted b k;
+  Buffer.add_char b ':';
+  match v with
+  | Jlist l when lines ->
+    seq b ~op:"[\n" ~sep:",\n" ~cl:"\n]" (write b ~lines) l
+  | v -> write b ~lines v
+
+let to_document v =
+  let b = Buffer.create 4096 in
+  (match v with
+   | Jobj kvs -> seq b ~op:"{\n" ~sep:",\n" ~cl:"\n}" (member b ~lines:true) kvs
+   | v -> write b ~lines:true v);
+  Buffer.add_char b '\n';
+  Buffer.contents b
+
+let to_line v =
+  let b = Buffer.create 256 in
+  write b ~lines:false v;
+  Buffer.contents b
 
 (* ---------- parser ---------- *)
 
 (* Minimal recursive-descent reader covering the subset the repo's
    emitters produce (plus arbitrary nesting, so a future schema bump
    still parses). Shared by the journal parser and the run-store. *)
-
-type json =
-  | Jstr of string
-  | Jint of int
-  | Jfloat of float
-  | Jbool of bool
-  | Jnull
-  | Jlist of json list
-  | Jobj of (string * json) list
 
 exception Bad of string
 

@@ -1,15 +1,19 @@
-(** Shared JSON emission and parsing helpers.
+(** The repo's one JSON printer and parser.
 
-    The toolchain has no JSON library; every schema in the repo
-    ([levee-bench-journal/*], [levee-bench-perf/*], [levee-analyze/*],
-    [levee-faults/*], [levee-history/*]) emits objects, arrays, strings
-    and numbers by hand. This module is the single definition of the
-    string-escaping and float-formatting dialect, the field/object
-    combinators, and the reader, so every emitter produces — and every
+    The toolchain has no JSON library. Every schema in the repo
+    ([levee-bench-journal/*], [levee-analyze/*], [levee-faults/*],
+    [levee-serve/*], [levee-crossval/*], [levee-history/*]) builds a
+    {!json} value and prints it here, so every producer emits — and every
     consumer accepts — the same bytes for the same data. *)
 
-(** Escape a string for inclusion inside JSON double quotes. *)
-val escape : string -> string
+type json =
+  | Jstr of string
+  | Jint of int
+  | Jfloat of float  (** printed with {!float_str} *)
+  | Jbool of bool
+  | Jnull
+  | Jlist of json list
+  | Jobj of (string * json) list  (** members in printing order *)
 
 (** The one float dialect every schema uses: fixed-point with one
     decimal ([197.4]), locale-independent. Negative zero normalizes to
@@ -17,35 +21,28 @@ val escape : string -> string
     by a real schema) also collapse to ["0.0"]. *)
 val float_str : float -> string
 
-(** ["key":"escaped value"] *)
-val str : string -> string -> string
+(** {2 Printing} *)
 
-(** ["key":42] *)
-val int : string -> int -> string
+(** A document, ending in a newline. The layout rule:
+    - the root object prints one member per line, its braces on lines of
+      their own;
+    - an array that is an object member's value, at any depth, prints
+      one element per line, its brackets on lines of their own (an empty
+      one prints as two brackets around an empty line);
+    - everything else prints inline: nested arrays (an array element
+      that is itself an array), every object below the root, and
+      scalars.
 
-(** ["key":3.1] — formatted with {!float_str}. *)
-val float1 : string -> float -> string
+    Strings escape quote, backslash, newline and tab with a backslash
+    and every other control character as a [\u00XX] escape; floats use
+    {!float_str}. *)
+val to_document : json -> string
 
-(** ["key":true] *)
-val bool : string -> bool -> string
-
-(** [obj fields] = [{f1,f2,...}] on one line. *)
-val obj : string list -> string
-
-(** [arr elems] = [[e1,\ne2,\n...]] with one element per line, matching
-    the journal emitter's layout. *)
-val arr : string list -> string
+(** The whole value on one line, no trailing newline: the run-store's
+    record layout. *)
+val to_line : json -> string
 
 (** {2 Parsing} *)
-
-type json =
-  | Jstr of string
-  | Jint of int
-  | Jfloat of float
-  | Jbool of bool
-  | Jnull
-  | Jlist of json list
-  | Jobj of (string * json) list
 
 (** Raised by {!parse} and the accessors below, with a message that
     pinpoints the offset or the missing/ill-typed field. *)

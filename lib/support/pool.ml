@@ -211,3 +211,8 @@ let shutdown p =
   let leak = p.abandoned_n > 0 in
   Mutex.unlock p.m;
   if not leak then List.iter Domain.join ws
+
+let sweep ~jobs f xs =
+  let p = create ~jobs in
+  Fun.protect ~finally:(fun () -> shutdown p) (fun () -> map p f xs)
+  |> List.map (function Ok v -> v | Error e -> raise e)

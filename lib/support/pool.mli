@@ -82,3 +82,10 @@ val abandoned : t -> int
     than hanging the caller. The pool must not be used afterwards;
     idempotent. *)
 val shutdown : t -> unit
+
+(** [sweep ~jobs f xs] maps [f] over [xs] on a fresh [jobs]-wide pool and
+    shuts the pool down: the one sweep driver every harness shares.
+    Results come back in submission order, so any [jobs] yields the same
+    list; if a task raised, the first failed task's exception (in
+    submission order) is re-raised once the whole batch has run. *)
+val sweep : jobs:int -> ('a -> 'b) -> 'a list -> 'b list

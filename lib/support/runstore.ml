@@ -1,8 +1,8 @@
 (* Append-only run-store (see runstore.mli).
 
    One JSONL history file — RUNS.jsonl by default — where every harness
-   (bench journals, the perf harness, fault campaigns, `levee conc`)
-   appends exactly one summary record per run. A record is a single
+   (bench journals, fault and serve campaigns, crossval, analyze, `levee
+   conc`) appends its summary records. A record is a single
    line, so appends from different invocations never interleave
    partially, the file is trivially diffable, and truncation corrupts at
    most the final line (which the loader reports precisely instead of
@@ -45,27 +45,20 @@ let key r = (r.schema, r.commit, r.config, r.seed)
 
 (* ---------- encoding ---------- *)
 
-let value_json = function
-  | Int i -> string_of_int i
-  | Float f -> J.float_str f
-  | Str s -> "\"" ^ J.escape s ^ "\""
-
 let to_line r =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"v\":\"%s\",\"schema\":\"%s\",\"kind\":\"%s\",\"commit\":\"%s\",\
-        \"config\":\"%s\",\"seed\":%d,\"wall_us\":%d,\"metrics\":{"
-       (J.escape envelope) (J.escape r.schema) (J.escape r.kind)
-       (J.escape r.commit) (J.escape r.config) r.seed r.wall_us);
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "\"%s\":%s" (J.escape k) (value_json v)))
-    r.metrics;
-  Buffer.add_string b "}}";
-  Buffer.contents b
+  let value = function
+    | Int i -> J.Jint i
+    | Float f -> J.Jfloat f
+    | Str s -> J.Jstr s
+  in
+  J.to_line
+    (J.Jobj
+       [ ("v", J.Jstr envelope); ("schema", J.Jstr r.schema);
+         ("kind", J.Jstr r.kind); ("commit", J.Jstr r.commit);
+         ("config", J.Jstr r.config); ("seed", J.Jint r.seed);
+         ("wall_us", J.Jint r.wall_us);
+         ( "metrics",
+           J.Jobj (List.map (fun (k, v) -> (k, value v)) r.metrics) ) ])
 
 let of_line line =
   try
@@ -247,8 +240,9 @@ let default_tolerances =
        exact functions of the campaign seed, so any drift is a behaviour
        change — gate at 0%. Aggregate simulated cycles gate like every
        other cycle metric, at 5% (the "cycles" entry above covers them).
-       The perf-harness simulated totals (levee-bench-perf/3) likewise
-       ride the existing sim_cycles/sim_instrs entries. *)
+       Stores written before the perf harness was retired also hold
+       levee-bench-perf/3 records, whose simulated totals gate on the
+       sim_cycles/sim_instrs entries. *)
     ("runs", 0.0); ("hijacked", 0.0); ("trapped", 0.0); ("crash", 0.0);
     ("masked", 0.0); ("benign", 0.0); ("fuel_exhausted", 0.0);
     ("hijacked_vanilla", 0.0); ("hijacked_cfi", 0.0);

@@ -1,8 +1,8 @@
 (** Append-only run-store: the repo's performance-trajectory history.
 
-    Every harness in the tree — the bench journals, the wall-clock perf
-    harness, fault campaigns, `levee conc` — appends one summary
-    {!record} per run to a single JSONL file ([RUNS.jsonl] by default):
+    Every harness in the tree — the bench journals, fault and serve
+    campaigns, crossval, analyze, `levee conc` — appends summary
+    {!record}s to a single JSONL file ([RUNS.jsonl] by default):
     one JSON object per line, envelope version [levee-history/1], keyed
     by [(schema, commit, config, seed)]. The file is append-only and
     diffable; `levee history` lists the trajectory, diffs any two runs
@@ -11,7 +11,8 @@
 
     Records are deterministic bytes: producers zero [wall_us] (or the
     caller ignores it), metric order is the insertion order, and floats
-    use {!Jsonenc.float_str}'s single dialect — so the same run appended
+    use {!Jsonenc.float_str}'s single dialect; a record prints through
+    {!Jsonenc.to_line} — so the same run appended
     under any [--jobs] width yields byte-identical lines. *)
 
 (** A metric value. Ints dominate; floats (one-decimal dialect) carry
@@ -20,7 +21,7 @@ type value = Int of int | Float of float | Str of string
 
 type record = {
   schema : string;   (** producer schema, e.g. ["levee-bench-journal/4"] *)
-  kind : string;     (** producer family: ["bench"], ["perf"], ["conc"], ["faults"] *)
+  kind : string;     (** producer family: ["bench"], ["conc"], ... *)
   commit : string;   (** source revision, or ["unknown"] *)
   config : string;   (** run configuration, e.g. ["table1"], ["web-conc-t4-s0"] *)
   seed : int;        (** campaign / scheduler seed (0 when inert) *)

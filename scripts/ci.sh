@@ -3,26 +3,25 @@
 #
 # After the tests pass, the script appends fresh run-store records to
 # RUNS.jsonl — the serve smoke matrix (one levee-serve/1 record per
-# cell, via `levee serve --record`), the fault campaign over the full
+# cell, via `levee serve --record`) and the fault campaign over the full
 # protection spectrum (one levee-faults/3 record carrying the
-# per-backend hijack counts, via `levee faults --record`) and the
-# simulator wall-clock summary (bench/perf.exe appends its own record)
-# — and then runs `levee history --gate` for each appended config
-# against the most recent earlier record of the same (schema, config,
-# seed). The gate compares field-by-field under the default tolerances
-# (simulated cycles and latency percentiles 5%, terminal accounting and
-# hijack counts 0%, wall clock 50%); a key with no prior record is
-# skipped — the append itself seeds the baseline the next CI run gates
-# against, which is also how a deliberate schema bump re-baselines
-# without tripping the gate on shape changes.
+# per-backend hijack counts, via `levee faults --record`) — and then
+# runs `levee history --gate` for each appended config against the most
+# recent earlier record of the same (schema, config, seed). The gate
+# compares field-by-field under the default tolerances (simulated cycles
+# and latency percentiles 5%, terminal accounting and hijack counts 0%);
+# a key with no prior record is skipped — the append itself seeds the
+# baseline the next CI run gates against, which is also how a deliberate
+# schema bump re-baselines without tripping the gate on shape changes.
+# Host wall-clock speed is measured by `python3 benchmark/run.py`, not
+# here.
 #
-# Usage: scripts/ci.sh [perf-fuel-cap]     (default fuel cap: 20000)
+# Usage: scripts/ci.sh
 
 set -eu
 
 cd "$(dirname "$0")/.."
 STORE=RUNS.jsonl
-FUEL=${1:-20000}
 
 echo "== build =="
 dune build
@@ -45,9 +44,6 @@ $LEVEE serve --requests 12000 --record "$STORE" > /dev/null
 
 echo "== append: fault campaign (protection spectrum) =="
 $LEVEE faults --record "$STORE" > /dev/null
-
-echo "== append: perf summary (fuel cap $FUEL) =="
-dune exec --no-build bench/perf.exe -- --fuel-cap "$FUEL" > /dev/null
 
 # Gate every appended record against the most recent pre-existing
 # record with the same (schema, config, seed) — serve appends one record

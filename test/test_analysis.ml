@@ -9,12 +9,8 @@ module An = Levee_analysis
 let t name f = Alcotest.test_case name `Quick f
 
 let ctx_of src =
-  let checked, prog = Levee_minic.Lower.compile_checked src in
-  let ctx =
-    An.Sensitivity.create prog.Prog.tenv
-      ~annotated:checked.Levee_minic.Typecheck.sensitive_structs
-  in
-  (ctx, prog)
+  let prog = Levee_minic.Lower.compile src in
+  (An.Sensitivity.create prog.Prog.tenv, prog)
 
 let test_fig7_criterion () =
   let ctx, _ =
@@ -106,8 +102,8 @@ let test_strheur_consistency () =
   Alcotest.(check bool) "whole site demoted" true (Hashtbl.length dem >= 3)
 
 let test_castflow () =
-  let checked, prog =
-    Levee_minic.Lower.compile_checked
+  let ctx, prog =
+    ctx_of
       {|int f(int x) { return x; }
         int slot;
         int main() {
@@ -116,10 +112,6 @@ let test_castflow () =
           int (*g)(int) = (int (*)(int)) v;
           return g(1);
         }|}
-  in
-  let ctx =
-    An.Sensitivity.create prog.Prog.tenv
-      ~annotated:checked.Levee_minic.Typecheck.sensitive_structs
   in
   let fn = Prog.find_func prog "main" in
   let forced = An.Castflow.forced_load_positions ctx fn in
@@ -132,11 +124,7 @@ let test_castflow () =
    the Bin) or through a Gep base used to hide the load from the old
    origin-based walker. *)
 let forced_count src fname =
-  let checked, prog = Levee_minic.Lower.compile_checked src in
-  let ctx =
-    An.Sensitivity.create prog.Prog.tenv
-      ~annotated:checked.Levee_minic.Typecheck.sensitive_structs
-  in
+  let ctx, prog = ctx_of src in
   let fn = Prog.find_func prog fname in
   Hashtbl.length (An.Castflow.forced_load_positions ctx fn)
 
@@ -173,8 +161,8 @@ let test_castflow_no_false_force () =
   Alcotest.(check int) "pure data flow not forced" 0 n
 
 let test_unsafe_cast_positions () =
-  let checked, prog =
-    Levee_minic.Lower.compile_checked
+  let ctx, prog =
+    ctx_of
       {|int f(int x) { return x; }
         int main() {
           int v = 12345;
@@ -182,10 +170,6 @@ let test_unsafe_cast_positions () =
           int h = (int) f;
           return h + (g == 0);
         }|}
-  in
-  let ctx =
-    An.Sensitivity.create prog.Prog.tenv
-      ~annotated:checked.Levee_minic.Typecheck.sensitive_structs
   in
   let fn = Prog.find_func prog "main" in
   let pos = An.Castflow.unsafe_cast_positions ctx fn in

@@ -1,5 +1,5 @@
 (* Tests for the fault-injection campaign layer: plan resolution is
-   deterministic, the levee-faults/1 report is byte-identical across runs
+   deterministic, the levee-faults/3 report is byte-identical across runs
    and across --jobs, the paper's invariants hold on the smoke campaign,
    and the engine quarantines workloads that keep failing in the harness. *)
 

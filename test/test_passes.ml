@@ -173,8 +173,6 @@ int main() {
 |}
   in
   let prog = Levee_minic.Lower.compile src in
-  let checked, _ = Levee_minic.Lower.compile_checked src in
-  let annotated = checked.Levee_minic.Typecheck.sensitive_structs in
   (* attacker overflows gbuf to set uid = 0 *)
   let dist =
     let vanilla = P.build P.Vanilla prog in
@@ -184,7 +182,7 @@ int main() {
   in
   let payload = Array.make (dist + 1) 0 in
   let outcome prot =
-    let b = P.build ~annotated prot prog in
+    let b = P.build prot prog in
     (M.Interp.run_program ~input:payload b.P.prog b.P.config).M.Interp.outcome
   in
   (match outcome P.Vanilla with
@@ -193,6 +191,18 @@ int main() {
   match outcome P.Cpi with
   | M.Trap.Exit 0 -> ()
   | o -> Alcotest.failf "cpi should keep uid intact: %s" (M.Trap.outcome_to_string o)
+
+(* The annotation travels in the IR: the plain front end alone, with no
+   side channel, protects all four accesses to the annotated struct. *)
+let test_annotation_in_ir () =
+  let src =
+    In_channel.with_open_bin "../examples/minic/annotated.c"
+      In_channel.input_all
+  in
+  let b = P.build P.Cpi (Levee_minic.Lower.compile ~name:"annotated.c" src) in
+  Alcotest.(check int) "all 4 memory ops instrumented" 4
+    b.P.stats.Stats.mem_ops_instrumented;
+  Alcotest.(check int) "of 4" 4 b.P.stats.Stats.mem_ops_total
 
 let test_stats_fields () =
   let b = build P.Cpi fptr_prog in
@@ -278,7 +288,8 @@ let () =
   Alcotest.run "passes"
     [ ("cpi",
        [ t "marks sensitive ops" test_cpi_marks;
-         t "annotated data protection" test_annotated_data_protection ]);
+         t "annotated data protection" test_annotated_data_protection;
+         t "annotation travels in the IR" test_annotation_in_ir ]);
       ("cps",
        [ t "marks code pointers only" test_cps_marks;
          t "subset of CPI" test_cps_subset_of_cpi ]);

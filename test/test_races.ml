@@ -167,7 +167,10 @@ let golden_racy_counter =
 {"name":"main","mem_ops":6,"sensitive":0,"sensitive_pct":0.0,"forced":0,"char_demoted":0,"demotable":0,"indirect_calls":0}
 ],
 "races":[
-{"object":"global:counter","storage":"shared-data","sites":[{"func":"worker","block":2,"idx":0,"write":false,"locked":false},{"func":"worker","block":2,"idx":2,"write":true,"locked":false}]}
+{"object":"global:counter","storage":"shared-data","sites":[
+{"func":"worker","block":2,"idx":0,"write":false,"locked":false},
+{"func":"worker","block":2,"idx":2,"write":true,"locked":false}
+]}
 ],
 "separation":{"plain_stores":7,"certified":7,"unproven":0,"opaque_safe":0,"replay_ok":true},
 "cpi":{"checks_elided":0,"mem_ops_demoted":0},

@@ -2,8 +2,9 @@
    the producers append (journal/4, perf/2, faults/2 and the generic
    history/1 envelope) over Rng-seeded field values, precise rejection
    of malformed/truncated JSONL, the append/load file contract, run
-   selection, the regression gate, and the one canonical float
-   formatter every JSON dialect shares. *)
+   selection, the regression gate, the one JSON printer every schema
+   shares (Rng-seeded trees through both layouts, pinned layouts), and
+   its canonical float formatter. *)
 
 module R = Levee_support.Rng
 module RS = Levee_support.Runstore
@@ -106,6 +107,61 @@ let test_roundtrip_all_schemas () =
       check_roundtrip "faults/2" (gen_faults rng);
       check_roundtrip "history/1" (gen_history rng))
     (List.init 50 (fun i -> 1000 + (i * 7)))
+
+(* ---------- the printer ---------- *)
+
+(* Random trees over every constructor: strings from the escaper's
+   alphabet, one-decimal floats, objects and arrays nested to [depth]. *)
+let rec rand_json rng depth =
+  match R.int rng (if depth = 0 then 5 else 7) with
+  | 0 -> J.Jstr (rand_string rng)
+  | 1 -> J.Jint (rand_int rng)
+  | 2 -> J.Jfloat (rand_float rng)
+  | 3 -> J.Jbool (R.int rng 2 = 0)
+  | 4 -> J.Jnull
+  | 5 -> J.Jlist (List.init (R.int rng 4) (fun _ -> rand_json rng (depth - 1)))
+  | _ -> rand_obj rng (depth - 1)
+
+and rand_obj rng depth =
+  J.Jobj
+    (List.init (R.int rng 5) (fun _ -> (rand_string rng, rand_json rng depth)))
+
+let test_printer_roundtrip_seeded () =
+  List.iter
+    (fun seed ->
+      let rng = R.create seed in
+      for _ = 1 to 20 do
+        let doc = rand_obj rng 3 and v = rand_json rng 3 in
+        Alcotest.(check bool) "parse inverts the document printer" true
+          (J.parse (J.to_document doc) = doc);
+        Alcotest.(check bool) "parse inverts the one-line printer" true
+          (J.parse (J.to_line v) = v);
+        Alcotest.(check bool) "one-line output has no newline" false
+          (String.contains (J.to_line v) '\n')
+      done)
+    (List.init 50 (fun i -> 2000 + (i * 13)))
+
+let test_printer_layouts () =
+  let ints l = J.Jlist (List.map (fun i -> J.Jint i) l) in
+  Alcotest.(check string) "a member array prints one element per line"
+    "{\n\"a\":[\n1,\n{\"b\":[\n2\n]}\n]\n}\n"
+    (J.to_document
+       (J.Jobj [ ("a", J.Jlist [ J.Jint 1; J.Jobj [ ("b", ints [ 2 ]) ] ]) ]));
+  Alcotest.(check string) "a nested array prints inline"
+    "{\n\"h\":[\n[1,2],\n[3,[]]\n]\n}\n"
+    (J.to_document
+       (J.Jobj
+          [ ( "h",
+              J.Jlist [ ints [ 1; 2 ]; J.Jlist [ J.Jint 3; J.Jlist [] ] ] ) ]));
+  Alcotest.(check string) "an empty member array prints as [\\n\\n]"
+    "{\n\"s\":\"x\",\n\"e\":[\n\n]\n}\n"
+    (J.to_document (J.Jobj [ ("s", J.Jstr "x"); ("e", J.Jlist []) ]));
+  Alcotest.(check string) "a non-finite float prints as 0.0"
+    "{\"n\":0.0,\"i\":0.0,\"m\":[0.0]}"
+    (J.to_line
+       (J.Jobj
+          [ ("n", J.Jfloat nan); ("i", J.Jfloat infinity);
+            ("m", J.Jlist [ J.Jfloat neg_infinity ]) ]))
 
 (* ---------- malformed input ---------- *)
 
@@ -324,9 +380,9 @@ let test_float_str_pinned () =
   check "197.4" 197.4;
   check "1000000000000000.0" 1e15;    (* large, still fixed-point *)
   check "-1000000000000000.0" (-1e15);
-  Alcotest.(check string) "float1 combinator uses the dialect"
-    "\"cells_per_sec\":197.4"
-    (J.float1 "cells_per_sec" 197.4)
+  Alcotest.(check string) "the printer uses the dialect"
+    "{\"cells_per_sec\":197.4}"
+    (J.to_line (J.Jobj [ ("cells_per_sec", J.Jfloat 197.4) ]))
 
 let test_float_roundtrip_seeded () =
   List.iter
@@ -347,6 +403,10 @@ let () =
     [ ( "roundtrip",
         [ Alcotest.test_case "all record schemas, 50 seeds" `Quick
             test_roundtrip_all_schemas ] );
+      ( "printer",
+        [ Alcotest.test_case "parse inverts both layouts, 50 seeds" `Quick
+            test_printer_roundtrip_seeded;
+          Alcotest.test_case "pinned layouts" `Quick test_printer_layouts ] );
       ( "malformed",
         [ Alcotest.test_case "truncated lines rejected" `Quick
             test_truncated_rejected;
