@@ -19,8 +19,8 @@ module Prog = Levee_ir.Prog
     intermediate [Bin]/[Gep] copy (e.g. [w = 0 + v; (fnptr) w]) still forces
     the load that produced the value. Over-approximating here only adds
     instrumentation; it never loses protection. *)
-let forced_load_positions sens_ctx (fn : Prog.func) : (int * int, unit) Hashtbl.t =
-  let ud = Usedef.build fn in
+let forced_load_positions sens_ctx (ud : Usedef.t) :
+    (int * int, unit) Hashtbl.t =
   let forced = Hashtbl.create 8 in
   let rec mark ~depth visited (o : I.operand) =
     match o with
@@ -38,7 +38,7 @@ let forced_load_positions sens_ctx (fn : Prog.func) : (int * int, unit) Hashtbl.
        | None -> ())
     | I.Reg _ | I.Imm _ | I.Glob _ | I.Fun _ | I.Nullp -> ()
   in
-  Prog.iter_instrs fn (fun (i : I.instr) ->
+  Prog.iter_instrs ud.Usedef.fn (fun (i : I.instr) ->
       match i with
       | I.Cast { ty; v; _ } when Sensitivity.is_sensitive sens_ctx ty ->
         mark ~depth:16 (Hashtbl.create 8) v

@@ -6,7 +6,9 @@
     the safe store, instrumentation the points-to refinement proves dead
     (provably data-only sensitive accesses), unreachable blocks, indirect
     calls whose callee can never be code, and per-function Table-2-style
-    instrumentation percentages.
+    instrumentation percentages. The forced and demoted positions come
+    from the sensitive-access plan ([Plan]) the CPI pass reads, so the
+    report describes the decision CPI enforces.
 
     Severity [Error] is reserved for internal inconsistencies — the IR
     failing structural verification, or the refinement demoting a position
@@ -66,6 +68,12 @@ let count sev r =
 
 let has_errors r = List.exists (fun f -> f.severity = Error) r.findings
 
+(* Canonical diagnostic order: position first, then kind and message, so
+   the report (and its JSON bytes) are independent of emission order. *)
+let sort_findings fs =
+  let order f = (f.func, f.block, f.idx, f.kind, f.msg) in
+  List.sort (fun a b -> compare (order a) (order b)) fs
+
 let analyze ?(name = "<program>") (prog : Prog.t) : report =
   let findings = ref [] in
   let emit severity kind func block idx msg =
@@ -74,45 +82,9 @@ let analyze ?(name = "<program>") (prog : Prog.t) : report =
   (match Levee_ir.Verify.program_result prog with
    | Ok () -> ()
    | Error e -> emit Error "invalid-ir" "" (-1) (-1) e);
-  let ctx = Sensitivity.create prog.Prog.tenv in
-  let pt = Pointsto.analyze prog in
-  let demoted_map = Strheur.demoted prog in
-  (* Per-function analysis tables, shared by the findings below and by the
-     keep/skip predicates handed to the refinement. *)
-  let tables = Hashtbl.create 16 in
-  Prog.iter_funcs prog (fun fn ->
-      Hashtbl.replace tables fn.Prog.fname
-        ( fn,
-          Castflow.forced_load_positions ctx fn,
-          Castflow.unsafe_cast_positions ctx fn,
-          Strheur.demoted_positions_in demoted_map fn,
-          Sensitivity.annotated_addr_regs ctx fn ));
-  let access_addr (fn : Prog.func) (blk, idx) =
-    if blk < 0 || blk >= Array.length fn.Prog.blocks then None
-    else
-      let b = fn.Prog.blocks.(blk) in
-      if idx < 0 || idx >= Array.length b.Prog.instrs then None
-      else
-        match b.Prog.instrs.(idx) with
-        | I.Load { addr; _ } | I.Store { addr; _ } -> Some addr
-        | _ -> None
-  in
-  let keep fname pos =
-    match Hashtbl.find_opt tables fname with
-    | None -> true
-    | Some (fn, forced, _, _, annot) ->
-      Hashtbl.mem forced pos
-      || (match access_addr fn pos with
-          | Some (I.Reg r) -> Hashtbl.mem annot r
-          | Some _ -> false
-          | None -> true)
-  in
-  let skip fname pos =
-    match Hashtbl.find_opt tables fname with
-    | None -> false
-    | Some (_, _, _, demoted, _) -> Hashtbl.mem demoted pos
-  in
-  let demotable = Pointsto.refine_cpi pt ~ctx ~keep ~skip in
+  let plan = Plan.create ~refine:true ~pinned:[] prog in
+  let ctx = Plan.ctx plan in
+  let pt = Plan.points_to plan in
   (* Functions reachable from a thread_spawn target via direct calls:
      sensitive accesses there execute concurrently with other threads,
      so the safe-store traffic they imply (sp-load/sp-store under CPI)
@@ -142,7 +114,11 @@ let analyze ?(name = "<program>") (prog : Prog.t) : report =
   let funcs = ref [] in
   Prog.iter_funcs prog (fun fn ->
       let fname = fn.Prog.fname in
-      let _, forced, casts, demoted, _ = Hashtbl.find tables fname in
+      let f = Plan.func plan fname in
+      let forced = Plan.forced f in
+      let demoted = Plan.char_demoted f in
+      let demotable = Plan.refined f in
+      let casts = Castflow.unsafe_cast_positions ctx fn in
       let mem_ops = ref 0 and sensitive = ref 0 and indirect = ref 0 in
       let g = Dataflow.build fn in
       Array.iteri
@@ -159,7 +135,7 @@ let analyze ?(name = "<program>") (prog : Prog.t) : report =
               | I.Load { ty; _ } | I.Store { ty; _ } ->
                 incr mem_ops;
                 if Sensitivity.is_sensitive ctx ty then incr sensitive;
-                if Hashtbl.mem demotable (fname, b.Prog.bid, idx) then
+                if Hashtbl.mem demotable (b.Prog.bid, idx) then
                   emit Info "dead-instrumentation" fname b.Prog.bid idx
                     "sensitive access is provably data-only; CPI demotes it \
                      to a plain access"
@@ -246,17 +222,12 @@ let analyze ?(name = "<program>") (prog : Prog.t) : report =
       (* Internal consistency: the refinement must never demote a position
          the other analyses exclude. *)
       Hashtbl.iter
-        (fun (f, blk, idx) () ->
-          if f = fname
-             && (Hashtbl.mem forced (blk, idx) || Hashtbl.mem demoted (blk, idx))
+        (fun (blk, idx) () ->
+          if Hashtbl.mem forced (blk, idx) || Hashtbl.mem demoted (blk, idx)
           then
             emit Error "inconsistent-demotion" fname blk idx
               "points-to refinement demoted a position that must stay \
                instrumented (analysis bug)")
-        demotable;
-      let demotable_here = ref 0 in
-      Hashtbl.iter
-        (fun (f, _, _) () -> if f = fname then incr demotable_here)
         demotable;
       funcs :=
         { fs_name = fname;
@@ -264,21 +235,14 @@ let analyze ?(name = "<program>") (prog : Prog.t) : report =
           fs_sensitive = !sensitive;
           fs_forced = Hashtbl.length forced;
           fs_char_demoted = Hashtbl.length demoted;
-          fs_demotable = !demotable_here;
+          fs_demotable = Hashtbl.length demotable;
           fs_indirect_calls = !indirect }
         :: !funcs);
-  let order f = (f.func, f.block, f.idx, f.kind, f.msg) in
   { source = name;
-    findings = List.sort (fun a b -> compare (order a) (order b)) !findings;
+    findings = sort_findings !findings;
     funcs = List.rev !funcs;
     races = None;
     sep = None }
-
-(* Canonical diagnostic order: position first, then kind and message, so
-   the report (and its JSON bytes) are independent of emission order. *)
-let sort_findings fs =
-  let order f = (f.func, f.block, f.idx, f.kind, f.msg) in
-  List.sort (fun a b -> compare (order a) (order b)) fs
 
 let add_races r (races : Racecheck.race list) =
   let findings =

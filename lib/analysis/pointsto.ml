@@ -459,9 +459,9 @@ let audit_ok_intrin (op : I.intrin) =
   | I.I_system | I.I_thread_spawn | I.I_thread_join | I.I_mutex_lock
   | I.I_mutex_unlock | I.I_atomic_add -> false
 
-let refine_cpi t ~ctx ~keep ~skip : (string * int * int, unit) Hashtbl.t =
-  let prog = t.prog in
-  let accs = collect_accesses prog in
+let refine_cpi t ~ctx ~usedef ~keep ~skip :
+    (string * int * int, unit) Hashtbl.t =
+  let accs = collect_accesses t.prog in
   let nobj = Array.length t.objs in
   let in_c = Array.make nobj false in
   Array.iteri
@@ -472,15 +472,6 @@ let refine_cpi t ~ctx ~keep ~skip : (string * int * int, unit) Hashtbl.t =
          | O_global _ | O_alloca _ | O_malloc _ ->
            (not t.reaches.(o)) && not t.hazard.(o)))
     t.objs;
-  let uds : (string, Usedef.t) Hashtbl.t = Hashtbl.create 16 in
-  let ud_of fname =
-    match Hashtbl.find_opt uds fname with
-    | Some ud -> ud
-    | None ->
-      let ud = Usedef.build (Prog.find_func prog fname) in
-      Hashtbl.replace uds fname ud;
-      ud
-  in
   let sub_c s = (not (ISet.is_empty s)) && ISet.for_all (fun o -> in_c.(o)) s in
   let acc_pts a = pts_ids t ~fname:a.ac_fname a.ac_addr in
   let sensitive a = Sensitivity.is_sensitive ctx a.ac_ty in
@@ -547,7 +538,9 @@ let refine_cpi t ~ctx ~keep ~skip : (string * int * int, unit) Hashtbl.t =
                safe-store routing everywhere *)
             drop ()
           else if a.ac_load
-                  && not (audit_uses (ud_of a.ac_fname) a.ac_fname ~depth:8 a.ac_dst)
+                  && not
+                       (audit_uses (usedef a.ac_fname) a.ac_fname ~depth:8
+                          a.ac_dst)
           then drop ()
         end)
       accs

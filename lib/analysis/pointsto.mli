@@ -57,10 +57,11 @@ val callee_targets : t -> fname:string -> I.operand -> string list option
     demoted by the char* heuristic). Demotion is consistent per object:
     either every access that may touch an object is demoted, or none is,
     and loads are demoted only when every transitive use of the loaded
-    value is metadata-blind. *)
+    value is metadata-blind, judged on [usedef fname]'s use-def chains. *)
 val refine_cpi :
   t ->
   ctx:Sensitivity.ctx ->
+  usedef:(string -> Usedef.t) ->
   keep:(string -> int * int -> bool) ->
   skip:(string -> int * int -> bool) ->
   (string * int * int, unit) Hashtbl.t

@@ -148,12 +148,3 @@ let demoted (prog : Prog.t) : (string * int * int, unit) Hashtbl.t =
         | None -> ())
     ok;
   result
-
-(** Per-function view used by the passes. *)
-let demoted_positions_in demoted_map (fn : Prog.func) : (int * int, unit) Hashtbl.t =
-  let t = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun (fname, b, i) () ->
-      if fname = fn.Prog.fname then Hashtbl.replace t (b, i) ())
-    demoted_map;
-  t

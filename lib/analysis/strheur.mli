@@ -13,8 +13,3 @@
 (** Program-level demotion map: [(function, block, index)] positions of
     char* loads/stores treated as non-sensitive. *)
 val demoted : Levee_ir.Prog.t -> (string * int * int, unit) Hashtbl.t
-
-(** Restrict the program-level map to one function's positions. *)
-val demoted_positions_in :
-  (string * int * int, unit) Hashtbl.t -> Levee_ir.Prog.func ->
-  (int * int, unit) Hashtbl.t

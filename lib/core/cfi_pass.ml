@@ -3,7 +3,7 @@
     Marks every indirect call for a runtime valid-target check. Like the
     deployed CFI systems the paper compares against, the valid set is the
     coarse "any function entry" approximation, and returns are checked
-    against "any call-preceded address" ([Config.cfi_returns]); the recent
+    against "any call-preceded address" ([Config.cfi_checks]); the recent
     attacks the paper cites ([19, 15, 9]) exploit exactly that coarseness,
     and the RIPE-style suite reproduces them. *)
 

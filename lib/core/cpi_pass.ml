@@ -1,19 +1,16 @@
 (** The CPI instrumentation pass (Sections 3.2.1 and 3.2.2).
 
-    Rewrites every memory operation on sensitive pointers to go through the
-    safe pointer store ([SafeFull]; [SafeDebug] in debug mode) and marks
-    every dereference through a sensitive pointer as runtime-checked. The
-    sensitive set is the type-based over-approximation of Fig. 7, refined
-    by the char* string heuristic and augmented by the unsafe-cast
-    data-flow analysis; programmer-annotated structs are protected
-    field-by-field (the struct-ucred use case). libc memory-manipulation
-    calls whose arguments cannot be proven non-sensitive are replaced with
-    their safe-store-aware variants.
-
-    When [refine] is set (the default) the interprocedural points-to
-    analysis additionally demotes sensitive accesses that provably never
-    reach a code pointer ([Pointsto.refine_cpi]); [run] returns the
-    number of accesses demoted this way. *)
+    Routes every memory operation the sensitive-access plan
+    ([Levee_analysis.Plan]) calls sensitive through the safe pointer store
+    ([SafeFull]; [SafeDebug] in debug mode), routes annotated-struct data
+    through [SafeData], and marks every dereference through a sensitive
+    pointer as runtime-checked. The plan holds the decision — the Fig. 7
+    type rule, the char* string heuristic, the unsafe-cast augmentation,
+    programmer annotations and, when [refine] is set (the default), the
+    points-to demotion of accesses that provably never reach a code
+    pointer; [run] returns the number of accesses demoted that way. libc
+    memory-manipulation calls whose arguments cannot be proven
+    non-sensitive are replaced with their safe-store-aware variants. *)
 
 module I = Levee_ir.Instr
 module Ty = Levee_ir.Ty
@@ -44,7 +41,7 @@ let provably_non_sensitive ctx ud ~summaries (prog : Prog.t) o =
    provably non-sensitive pointer; address-taken functions may be called
    from anywhere, so their parameters stay unknown. Iterated to a (downward)
    fixpoint. *)
-let param_summaries ctx (prog : Prog.t) =
+let param_summaries ctx plan (prog : Prog.t) =
   let summaries : (string, bool array) Hashtbl.t = Hashtbl.create 16 in
   Prog.iter_funcs prog (fun fn ->
       let flags =
@@ -62,12 +59,12 @@ let param_summaries ctx (prog : Prog.t) =
     changed := false;
     incr rounds;
     Prog.iter_funcs prog (fun fn ->
-        let ud = An.Usedef.build fn in
         Prog.iter_instrs fn (fun i ->
             match i with
             | I.Call { callee = I.Direct f; args; _ } ->
               (match Hashtbl.find_opt summaries f with
                | Some flags ->
+                 let ud = An.Plan.usedef (An.Plan.func plan fn.Prog.fname) in
                  List.iteri
                    (fun k arg ->
                      if k < Array.length flags && flags.(k)
@@ -85,155 +82,66 @@ let param_summaries ctx (prog : Prog.t) =
 (* A char access is a universal-pointer dereference only when its address
    was loaded as a (non-demoted) char*; direct indexing into char arrays is
    based on the array and needs no check. *)
-let char_deref_needs_check ud fn demoted addr =
-  match An.Usedef.origin ud addr with
+let char_deref_needs_check f fn addr =
+  match An.Usedef.origin (An.Plan.usedef f) addr with
   | An.Usedef.From_load pos ->
     let b = fn.Prog.blocks.(pos.An.Usedef.block) in
     (match b.Prog.instrs.(pos.An.Usedef.idx) with
      | I.Load { ty = Ty.Ptr Ty.Char; _ } ->
-       not (Hashtbl.mem demoted (pos.An.Usedef.block, pos.An.Usedef.idx))
+       not (An.Plan.demoted f (pos.An.Usedef.block, pos.An.Usedef.idx))
      | I.Load { ty = Ty.Ptr Ty.Void; _ } -> true
      | _ -> false)
   | _ -> false
 
-(* Registers holding the address of a proven-safe stack slot: direct
-   accesses through them need no instrumentation — the slot lives in the
-   isolated safe region and the machine preserves metadata there, exactly
-   as a register-allocated local would behave after mem2reg. *)
-let safe_slot_regs (fn : Prog.func) =
-  let t = Hashtbl.create 16 in
-  Prog.iter_instrs fn (fun i ->
-      match i with
-      | I.Alloca { dst; slot = I.SafeSlot; _ } -> Hashtbl.replace t dst ()
-      | _ -> ());
-  t
-
-(* Per-function analysis tables, computed up front so the points-to
-   refinement can consult them when deciding which positions must be kept
-   instrumented and which are already outside the instrumented set. *)
-type fninfo = {
-  fi_fn : Prog.func;
-  fi_ud : An.Usedef.t;
-  fi_demoted : (int * int, unit) Hashtbl.t; (* char* heuristic demotions *)
-  fi_forced : (int * int, unit) Hashtbl.t;  (* Castflow-forced loads *)
-  fi_annot : (int, unit) Hashtbl.t;         (* annotated-struct addr regs *)
-  fi_safe : (int, unit) Hashtbl.t;          (* safe-slot addr regs *)
-}
-
-let reg_in tbl = function
-  | I.Reg r -> Hashtbl.mem tbl r
-  | I.Imm _ | I.Glob _ | I.Fun _ | I.Nullp -> false
-
-(* Address operand of the access at [pos], if [pos] is an access. *)
-let access_addr (fi : fninfo) (blk, idx) =
-  if blk < 0 || blk >= Array.length fi.fi_fn.Prog.blocks then None
-  else
-    let b = fi.fi_fn.Prog.blocks.(blk) in
-    if idx < 0 || idx >= Array.length b.Prog.instrs then None
-    else
-      match b.Prog.instrs.(idx) with
-      | I.Load { addr; _ } | I.Store { addr; _ } -> Some addr
-      | _ -> None
-
 let run ?(debug = false) ?(refine = true) (prog : Prog.t) : int =
-  let ctx = An.Sensitivity.create prog.Prog.tenv in
+  let plan = An.Plan.create ~refine ~pinned:[] prog in
+  let ctx = An.Plan.ctx plan in
   let safe_where = if debug then I.SafeDebug else I.SafeFull in
-  let demoted_map = An.Strheur.demoted prog in
-  let summaries = param_summaries ctx prog in
-  let infos : (string, fninfo) Hashtbl.t = Hashtbl.create 16 in
+  let summaries = param_summaries ctx plan prog in
+  let demoted = An.Plan.demoted_count plan in
   Prog.iter_funcs prog (fun fn ->
-      Hashtbl.replace infos fn.Prog.fname
-        { fi_fn = fn;
-          fi_ud = An.Usedef.build fn;
-          fi_demoted = An.Strheur.demoted_positions_in demoted_map fn;
-          fi_forced = An.Castflow.forced_load_positions ctx fn;
-          fi_annot = An.Sensitivity.annotated_addr_regs ctx fn;
-          fi_safe = safe_slot_regs fn });
-  (* Points-to refinement: demote type-rule-sensitive accesses whose
-     points-to sets provably never reach a code pointer. Merged into the
-     per-function demoted tables so the main loop below treats them
-     exactly like char*-heuristic demotions. *)
-  let refined_count =
-    if not refine then 0
-    else begin
-      let pt = An.Pointsto.analyze prog in
-      let keep fname pos =
-        match Hashtbl.find_opt infos fname with
-        | None -> true
-        | Some fi ->
-          Hashtbl.mem fi.fi_forced pos
-          || (match access_addr fi pos with
-              | Some a -> reg_in fi.fi_annot a
-              | None -> true)
+      let f = An.Plan.func plan fn.Prog.fname in
+      let non_sensitive o =
+        provably_non_sensitive ctx (An.Plan.usedef f) ~summaries prog o
       in
-      let skip fname pos =
-        match Hashtbl.find_opt infos fname with
-        | None -> false
-        | Some fi ->
-          Hashtbl.mem fi.fi_demoted pos
-          || (match access_addr fi pos with
-              | Some a -> reg_in fi.fi_safe a
-              | None -> false)
+      let route here =
+        match An.Plan.access f here with
+        | An.Plan.Sensitive -> Some safe_where
+        | An.Plan.Annotated -> Some I.SafeData
+        | An.Plan.Plain -> None
       in
-      let refined = An.Pointsto.refine_cpi pt ~ctx ~keep ~skip in
-      Hashtbl.iter
-        (fun (fname, blk, idx) () ->
-          match Hashtbl.find_opt infos fname with
-          | Some fi -> Hashtbl.replace fi.fi_demoted (blk, idx) ()
-          | None -> ())
-        refined;
-      Hashtbl.length refined
-    end
-  in
-  Prog.iter_funcs prog (fun fn ->
-      let fi = Hashtbl.find infos fn.Prog.fname in
-      let demoted = fi.fi_demoted in
-      let forced = fi.fi_forced in
-      let addr_annotated o = reg_in fi.fi_annot o in
-      let ud = fi.fi_ud in
-      let on_safe_slot o = reg_in fi.fi_safe o in
+      let needs_check ty addr here =
+        An.Plan.annotated f addr
+        ||
+        match ty with
+        | Ty.Char -> char_deref_needs_check f fn addr
+        | _ ->
+          An.Sensitivity.deref_needs_check ctx ty
+          && not (An.Plan.demoted f here)
+      in
       Array.iter
         (fun (b : Prog.block) ->
           Array.iteri
             (fun idx (i : I.instr) ->
               let here = (b.Prog.bid, idx) in
               match i with
-              | I.Load ({ ty; addr; _ } as l) when not (on_safe_slot addr) ->
-                let dem = Hashtbl.mem demoted here in
-                let sens =
-                  (An.Sensitivity.is_sensitive ctx ty && not dem)
-                  || Hashtbl.mem forced here
-                in
-                if sens then l.where <- safe_where
-                else if addr_annotated addr then l.where <- I.SafeData;
-                let needs_check =
-                  match ty with
-                  | Ty.Char -> char_deref_needs_check ud fn demoted addr
-                  | _ -> An.Sensitivity.deref_needs_check ctx ty && not dem
-                in
-                if needs_check || addr_annotated addr then l.checked <- true
-              | I.Store ({ ty; addr; _ } as s) when not (on_safe_slot addr) ->
-                let dem = Hashtbl.mem demoted here in
-                let sens = An.Sensitivity.is_sensitive ctx ty && not dem in
-                if sens then s.where <- safe_where
-                else if addr_annotated addr then s.where <- I.SafeData;
-                let needs_check =
-                  match ty with
-                  | Ty.Char -> char_deref_needs_check ud fn demoted addr
-                  | _ -> An.Sensitivity.deref_needs_check ctx ty && not dem
-                in
-                if needs_check || addr_annotated addr then s.checked <- true
+              | I.Load ({ ty; addr; _ } as l)
+                when not (An.Plan.on_safe_slot f addr) ->
+                Option.iter (fun w -> l.where <- w) (route here);
+                if needs_check ty addr here then l.checked <- true
+              | I.Store ({ ty; addr; _ } as s)
+                when not (An.Plan.on_safe_slot f addr) ->
+                Option.iter (fun w -> s.where <- w) (route here);
+                if needs_check ty addr here then s.checked <- true
               | I.Intrin { dst; op = I.I_memcpy; args = [ d; s; n ] } ->
-                if not (provably_non_sensitive ctx ud ~summaries prog d
-                        && provably_non_sensitive ctx ud ~summaries prog s)
-                then
+                if not (non_sensitive d && non_sensitive s) then
                   b.Prog.instrs.(idx) <-
                     I.Intrin { dst; op = I.I_cpi_memcpy; args = [ d; s; n ] }
               | I.Intrin { dst; op = I.I_memset; args = [ d; x; n ] } ->
-                if not (provably_non_sensitive ctx ud ~summaries prog d) then
+                if not (non_sensitive d) then
                   b.Prog.instrs.(idx) <-
                     I.Intrin { dst; op = I.I_cpi_memset; args = [ d; x; n ] }
               | _ -> ())
             b.Prog.instrs)
         fn.Prog.blocks);
-  refined_count
+  demoted

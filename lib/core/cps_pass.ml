@@ -8,92 +8,57 @@
     overhead. Universal pointers may carry code pointers at runtime, so
     their memory operations are routed through the store as well (the
     runtime falls back to the regular region when no protected value is
-    present); the char* heuristic prunes string pointers. *)
+    present); the char* heuristic prunes string pointers. The criterion
+    and [Pointsto.refine_cps] are CPS's own; the skip set and the
+    points-to result come from the plan ([Levee_analysis.Plan]).
+
+    A code pointer lives only in the safe store, so a [memcpy]/[memset]
+    whose memory may hold one is rewritten to the safe-store-aware
+    variant: a plain copy would drop it, a plain clear leave it behind.
+    The rule reads the points-to result whether or not [refine] is set. *)
 
 module I = Levee_ir.Instr
-module Ty = Levee_ir.Ty
 module Prog = Levee_ir.Prog
 module An = Levee_analysis
-
-let cps_instrumented ty =
-  match ty with
-  | Ty.Ptr (Ty.Fn _) -> true
-  | Ty.Ptr Ty.Void | Ty.Ptr Ty.Char -> true
-  | _ -> false
-
-(* See [Cpi_pass.safe_slot_regs]: direct accesses to proven-safe stack
-   slots need no instrumentation. *)
-let safe_slot_regs (fn : Prog.func) =
-  let t = Hashtbl.create 16 in
-  Prog.iter_instrs fn (fun i ->
-      match i with
-      | I.Alloca { dst; slot = I.SafeSlot; _ } -> Hashtbl.replace t dst ()
-      | _ -> ());
-  t
-
-(* Address operand of the access at [pos] of [fn], if it is an access. *)
-let access_addr (fn : Prog.func) (blk, idx) =
-  if blk < 0 || blk >= Array.length fn.Prog.blocks then None
-  else
-    let b = fn.Prog.blocks.(blk) in
-    if idx < 0 || idx >= Array.length b.Prog.instrs then None
-    else
-      match b.Prog.instrs.(idx) with
-      | I.Load { addr; _ } | I.Store { addr; _ } -> Some addr
-      | _ -> None
 
 (** Returns the number of accesses demoted by the points-to refinement
     ([Pointsto.refine_cps]): instrumented-type accesses whose values
     provably never hold a code pointer stay on the regular path. *)
 let run ?(refine = true) (prog : Prog.t) : int =
-  let demoted_map = An.Strheur.demoted prog in
-  let tables : (string, Prog.func * (int * int, unit) Hashtbl.t * (int, unit) Hashtbl.t)
-      Hashtbl.t = Hashtbl.create 16 in
-  Prog.iter_funcs prog (fun fn ->
-      Hashtbl.replace tables fn.Prog.fname
-        (fn, An.Strheur.demoted_positions_in demoted_map fn, safe_slot_regs fn));
-  let refined_count =
-    if not refine then 0
-    else begin
-      let pt = An.Pointsto.analyze prog in
-      let skip fname pos =
-        match Hashtbl.find_opt tables fname with
-        | None -> false
-        | Some (fn, demoted, safe_slots) ->
-          Hashtbl.mem demoted pos
-          || (match access_addr fn pos with
-              | Some (I.Reg r) -> Hashtbl.mem safe_slots r
-              | Some _ | None -> false)
-      in
-      let refined = An.Pointsto.refine_cps pt ~instrumented:cps_instrumented ~skip in
-      Hashtbl.iter
-        (fun (fname, blk, idx) () ->
-          match Hashtbl.find_opt tables fname with
-          | Some (_, demoted, _) -> Hashtbl.replace demoted (blk, idx) ()
-          | None -> ())
-        refined;
-      Hashtbl.length refined
-    end
+  let plan = An.Plan.create ~refine ~pinned:[] prog in
+  let instrumented = An.Sensitivity.is_cps_sensitive (An.Plan.ctx plan) in
+  let skip = An.Plan.skip plan in
+  let pt = An.Plan.points_to plan in
+  let refined =
+    if refine then An.Pointsto.refine_cps pt ~instrumented ~skip
+    else Hashtbl.create 1
   in
   Prog.iter_funcs prog (fun fn ->
-      let _, demoted, safe_slots = Hashtbl.find tables fn.Prog.fname in
-      let on_safe_slot = function
-        | I.Reg r -> Hashtbl.mem safe_slots r
-        | I.Imm _ | I.Glob _ | I.Fun _ | I.Nullp -> false
-      in
+      let fname = fn.Prog.fname in
+      let may_hold_code = An.Pointsto.addr_may_reach_code pt ~fname in
       Array.iter
         (fun (b : Prog.block) ->
           Array.iteri
             (fun idx (i : I.instr) ->
-              let dem () = Hashtbl.mem demoted (b.Prog.bid, idx) in
+              let routed ty =
+                instrumented ty
+                && (not (skip fname (b.Prog.bid, idx)))
+                && not (Hashtbl.mem refined (fname, b.Prog.bid, idx))
+              in
               match i with
-              | I.Load ({ ty; addr; _ } as l)
-                when cps_instrumented ty && not (dem ()) && not (on_safe_slot addr) ->
+              | I.Load ({ ty; _ } as l) when routed ty ->
                 l.where <- I.SafeValue
-              | I.Store ({ ty; addr; _ } as s)
-                when cps_instrumented ty && not (dem ()) && not (on_safe_slot addr) ->
+              | I.Store ({ ty; _ } as s) when routed ty ->
                 s.where <- I.SafeValue
+              | I.Intrin { dst; op = I.I_memcpy; args = [ d; s; _ ] as args }
+                when may_hold_code d || may_hold_code s ->
+                b.Prog.instrs.(idx) <-
+                  I.Intrin { dst; op = I.I_cpi_memcpy; args }
+              | I.Intrin { dst; op = I.I_memset; args = [ d; _; _ ] as args }
+                when may_hold_code d ->
+                b.Prog.instrs.(idx) <-
+                  I.Intrin { dst; op = I.I_cpi_memset; args }
               | _ -> ())
             b.Prog.instrs)
         fn.Prog.blocks);
-  refined_count
+  Hashtbl.length refined

@@ -18,7 +18,8 @@
       word copies, so the safe-store-aware variants are unnecessary and
       would charge phantom safe-store costs.
     - Proven-safe stack slots are NOT skipped: there is no safe stack to
-      host them, so local sensitive slots must hold ciphertext or an
+      host them (the pipeline runs no safe-stack pass here, so the plan
+      finds none), so local sensitive slots must hold ciphertext or an
       in-frame overwrite would hijack them.
     - The pass reports which global initializer cells must be
       re-encrypted after the loader's plaintext image write (sensitive
@@ -27,10 +28,11 @@
       exists. Globals with such initializers are pinned as never-demoted
       so ciphertext routing stays consistent with the startup mask.
 
-    Shares the demotion machinery with CPI ([Strheur] +
-    [Pointsto.refine_cpi]); demotion is consistent per object, which is
-    exactly the property a tagless in-place cipher needs — every access
-    that can reach a ciphertext cell must itself be crypt-routed. *)
+    The sensitive set is CPI's, read from the same sensitive-access plan
+    ([Levee_analysis.Plan]) with the pinned globals passed in; its
+    demotion is consistent per object, which is exactly the property a
+    tagless in-place cipher needs — every access that can reach a
+    ciphertext cell must itself be crypt-routed. *)
 
 module I = Levee_ir.Instr
 module Ty = Levee_ir.Ty
@@ -82,81 +84,22 @@ let crypt_globals ctx (prog : Prog.t) : (string * bool array) list =
     points-to refinement demoted, and the per-global masks for
     [Config.crypt_cells]. *)
 let run ?(refine = true) (prog : Prog.t) : int * (string * bool array) list =
-  let ctx = An.Sensitivity.create prog.Prog.tenv in
-  let demoted_map = An.Strheur.demoted prog in
-  let infos : (string, Cpi_pass.fninfo) Hashtbl.t = Hashtbl.create 16 in
+  let cells = crypt_globals (An.Sensitivity.create prog.Prog.tenv) prog in
+  let plan = An.Plan.create ~refine ~pinned:(List.map fst cells) prog in
+  let demoted = An.Plan.demoted_count plan in
   Prog.iter_funcs prog (fun fn ->
-      Hashtbl.replace infos fn.Prog.fname
-        { Cpi_pass.fi_fn = fn;
-          fi_ud = An.Usedef.build fn;
-          fi_demoted = An.Strheur.demoted_positions_in demoted_map fn;
-          fi_forced = An.Castflow.forced_load_positions ctx fn;
-          fi_annot = An.Sensitivity.annotated_addr_regs ctx fn;
-          (* no safe stack: nothing to skip *)
-          fi_safe = Hashtbl.create 1 })
-  ;
-  let cells = crypt_globals ctx prog in
-  let pinned = List.map fst cells in
-  let refined_count =
-    if not refine then 0
-    else begin
-      let pt = An.Pointsto.analyze prog in
-      let keep fname pos =
-        match Hashtbl.find_opt infos fname with
-        | None -> true
-        | Some fi ->
-          Hashtbl.mem fi.Cpi_pass.fi_forced pos
-          || (match Cpi_pass.access_addr fi pos with
-              | None -> true
-              | Some a ->
-                Cpi_pass.reg_in fi.Cpi_pass.fi_annot a
-                (* never demote an access that may reach a global whose
-                   initializer cells are encrypted at startup *)
-                || (pinned <> []
-                    && List.exists
-                         (function
-                           | An.Pointsto.O_global g -> List.mem g pinned
-                           | _ -> false)
-                         (An.Pointsto.points_to pt ~fname a)))
-      in
-      let skip fname pos =
-        match Hashtbl.find_opt infos fname with
-        | None -> false
-        | Some fi -> Hashtbl.mem fi.Cpi_pass.fi_demoted pos
-      in
-      let refined = An.Pointsto.refine_cpi pt ~ctx ~keep ~skip in
-      Hashtbl.iter
-        (fun (fname, blk, idx) () ->
-          match Hashtbl.find_opt infos fname with
-          | Some fi -> Hashtbl.replace fi.Cpi_pass.fi_demoted (blk, idx) ()
-          | None -> ())
-        refined;
-      Hashtbl.length refined
-    end
-  in
-  Prog.iter_funcs prog (fun fn ->
-      let fi = Hashtbl.find infos fn.Prog.fname in
-      let demoted = fi.Cpi_pass.fi_demoted in
-      let forced = fi.Cpi_pass.fi_forced in
-      let addr_annotated o = Cpi_pass.reg_in fi.Cpi_pass.fi_annot o in
+      let f = An.Plan.func plan fn.Prog.fname in
       Array.iter
         (fun (b : Prog.block) ->
           Array.iteri
             (fun idx (i : I.instr) ->
-              let here = (b.Prog.bid, idx) in
+              let crypt () =
+                An.Plan.access f (b.Prog.bid, idx) <> An.Plan.Plain
+              in
               match i with
-              | I.Load ({ ty; addr; _ } as l) ->
-                let dem = Hashtbl.mem demoted here in
-                let sens =
-                  (An.Sensitivity.is_sensitive ctx ty && not dem)
-                  || Hashtbl.mem forced here
-                in
-                if sens || addr_annotated addr then l.where <- I.Crypt
-              | I.Store ({ ty; addr; _ } as s) ->
-                let dem = Hashtbl.mem demoted here in
-                let sens = An.Sensitivity.is_sensitive ctx ty && not dem in
-                if sens || addr_annotated addr then s.where <- I.Crypt
+              | I.Load l when crypt () -> l.where <- I.Crypt
+              | I.Store s when crypt () -> s.where <- I.Crypt
               | _ -> ())
             b.Prog.instrs)
         fn.Prog.blocks);
-  (refined_count, cells)
+  (demoted, cells)

@@ -53,9 +53,10 @@ type built = {
     (Section 3.2.1) travel in [prog.tenv]; [store_impl] selects the
     safe-pointer-store organisation; [isolation] the safe-region isolation
     mechanism. [refine] (default on) enables the points-to sensitivity
-    refinement inside the CPS/CPI passes; [elide] (default on) runs the
-    redundant-check elision pass over CPI programs, with every elision
-    independently re-justified by [Verify.check_elision]. *)
+    refinement inside the CPS, CPI and cpi-crypt passes; [elide] (default
+    on) runs the redundant-check elision pass over cpi and cpi-debug
+    programs, with every elision independently re-justified by
+    [Verify.check_elision]. *)
 let build ?(store_impl = Safestore.Simple_array)
     ?(isolation = Config.Info_hiding) ?(refine = true) ?(elide = true)
     protection (src : Prog.t) : built =

@@ -37,11 +37,12 @@ type built = {
     @param store_impl safe-pointer-store organisation (default array)
     @param isolation safe-region isolation mechanism (default info hiding)
     @param refine enable the points-to sensitivity refinement inside the
-           CPS/CPI passes (default [true]); the demotion count is reported
-           in [stats.mem_ops_demoted]
-    @param elide run redundant-check elision over CPI programs (default
-           [true]); every elision is independently re-justified by
-           [Verify.check_elision] and counted in [stats.checks_elided]
+           CPS, CPI and cpi-crypt passes (default [true]); the demotion
+           count is reported in [stats.mem_ops_demoted]
+    @param elide run redundant-check elision over cpi and cpi-debug
+           programs (default [true]); every elision is independently
+           re-justified by [Verify.check_elision] and counted in
+           [stats.checks_elided]
     @raise Failure if the instrumented IR fails verification (a pass bug) *)
 val build :
   ?store_impl:Safestore.impl ->

@@ -298,9 +298,7 @@ let classify ~(baseline : M.Interp.result) (r : M.Interp.result) =
     then "masked"
     else "benign"
 
-(* One pool task: everything for one (subject, protection, store). *)
-let exec_config (s, (prot, store)) =
-  let prog = Levee_minic.Lower.compile ~name:s.sname s.source in
+let images ~store prot prog =
   let vb = P.build ~store_impl:store P.Vanilla prog in
   let reference = M.Loader.load vb.P.prog vb.P.config in
   let deployed =
@@ -308,6 +306,13 @@ let exec_config (s, (prot, store)) =
     else
       let b = P.build ~store_impl:store prot prog in
       M.Loader.load b.P.prog b.P.config
+  in
+  (reference, deployed)
+
+(* One pool task: everything for one (subject, protection, store). *)
+let exec_config (s, (prot, store)) =
+  let reference, deployed =
+    images ~store prot (Levee_minic.Lower.compile ~name:s.sname s.source)
   in
   List.concat_map
     (fun sched_seed ->

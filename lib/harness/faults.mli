@@ -81,6 +81,15 @@ type run = {
                         ([Desync]/[Drop_meta]) *)
 }
 
+(** The [r_class] of a faulted run against its un-faulted [baseline]. *)
+val classify : baseline:M.Interp.result -> M.Interp.result -> string
+
+(** The vanilla reference image fault plans resolve sites against, and
+    the image deployed under the protection (the same one for vanilla). *)
+val images :
+  store:M.Safestore.impl -> P.protection -> Levee_ir.Prog.t ->
+  M.Loader.image * M.Loader.image
+
 type report
 
 val runs : report -> run list

@@ -81,20 +81,9 @@ type report = { rep_config : config; rep_cells : cell list }
 
 (* ---------- layer 1: calibration + probes on the real machine ---------- *)
 
-let build_images prot prog =
-  let vb = P.build ~store_impl:M.Safestore.Simple_array P.Vanilla prog in
-  let reference = M.Loader.load vb.P.prog vb.P.config in
-  let deployed =
-    if prot = P.Vanilla then reference
-    else
-      let b = P.build ~store_impl:M.Safestore.Simple_array prot prog in
-      M.Loader.load b.P.prog b.P.config
-  in
-  (reference, deployed)
-
 let run_workload prot ?(faults = []) ?(sched_seed = 0) (w : W.Workload.t) =
   let prog = W.Workload.compile w in
-  let _, deployed = build_images prot prog in
+  let _, deployed = Faults.images ~store:M.Safestore.Simple_array prot prog in
   M.Interp.run ~fuel:w.W.Workload.fuel ~faults ~sched_seed deployed
 
 (* Marginal service cycles per request class: two single-threaded runs at
@@ -125,19 +114,6 @@ let calibrate cfg prot =
    mid-drain (the drain spans roughly instructions 15k..160k). *)
 let probe_requests = 300
 
-let classify ~(baseline : M.Interp.result) (r : M.Interp.result) =
-  match r.M.Interp.outcome with
-  | M.Trap.Hijacked _ -> "hijacked"
-  | M.Trap.Trapped _ -> "trapped"
-  | M.Trap.Crash _ -> "crash"
-  | M.Trap.Fuel_exhausted -> "fuel-exhausted"
-  | M.Trap.Exit _ ->
-    if r.M.Interp.outcome = baseline.M.Interp.outcome
-       && r.M.Interp.output = baseline.M.Interp.output
-       && r.M.Interp.checksum = baseline.M.Interp.checksum
-    then "masked"
-    else "benign"
-
 let probe_plans cfg =
   let open A.Faultplan in
   let ev step action = { step; action } in
@@ -165,7 +141,9 @@ let run_probes cfg prot seed =
       ~requests:probe_requests
   in
   let prog = W.Workload.compile w in
-  let reference, deployed = build_images prot prog in
+  let reference, deployed =
+    Faults.images ~store:M.Safestore.Simple_array prot prog
+  in
   let baseline = M.Interp.run ~fuel:w.W.Workload.fuel ~sched_seed:seed deployed in
   (match baseline.M.Interp.outcome with
    | M.Trap.Exit 0 -> ()
@@ -180,7 +158,7 @@ let run_probes cfg prot seed =
         M.Interp.run ~fuel:w.W.Workload.fuel ~faults ~sched_seed:seed deployed
       in
       { p_plan = plan.A.Faultplan.name;
-        p_class = classify ~baseline r;
+        p_class = Faults.classify ~baseline r;
         p_outcome = M.Trap.outcome_to_string r.M.Interp.outcome;
         p_cycles = r.M.Interp.cycles;
         p_checksum = r.M.Interp.checksum })

@@ -14,10 +14,11 @@ type isolation =
 type t = {
   name : string;
   safe_stack : bool;        (* return addresses + proven-safe slots in safe region *)
-  enforce_code_meta : bool; (* CPI/CPS: indirect calls require protected code ptrs *)
-  protect_jmpbuf : bool;    (* setjmp's saved PC goes through the safe store *)
-  cfi_calls : bool;         (* honor the cfi_checked flag on indirect calls *)
-  cfi_returns : bool;       (* coarse CFI: returns must target a call site *)
+  enforce_code_meta : bool; (* CPI/CPS: indirect calls require protected code
+                               ptrs; setjmp's saved PC goes through the safe
+                               store *)
+  cfi_checks : bool;        (* CFI: honor the cfi_checked flag on indirect
+                               calls; returns must target a call site *)
   dep : bool;               (* non-executable data *)
   aslr : bool;              (* apply the ASLR slide to the layout *)
   store_impl : Safestore.impl;
@@ -37,10 +38,10 @@ type t = {
     "vanilla Ubuntu 6.06" reference point for RIPE. *)
 let vanilla =
   { name = "vanilla"; safe_stack = false; enforce_code_meta = false;
-    protect_jmpbuf = false; cfi_calls = false; cfi_returns = false;
-    dep = false; aslr = false; store_impl = Safestore.Simple_array;
-    isolation = Info_hiding; check_cookies = false; check_libc = false;
-    cps_entry_words = 4; crypt_ptrs = false; crypt_cells = [] }
+    cfi_checks = false; dep = false; aslr = false;
+    store_impl = Safestore.Simple_array; isolation = Info_hiding;
+    check_cookies = false; check_libc = false; cps_entry_words = 4;
+    crypt_ptrs = false; crypt_cells = [] }
 
 (** DEP + ASLR + cookies: a modern stock system ("vanilla Ubuntu 13.10,
     all protections enabled"). *)
@@ -53,19 +54,19 @@ let safe_stack_only =
 
 let cps ?(store_impl = Safestore.Simple_array) () =
   { vanilla with name = "cps"; safe_stack = true; enforce_code_meta = true;
-                 protect_jmpbuf = true; dep = true; store_impl;
+                 dep = true; store_impl;
                  cps_entry_words = 1 }
 
 let cpi ?(store_impl = Safestore.Simple_array) () =
   { vanilla with name = "cpi"; safe_stack = true; enforce_code_meta = true;
-                 protect_jmpbuf = true; dep = true; store_impl }
+                 dep = true; store_impl }
 
 let softbound =
   { vanilla with name = "softbound"; dep = true; check_libc = true;
                  store_impl = Safestore.Hashtable }
 
 let cfi =
-  { vanilla with name = "cfi"; cfi_calls = true; cfi_returns = true; dep = true }
+  { vanilla with name = "cfi"; cfi_checks = true; dep = true }
 
 (** Per-signature CFI (Burow et al.'s "graded precision" middle point):
     same runtime switches as coarse CFI — the precision lives in the

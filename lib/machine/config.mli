@@ -14,10 +14,11 @@ type isolation =
 type t = {
   name : string;
   safe_stack : bool;        (** return addresses + safe slots in safe region *)
-  enforce_code_meta : bool; (** CPI/CPS: indirect calls need protected pointers *)
-  protect_jmpbuf : bool;    (** setjmp's saved PC goes through the safe store *)
-  cfi_calls : bool;
-  cfi_returns : bool;       (** coarse CFI: returns must target a call site *)
+  enforce_code_meta : bool; (** CPI/CPS: indirect calls need protected
+                                pointers; setjmp's saved PC goes through the
+                                safe store *)
+  cfi_checks : bool;        (** CFI: indirect calls honor [cfi_checked];
+                                returns must target a call site *)
   dep : bool;               (** non-executable data *)
   aslr : bool;
   store_impl : Safestore.impl;

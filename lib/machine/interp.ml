@@ -463,7 +463,7 @@ let pf_of_index st idx = st.image.Loader.p_funcs.(idx)
 (* [divert st target ~via] models the machine transferring control to an
    arbitrary address: the core of every hijack attempt. *)
 let divert st target ~via =
-  (match via, st.cfg.Config.cfi_returns with
+  (match via, st.cfg.Config.cfi_checks with
    | `Ret, true ->
      if not (Hashtbl.mem st.image.Loader.return_sites target) then
        stop (Trapped (Cfi_violation "return target is not a call site"))
@@ -536,7 +536,7 @@ let do_call st fr dst callee args cfi_checked cfi_set ret_addr =
       | Some _ | None -> stop (Trapped Invalid_code_pointer)
     end
     else begin
-      if st.cfg.Config.cfi_calls && cfi_checked then begin
+      if st.cfg.Config.cfi_checks && cfi_checked then begin
         Cost.add st.cost Cost.cfi_cost;
         if not (Loader.is_function_entry st.image v) then
           stop (Trapped (Cfi_violation "indirect call target not a function"));
@@ -753,7 +753,7 @@ let do_intrin st fr dst (op : I.intrin) (args : Loader.pmeta Pr.operand array) =
     (* jmp_buf layout: [saved PC; context id]. The saved PC is an
        implicitly-created code pointer (Section 3.2.1) — protected via the
        safe store when the configuration says so. *)
-    if st.cfg.Config.protect_jmpbuf then begin
+    if st.cfg.Config.enforce_code_meta then begin
       Cost.charge_safe_store st.cost st.cfg.Config.store_impl;
       Safestore.set st.store buf
         { Safestore.value = resume; lower = resume; upper = resume + 1;
@@ -775,7 +775,7 @@ let do_intrin st fr dst (op : I.intrin) (args : Loader.pmeta Pr.operand array) =
   | I.I_longjmp ->
     let buf = v 0 and x = v 1 in
     let target =
-      if st.cfg.Config.protect_jmpbuf then begin
+      if st.cfg.Config.enforce_code_meta then begin
         Cost.charge_safe_store st.cost st.cfg.Config.store_impl;
         match Safestore.get st.store buf with
         | Some { Safestore.kind = Safestore.Code; value; _ } -> value

@@ -114,7 +114,7 @@ let test_castflow () =
         }|}
   in
   let fn = Prog.find_func prog "main" in
-  let forced = An.Castflow.forced_load_positions ctx fn in
+  let forced = An.Castflow.forced_load_positions ctx (An.Usedef.build fn) in
   Alcotest.(check bool) "load feeding sensitive cast is forced" true
     (Hashtbl.length forced > 0)
 
@@ -126,7 +126,7 @@ let test_castflow () =
 let forced_count src fname =
   let ctx, prog = ctx_of src in
   let fn = Prog.find_func prog fname in
-  Hashtbl.length (An.Castflow.forced_load_positions ctx fn)
+  Hashtbl.length (An.Castflow.forced_load_positions ctx (An.Usedef.build fn))
 
 let test_castflow_multipath () =
   let n =

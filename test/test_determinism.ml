@@ -331,6 +331,89 @@ let test_golden_extended () =
   in
   check_rows "extended golden rows" golden_extended actual
 
+(* ---------- Instrumentation digests ----------
+
+   One MD5 per protection over what the passes produce for the 41 bundled
+   workloads and the example MiniC programs, in a fixed order: the printed
+   IR, the static statistics, the cpi-crypt re-encryption masks and every
+   call's CFI target set (the printer omits the sets, so without them cfi
+   and cfi-type would hash equal). A refactor of the passes must leave
+   every digest unchanged. LEVEE_GOLDEN_DUMP=1 prints the fresh digests
+   instead of checking them. *)
+
+module I = Levee_ir.Instr
+module Prog = Levee_ir.Prog
+module Stats = Levee_core.Stats
+
+let digest_examples =
+  [ "annotated.c"; "badcast.c"; "conc.c"; "datalist.c"; "dcl.c";
+    "dispatch.c"; "fptr_zoo.c"; "guarded_web.c"; "opaque.c";
+    "racy_counter.c"; "strings.c" ]
+
+let digest_corpus () =
+  List.map W.Workload.compile
+    (W.Spec.all @ W.Phoronix.all @ W.Webstack.all @ W.Base_system.all)
+  @ List.map
+      (fun f ->
+        Levee_minic.Lower.compile ~name:f
+          (In_channel.with_open_bin ("../examples/minic/" ^ f)
+             In_channel.input_all))
+      digest_examples
+
+let add_build buf (b : P.built) =
+  let s = b.P.stats in
+  Buffer.add_string buf (Levee_ir.Printer.program b.P.prog);
+  Printf.bprintf buf "stats %d %d %d %d %d %d %d %d\n" s.Stats.funcs_total
+    s.Stats.funcs_unsafe_stack s.Stats.mem_ops_total
+    s.Stats.mem_ops_instrumented s.Stats.mem_ops_checked
+    s.Stats.indirect_calls s.Stats.checks_elided s.Stats.mem_ops_demoted;
+  List.iter
+    (fun (g, mask) ->
+      Printf.bprintf buf "crypt %s %s\n" g
+        (String.concat ""
+           (Array.to_list (Array.map (fun c -> if c then "1" else "0") mask))))
+    b.P.config.M.Config.crypt_cells;
+  Prog.iter_funcs b.P.prog (fun fn ->
+      Prog.iter_instrs fn (function
+        | I.Call { cfi_set; _ } ->
+          Printf.bprintf buf "cfi %s %s\n" fn.Prog.fname
+            (match cfi_set with
+             | None -> "-"
+             | Some names -> "[" ^ String.concat "," names ^ "]")
+        | _ -> ()))
+
+let golden_instrumentation =
+  [ ("vanilla", "11dd15f9375835ea4fe1b37c4aa0d458");
+    ("dep+aslr+cookies", "ef0ff7b468190c879d91e1b0826e4591");
+    ("cookies", "ef0ff7b468190c879d91e1b0826e4591");
+    ("safestack", "0c496ea3bc54911c6e7e00a5210c8b89");
+    ("cfi", "6bd0931e92b1a94070ba6ff7fe347184");
+    ("cps", "f56a0548a91d623b721e6e318f9a5c9d");
+    ("cpi", "60af1c86a7946c164d9610b11d1fe527");
+    ("cpi-debug", "9cb4e72e451f03e28d203340c837e93d");
+    ("softbound", "73ec20f3ffe29d1f413500382c899b68");
+    ("cfi-type", "723e227f077ae017fe1ae92382f23290");
+    ("cpi-crypt", "af86e276447ff0376288a89be575ff29") ]
+
+let test_golden_instrumentation () =
+  let corpus = digest_corpus () in
+  let actual =
+    List.map
+      (fun prot ->
+        let buf = Buffer.create (1 lsl 20) in
+        List.iter (fun prog -> add_build buf (P.build prot prog)) corpus;
+        ( P.protection_name prot,
+          Digest.to_hex (Digest.string (Buffer.contents buf)) ))
+      P.all_protections
+  in
+  if Sys.getenv_opt "LEVEE_GOLDEN_DUMP" <> None then begin
+    print_endline "(* instrumentation digests *)";
+    List.iter (fun (p, d) -> Printf.printf "    (%S, %S);\n" p d) actual
+  end
+  else
+    Alcotest.(check (list (pair string string)))
+      "instrumentation digests" golden_instrumentation actual
+
 (* ---------- Run-store determinism ----------
 
    The run-store's whole value rests on records being deterministic
@@ -410,7 +493,9 @@ let () =
           Alcotest.test_case "extended protections and stores" `Quick
             test_golden_extended;
           Alcotest.test_case "concurrent machine" `Quick
-            test_golden_concurrent ] );
+            test_golden_concurrent;
+          Alcotest.test_case "instrumentation digests" `Quick
+            test_golden_instrumentation ] );
       ( "history",
         [ Alcotest.test_case "record bytes across --jobs" `Quick
             test_record_bytes_jobs;

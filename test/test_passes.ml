@@ -85,6 +85,36 @@ let test_cps_subset_of_cpi () =
       Levee_workloads.Spec.find "471.omnetpp";
       Levee_workloads.Spec.find "403.gcc" ]
 
+(* A code pointer lives only in CPS's safe store: a copy or clear of
+   memory that may hold one must move or drop the entries too, and one
+   whose memory never reaches code stays a plain libc call. *)
+let test_cps_copies () =
+  let intrin op prog =
+    count_instr prog (function I.Intrin { op = o; _ } -> o = op | _ -> false)
+  in
+  let src =
+    In_channel.with_open_bin "../examples/minic/structcopy.c"
+      In_channel.input_all
+  in
+  let b = build P.Cps src in
+  Alcotest.(check (pair int int)) "struct copy and clear rewritten" (1, 1)
+    (intrin I.I_cpi_memcpy b.P.prog, intrin I.I_cpi_memset b.P.prog);
+  let plain = build P.Cps {|
+int a[4];
+int b[4];
+int main() {
+  a[0] = 5;
+  memcpy(b, a, 4);
+  memset(a, 0, 4);
+  return b[0];
+}
+|} in
+  Alcotest.(check (pair int int)) "data-only copy and clear stay plain" (1, 1)
+    (intrin I.I_memcpy plain.P.prog, intrin I.I_memset plain.P.prog);
+  let r = M.Interp.run_program ~fuel:10_000 b.P.prog b.P.config in
+  Alcotest.(check string) "benign run agrees with vanilla" "cleared\n42\n"
+    r.M.Interp.output
+
 let test_softbound_marks () =
   let b = build P.Softbound fptr_prog in
   let stats = Stats.collect b.P.prog in
@@ -292,7 +322,8 @@ let () =
          t "annotation travels in the IR" test_annotation_in_ir ]);
       ("cps",
        [ t "marks code pointers only" test_cps_marks;
-         t "subset of CPI" test_cps_subset_of_cpi ]);
+         t "subset of CPI" test_cps_subset_of_cpi;
+         t "code-pointer copies use the safe store" test_cps_copies ]);
       ("baselines",
        [ t "softbound checks everything" test_softbound_marks;
          t "safestack slot partition" test_safestack_slots;
