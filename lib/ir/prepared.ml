@@ -20,7 +20,13 @@
     library does not depend on the machine: the loader instantiates ['m]
     with its based-on metadata. Preparation happens after instrumentation
     (the passes mutate [Instr.instr] attributes in place); a prepared
-    function is a snapshot and does not track later mutation of its source. *)
+    function is a snapshot and does not track later mutation of its source.
+
+    The prepared form is what the interpreter compiles: on a function's
+    first entry each instruction and terminator becomes one closure,
+    specialised on the operand kinds, operator, [where]/[checked] and
+    constant addresses resolved here, and the closures are cached on the
+    loaded image (see [Levee_machine.Interp]). *)
 
 module I = Instr
 

@@ -9,14 +9,33 @@
     the attacker pointed it — into a function, a gadget in the middle of
     one, injected shellcode in a data page, or garbage.
 
-    This interpreter executes the *prepared* (decode-once) form of the
-    program built by [Loader.load] — see [Levee_ir.Prepared]. Operands are
-    resolved, alloca placements and call return addresses are baked in, and
-    switch dispatch is table-driven, so the hot loop performs no hashtable
-    lookups. The deterministic cost model is charged exactly as it was by
-    the decode-per-step interpreter: simulated cycles, instruction counts,
-    footprints and checksums are byte-identical; only host wall-clock
-    changes (asserted by the golden-determinism regression test). *)
+    The machine runs compiled code. The first time a function is entered,
+    each instruction and terminator of its prepared form
+    ([Levee_ir.Prepared], built by [Loader.load]) is compiled into one
+    closure over the machine state, specialised on its operand kinds
+    (register or constant), operator, [where]/[checked] and constant
+    address; rare shapes compile to closures over the general
+    [do_load]/[do_store]/[do_call]/[do_intrin]/[do_ret] helpers. The code
+    is cached on the [Loader.image], so every run of an image shares it.
+
+    One set of closures, two drivers:
+    - the single-step driver runs one instruction per step, testing fuel,
+      then scheduled faults, then preemption before it, exactly as the
+      step semantics define;
+    - the straight-line driver runs a whole stretch of a block (a run of
+      instructions with no call or intrinsic, ending at a [Br], [Jmp] or
+      [Switch] terminator if it reaches one) with those tests made once:
+      it is taken only when the fuel covers the stretch, no fault is
+      scheduled inside it and the scheduler quantum cannot expire inside
+      it, so no boundary can fall within it. It still decrements fuel per
+      instruction, so a trap inside a stretch reports the same [instrs]
+      and [cycles] as single-stepping would.
+    Everywhere else (calls, intrinsics, returns, and any step a boundary
+    may fall on) the single-step driver runs. Simulated cycles,
+    instruction counts, footprints and checksums are byte-identical to
+    the decode-per-step interpreter; only host wall-clock changes (the
+    golden rows and simulation digests of the determinism test, and the
+    step-boundary sweeps of the interpreter test, assert this). *)
 
 module Ty = Levee_ir.Ty
 module I = Levee_ir.Instr
@@ -28,22 +47,6 @@ type meta = Meta.t = { lower : int; upper : int; tid : int; kind : Safestore.kin
 
 let meta_of_entry = Meta.of_entry
 let entry_of_meta = Meta.to_entry
-
-type frame = {
-  fr_pf : Loader.pmeta Pr.func;
-  regs : int array;
-  rmeta : meta option array;
-  mutable block : int;
-  mutable blk : Loader.pmeta Pr.block;   (* cache of fr_pf.blocks.(block) *)
-  mutable ip : int;
-  base_r : int;
-  base_s : int;
-  ret_dst : int option;        (* caller register receiving the result *)
-  pushed_ret : int;            (* legitimate return target *)
-  cookie_value : int;
-  penalize_stack : bool;       (* hot frame exceeds the cache-friendly size *)
-  layout : Loader.frame_layout;
-}
 
 type jmp_ctx = {
   jc_tid : int;                (* owning thread: cross-thread longjmp is corruption *)
@@ -60,10 +63,53 @@ type thread_status =
   | Blocked_mutex of int       (* waiting to acquire the mutex at [addr] *)
   | Finished of int            (* thread function returned this value *)
 
+(* A scheduled corruption, injected between two instruction steps. The
+   addresses are absolute (post-slide) machine addresses; resolution from
+   symbolic sites happens in the attack layer (Faultplan). *)
+type fault =
+  | Flip_bit of { addr : int; bit : int }
+  | Arb_write of { addr : int; value : int }
+  | Store_desync of { addr : int; delta : int }
+  | Meta_drop of { addr : int }
+  | Stall of { cycles : int }
+  | Worker_kill of { tid : int }
+
+type frame = {
+  fr_pf : Loader.pmeta Pr.func;
+  code : block_code array;     (* compiled blocks of [fr_pf] *)
+  regs : int array;
+  rmeta : meta option array;
+  mutable block : int;
+  mutable ip : int;
+  base_r : int;
+  base_s : int;
+  ret_dst : int option;        (* caller register receiving the result *)
+  pushed_ret : int;            (* legitimate return target *)
+  cookie_value : int;
+  penalize_stack : bool;       (* hot frame exceeds the cache-friendly size *)
+  layout : Loader.frame_layout;
+}
+
+(* One compiled block: [ops.(ip)] executes instruction [ip], and
+   [ops.(n)] (n instructions) the terminator, so a frame's [ip] always
+   indexes [ops] and [span]. No closure moves [ip]: the drivers advance
+   it, calls and intrinsics included, so the callee or the intrinsic sees
+   the caller already past its instruction.
+   [span.(ip)] is the number of steps in the straight-line stretch that
+   starts at [ip], 0 where a call, intrinsic, return or [Unreachable]
+   must be single-stepped. *)
+and block_code = {
+  ops : op array;
+  span : int array;
+}
+
+(* One compiled instruction or terminator. *)
+and op = t -> frame -> unit
+
 (* One thread of the machine: its own call stack (frames) over its own
    regular+safe stack pair (paper §4.2); registers live in the frames.
    Everything else — heap, globals, safe region, safe store — is shared. *)
-type thread = {
+and thread = {
   t_id : int;
   mutable status : thread_status;
   mutable frames : frame list;
@@ -77,18 +123,7 @@ type thread = {
   mutable locks : int list;    (* held mutex addresses, for the race detector *)
 }
 
-(* A scheduled corruption, injected between two instruction steps. The
-   addresses are absolute (post-slide) machine addresses; resolution from
-   symbolic sites happens in the attack layer (Faultplan). *)
-type fault =
-  | Flip_bit of { addr : int; bit : int }
-  | Arb_write of { addr : int; value : int }
-  | Store_desync of { addr : int; delta : int }
-  | Meta_drop of { addr : int }
-  | Stall of { cycles : int }
-  | Worker_kill of { tid : int }
-
-type t = {
+and t = {
   image : Loader.image;
   cfg : Config.t;
   slide : int;                 (* image slide, cached off the hot path *)
@@ -124,8 +159,9 @@ type t = {
      way register-resident values do after mem2reg. This is what lets the
      instrumentation passes skip proven-safe local slots, mirroring the
      paper's point that compiler optimizations remove many inserted
-     checks (Section 3.2.2). *)
-  safe_meta : (int, meta) Hashtbl.t;
+     checks (Section 3.2.2). A paged table of 256-slot pages, so the hot
+     path never hashes. *)
+  shadow : meta Safestore.Paged.t;
   (* Scheduled fault injection: [faults] is sorted by step; the hot loop
      pays one integer compare against [next_fault_fuel] (the fuel value
      at which the next fault fires; min_int = none pending). *)
@@ -170,10 +206,9 @@ let dummy_pf : Loader.pmeta Pr.func =
     addrs = [||]; entry_addr = 0 }
 
 let dummy_frame () =
-  { fr_pf = dummy_pf; regs = [||]; rmeta = [||]; block = 0;
-    blk = { Pr.instrs = [||]; term = Pr.Unreachable }; ip = 0;
-    base_r = 0; base_s = 0; ret_dst = None; pushed_ret = 0; cookie_value = 0;
-    penalize_stack = false; layout = dummy_layout }
+  { fr_pf = dummy_pf; code = [||]; regs = [||]; rmeta = [||]; block = 0;
+    ip = 0; base_r = 0; base_s = 0; ret_dst = None; pushed_ret = 0;
+    cookie_value = 0; penalize_stack = false; layout = dummy_layout }
 
 (* A fresh thread over its carved stack pair. Thread 0's windows are the
    historical single-thread stacks, so single-threaded runs are unchanged. *)
@@ -288,17 +323,6 @@ let plain_write st addr meta v =
     Mem.write st.mem addr v
   end
 
-(* Writes that may hit the safe stack carry metadata through the shadow
-   (see [safe_meta] above); the matching read path is inlined in
-   [do_load]'s [Regular] arm to keep it allocation-free. *)
-let write_with_shadow st addr meta v vmeta =
-  plain_write st addr meta v;
-  if Layout.in_safe_region_s st.slide addr then begin
-    match vmeta with
-    | Some m -> Hashtbl.replace st.safe_meta addr m
-    | None -> Hashtbl.remove st.safe_meta addr
-  end
-
 (* ---------- Metadata checks (the CPI runtime checks) ---------- *)
 
 let check_deref st addr meta ~size ~what =
@@ -320,14 +344,9 @@ let check_deref st addr meta ~size ~what =
 
 (* Operands are pre-resolved: a register read or a constant, no lookups.
    The value and metadata projections are split so the hot loop never
-   allocates a pair per operand (no flambda to elide it). *)
-let eval fr (o : Loader.pmeta Pr.operand) : int * meta option =
-  match o with
-  | Pr.Reg r -> (fr.regs.(r), fr.rmeta.(r))
-  | Pr.Const (v, m) -> (v, m)
-
-(* Register indices are validated against [nregs] when the function is
-   prepared, so the register files are accessed unchecked. *)
+   allocates a pair per operand (no flambda to elide it). Register
+   indices are validated against [nregs] when the function is prepared,
+   so the register files are accessed unchecked. *)
 let[@inline] eval_v fr (o : Loader.pmeta Pr.operand) =
   match o with
   | Pr.Reg r -> Array.unsafe_get fr.regs r
@@ -338,13 +357,38 @@ let[@inline] eval_m fr (o : Loader.pmeta Pr.operand) =
   | Pr.Reg r -> Array.unsafe_get fr.rmeta r
   | Pr.Const (_, m) -> m
 
+(* Metadata slots are written through the GC's write barrier, and most
+   writes store [None] over [None]: test the slot first. *)
+let[@inline] set_m (rm : meta option array) dst m =
+  if Array.unsafe_get rm dst != m then Array.unsafe_set rm dst m
+
 let[@inline] set_reg fr dst v m =
   Array.unsafe_set fr.regs dst v;
-  Array.unsafe_set fr.rmeta dst m
+  set_m fr.rmeta dst m
 
 (* ---------- Frame management ---------- *)
 
 let cookie_secret base = 0x600DC00C lxor (base * 31)
+
+(* The compiler (below) builds closures over the helpers that push
+   frames, and pushing a frame needs the callee's compiled code: frames
+   reach the compiler through this reference, set once at module
+   initialisation. *)
+let compile_fwd :
+    (Loader.image -> Loader.pmeta Pr.func -> block_code array) ref =
+  ref (fun _ _ -> assert false)
+
+type Loader.code += Compiled of block_code array
+
+(* A function's compiled code, built on its first entry and cached on the
+   image for every later run. *)
+let code_of image (pf : Loader.pmeta Pr.func) =
+  match Array.unsafe_get image.Loader.p_code pf.Pr.findex with
+  | Compiled c -> c
+  | _ ->
+    let c = !compile_fwd image pf in
+    image.Loader.p_code.(pf.Pr.findex) <- Compiled c;
+    c
 
 (* Push a frame with zeroed registers onto thread [th]; the caller fills
    the argument registers afterwards (before any callee instruction runs).
@@ -392,7 +436,7 @@ let push_frame_empty st th (pf : Loader.pmeta Pr.func) ~ret_dst ~pushed_ret
   let penalize_stack = hot_resident > Cost.hot_frame_threshold in
   let block, ip = entry in
   let fr =
-    { fr_pf = pf; regs; rmeta; block; blk = pf.Pr.blocks.(block); ip;
+    { fr_pf = pf; code = code_of st.image pf; regs; rmeta; block; ip;
       base_r; base_s; ret_dst; pushed_ret; cookie_value; penalize_stack;
       layout }
   in
@@ -493,8 +537,6 @@ let divert st target ~via =
 
 (* ---------- Calls and returns ---------- *)
 
-(* [ret_addr] was resolved at load time: the code address of the
-   instruction after the call site. *)
 (* Membership probe for the cfi-type per-site target set (sorted entry
    addresses, typically tiny). *)
 let in_cfi_set (set : int array) v =
@@ -502,58 +544,58 @@ let in_cfi_set (set : int array) v =
   let rec go i = i < n && (set.(i) = v || (set.(i) < v && go (i + 1))) in
   go 0
 
-let do_call st fr dst callee args cfi_checked cfi_set ret_addr =
+(* [ret_addr] was resolved at load time: the code address of the
+   instruction after the call site. The driver has already moved the
+   caller past the call, so the frame resumes at the next instruction on
+   return. *)
+let invoke st fr dst args ret_addr pf =
+  (* Operand evaluation is pure, so the arguments can be read out of the
+     caller's (still live) registers directly into the callee's. *)
+  let nf = push_frame_empty st st.running pf ~ret_dst:dst
+      ~pushed_ret:ret_addr ~entry:(0, 0) in
+  let nregs = Array.length nf.regs in
+  for i = 0 to Array.length args - 1 do
+    if i < nregs then begin
+      let o = Array.unsafe_get args i in
+      Array.unsafe_set nf.regs i (eval_v fr o);
+      Array.unsafe_set nf.rmeta i (eval_m fr o)
+    end
+  done
+
+(* An indirect call through [o]; direct calls compile to [invoke] with
+   the callee resolved. *)
+let do_call st fr dst o args cfi_checked cfi_set ret_addr =
   Cost.add st.cost (Array.length args);
-  (* Advance the caller past the call before pushing the callee, so the
-     frame resumes at the next instruction on return. *)
-  fr.ip <- fr.ip + 1;
-  let invoke pf =
-    (* Operand evaluation is pure, so the arguments can be read out of the
-       caller's (still live) registers directly into the callee's. *)
-    let nf = push_frame_empty st st.running pf ~ret_dst:dst
-        ~pushed_ret:ret_addr ~entry:(0, 0) in
-    let nregs = Array.length nf.regs in
-    for i = 0 to Array.length args - 1 do
-      if i < nregs then begin
-        let o = Array.unsafe_get args i in
-        Array.unsafe_set nf.regs i (eval_v fr o);
-        Array.unsafe_set nf.rmeta i (eval_m fr o)
-      end
-    done
-  in
-  match callee with
-  | Pr.Direct idx -> invoke (pf_of_index st idx)
-  | Pr.Indirect o ->
-    let v, m = eval fr o in
-    if st.cfg.Config.enforce_code_meta then begin
-      (* CPI/CPS: only values with genuine code-pointer provenance may be
-         indirect-call targets. *)
-      match m with
-      | Some { kind = Safestore.Code; _ } ->
-        (match Hashtbl.find_opt st.image.Loader.entry_findex v with
-         | Some idx -> invoke (pf_of_index st idx)
-         | None -> stop (Crash "code pointer does not decode"))
-      | Some _ | None -> stop (Trapped Invalid_code_pointer)
-    end
-    else begin
-      if st.cfg.Config.cfi_checks && cfi_checked then begin
-        Cost.add st.cost Cost.cfi_cost;
-        if not (Loader.is_function_entry st.image v) then
-          stop (Trapped (Cfi_violation "indirect call target not a function"));
-        (* cfi-type: the target must also lie in this call site's
-           per-signature set, not just be some function entry. *)
-        (match cfi_set with
-         | Some set ->
-           Cost.add st.cost Cost.cfi_set_cost;
-           if not (in_cfi_set set v) then
-             stop
-               (Trapped (Cfi_violation "indirect call target outside type set"))
-         | None -> ())
-      end;
-      match Hashtbl.find_opt st.image.Loader.entry_findex v with
-      | Some idx -> invoke (pf_of_index st idx)
-      | None -> divert st v ~via:`Call
-    end
+  let v = eval_v fr o and m = eval_m fr o in
+  if st.cfg.Config.enforce_code_meta then begin
+    (* CPI/CPS: only values with genuine code-pointer provenance may be
+       indirect-call targets. *)
+    match m with
+    | Some { kind = Safestore.Code; _ } ->
+      (match Hashtbl.find_opt st.image.Loader.entry_findex v with
+       | Some idx -> invoke st fr dst args ret_addr (pf_of_index st idx)
+       | None -> stop (Crash "code pointer does not decode"))
+    | Some _ | None -> stop (Trapped Invalid_code_pointer)
+  end
+  else begin
+    if st.cfg.Config.cfi_checks && cfi_checked then begin
+      Cost.add st.cost Cost.cfi_cost;
+      if not (Loader.is_function_entry st.image v) then
+        stop (Trapped (Cfi_violation "indirect call target not a function"));
+      (* cfi-type: the target must also lie in this call site's
+         per-signature set, not just be some function entry. *)
+      (match cfi_set with
+       | Some set ->
+         Cost.add st.cost Cost.cfi_set_cost;
+         if not (in_cfi_set set v) then
+           stop
+             (Trapped (Cfi_violation "indirect call target outside type set"))
+       | None -> ())
+    end;
+    match Hashtbl.find_opt st.image.Loader.entry_findex v with
+    | Some idx -> invoke st fr dst args ret_addr (pf_of_index st idx)
+    | None -> divert st v ~via:`Call
+  end
 
 let do_ret st rv rm =
   Cost.add st.cost Cost.ret_base;
@@ -629,8 +671,6 @@ let checksum_mix cs v =
 let libc_check st meta addr n what =
   if st.cfg.Config.check_libc && n > 0 then check_deref st addr meta ~size:n ~what
 
-(* [argv] holds the pre-evaluated arguments: one array-indexing per use
-   instead of the old O(args^2) [List.nth] walks. *)
 (* Arguments are evaluated on demand out of the caller's registers; every
    arm reads its operands before any frame is pushed or popped, so the
    caller frame is still live at each [v]/[m] use. *)
@@ -743,7 +783,7 @@ let do_intrin st fr dst (op : I.intrin) (args : Loader.pmeta Pr.operand array) =
     let th = st.running in
     let fr = th.cur in
     (* Resume point: the instruction after this setjmp (ip was already
-       advanced by the dispatch loop). *)
+       advanced by the driver). *)
     let resume = fr.fr_pf.Pr.addrs.(fr.block).(fr.ip) in
     let id = st.next_jmp in
     st.next_jmp <- id + 1;
@@ -802,7 +842,6 @@ let do_intrin st fr dst (op : I.intrin) (args : Loader.pmeta Pr.operand array) =
        done;
        let fr = th.cur in
        fr.block <- ctx.jc_block;
-       fr.blk <- fr.fr_pf.Pr.blocks.(ctx.jc_block);
        fr.ip <- ctx.jc_ip;
        (match ctx.jc_dst with
         | Some d -> set_reg fr d (if x = 0 then 1 else x) None
@@ -901,6 +940,58 @@ let do_intrin st fr dst (op : I.intrin) (args : Loader.pmeta Pr.operand array) =
 
 (* ---------- Loads and stores ---------- *)
 
+(* The [Regular] arms, shared by [do_load]/[do_store] and the compiled
+   closures of unchecked register-addressed accesses. The region
+   classification is fused with the safe-stack metadata shadow (see
+   [shadow] above), so the address is classified once and the access
+   never allocates. *)
+
+let[@inline] locality st fr a =
+  if fr.penalize_stack
+     && a land 7 = 0
+     && a <= Layout.stack_top + st.slide
+     && a > Layout.stack_limit + st.slide
+  then Cost.add st.cost Cost.locality_penalty
+
+let[@inline] load_regular st fr dst a ma =
+  Cost.charge_mem st.cost ~instrumented:false Cost.load_base;
+  locality st fr a;
+  race_data st a ~write:false;
+  let a' = a - st.slide in
+  if a' < Layout.safe_base then begin
+    if a' < Layout.null_guard then stop (Crash "null-page access");
+    set_reg fr dst (Mem.read st.mem a) None
+  end
+  else if a' < Layout.safe_end then begin
+    check_safe_access a ma ~size:1;
+    set_reg fr dst (Mem.read st.mem a) (Safestore.Paged.get st.shadow a)
+  end
+  else if a' >= Layout.code_base && a' < Layout.code_end then
+    set_reg fr dst 0xC0DE None
+  else set_reg fr dst (Mem.read st.mem a) None
+
+let[@inline] store_regular st fr a ma vv vm =
+  Cost.charge_mem st.cost ~instrumented:false Cost.store_base;
+  locality st fr a;
+  race_data st a ~write:true;
+  let a' = a - st.slide in
+  if a' < Layout.safe_base then begin
+    if a' < Layout.null_guard then stop (Crash "null-page access");
+    charge_sfi st;
+    Mem.write st.mem a vv
+  end
+  else if a' < Layout.safe_end then begin
+    check_safe_access a ma ~size:1;
+    Mem.write st.mem a vv;
+    Safestore.Paged.set st.shadow a vm
+  end
+  else begin
+    if a' >= Layout.code_base && a' < Layout.code_end then
+      stop (Crash "write to code segment");
+    charge_sfi st;
+    Mem.write st.mem a vv
+  end
+
 (* Each arm writes the destination register directly instead of returning a
    [(value, meta)] pair: the regular-load path must stay allocation-free. *)
 let do_load st fr dst ~what ~universal addr_op where checked =
@@ -910,28 +1001,7 @@ let do_load st fr dst ~what ~universal addr_op where checked =
   if checked then
     check_deref st a ma ~size ~what;
   match where with
-  | I.Regular ->
-    Cost.charge_mem st.cost ~instrumented:false Cost.load_base;
-    if fr.penalize_stack
-       && a land 7 = 0
-       && a <= Layout.stack_top + st.slide
-       && a > Layout.stack_limit + st.slide
-    then Cost.add st.cost Cost.locality_penalty;
-    race_data st a ~write:false;
-    (* plain_read with the safe-region shadow lookup fused in, so the
-       address is classified once. *)
-    let a' = a - st.slide in
-    if a' < Layout.safe_base then begin
-      if a' < Layout.null_guard then stop (Crash "null-page access");
-      set_reg fr dst (Mem.read st.mem a) None
-    end
-    else if a' < Layout.safe_end then begin
-      check_safe_access a ma ~size:1;
-      set_reg fr dst (Mem.read st.mem a) (Hashtbl.find_opt st.safe_meta a)
-    end
-    else if a' >= Layout.code_base && a' < Layout.code_end then
-      set_reg fr dst 0xC0DE None
-    else set_reg fr dst (Mem.read st.mem a) None
+  | I.Regular -> load_regular st fr dst a ma
   | I.SafeFull | I.SafeDebug ->
     Cost.charge_safe_store st.cost st.cfg.Config.store_impl;
     Cost.charge_mem st.cost ~instrumented:true 0;
@@ -996,14 +1066,7 @@ let do_store st fr ~what ~universal v_op addr_op where checked =
   let ma = eval_m fr addr_op in
   if checked then check_deref st a ma ~size:1 ~what;
   match where with
-  | I.Regular ->
-    Cost.charge_mem st.cost ~instrumented:false Cost.store_base;
-    if fr.penalize_stack
-       && a land 7 = 0
-       && a <= Layout.stack_top + st.slide
-       && a > Layout.stack_limit + st.slide
-    then Cost.add st.cost Cost.locality_penalty;
-    write_with_shadow st a ma vv vm
+  | I.Regular -> store_regular st fr a ma vv vm
   | I.SafeFull | I.SafeDebug ->
     Cost.charge_safe_store st.cost st.cfg.Config.store_impl;
     Cost.charge_mem st.cost ~instrumented:true 0;
@@ -1062,7 +1125,7 @@ let do_store st fr ~what ~universal v_op addr_op where checked =
       (Cost.store_base + Cost.crypt_cost);
     plain_write st a ma (Ptrcipher.encrypt st.key vv)
 
-(* ---------- Instruction dispatch ---------- *)
+(* ---------- Compilation ---------- *)
 
 let exec_binop op a b =
   match (op : I.binop) with
@@ -1089,96 +1152,308 @@ let exec_cmp op a b =
   in
   if r then 1 else 0
 
-(* Every arm advances [ip] past the instruction itself, except [Call],
-   which must push the callee with the caller already advanced. *)
-let exec_instr st fr (i : Loader.pmeta Pr.instr) =
+(* Pointer arithmetic keeps the based-on metadata of its one pointer
+   operand: [p + n], [n + p] and [p - n]. Anything else, including
+   pointer + pointer, yields a plain integer. The result is one of the
+   operands' own options, so propagation never allocates. *)
+let bin_meta (op : I.binop) am bm =
+  match op with
+  | I.Add -> if am == None then bm else if bm == None then am else None
+  | I.Sub -> if bm == None then am else None
+  | I.Mul | I.Div | I.Rem | I.And | I.Or | I.Xor | I.Shl | I.Shr -> None
+
+let[@inline] reg fr r = Array.unsafe_get fr.regs r
+
+let compile_bin dst (op : I.binop) (l : Loader.pmeta Pr.operand) r : op =
+  match op, l, r with
+  | I.Add, Pr.Reg a, Pr.Reg b ->
+    fun st fr ->
+      Cost.add st.cost Cost.alu;
+      let rm = fr.rmeta in
+      let am = Array.unsafe_get rm a and bm = Array.unsafe_get rm b in
+      Array.unsafe_set fr.regs dst
+        (Array.unsafe_get fr.regs a + Array.unsafe_get fr.regs b);
+      set_m rm dst (if am == None then bm else if bm == None then am else None)
+  | I.Add, Pr.Reg a, Pr.Const (k, None) | I.Add, Pr.Const (k, None), Pr.Reg a
+  | I.Sub, Pr.Reg a, Pr.Const (k, None) ->
+    let k = if op = I.Sub then -k else k in
+    fun st fr ->
+      Cost.add st.cost Cost.alu;
+      Array.unsafe_set fr.regs dst (Array.unsafe_get fr.regs a + k);
+      set_m fr.rmeta dst (Array.unsafe_get fr.rmeta a)
+  | I.Sub, Pr.Reg a, Pr.Reg b ->
+    fun st fr ->
+      Cost.add st.cost Cost.alu;
+      let rm = fr.rmeta in
+      let am = Array.unsafe_get rm a and bm = Array.unsafe_get rm b in
+      Array.unsafe_set fr.regs dst
+        (Array.unsafe_get fr.regs a - Array.unsafe_get fr.regs b);
+      set_m rm dst (if bm == None then am else None)
+  | I.Mul, Pr.Reg a, Pr.Reg b ->
+    fun st fr ->
+      Cost.add st.cost Cost.alu;
+      Array.unsafe_set fr.regs dst
+        (Array.unsafe_get fr.regs a * Array.unsafe_get fr.regs b);
+      set_m fr.rmeta dst None
+  | I.Mul, Pr.Reg a, Pr.Const (k, _) | I.Mul, Pr.Const (k, _), Pr.Reg a ->
+    fun st fr ->
+      Cost.add st.cost Cost.alu;
+      Array.unsafe_set fr.regs dst (Array.unsafe_get fr.regs a * k);
+      set_m fr.rmeta dst None
+  | (I.Add | I.Sub), _, _ ->
+    fun st fr ->
+      Cost.add st.cost Cost.alu;
+      let v = exec_binop op (eval_v fr l) (eval_v fr r) in
+      set_reg fr dst v (bin_meta op (eval_m fr l) (eval_m fr r))
+  | _, Pr.Reg a, Pr.Reg b ->
+    fun st fr ->
+      Cost.add st.cost Cost.alu;
+      let v = exec_binop op (reg fr a) (reg fr b) in
+      set_reg fr dst v None
+  | _, Pr.Reg a, Pr.Const (k, _) ->
+    fun st fr ->
+      Cost.add st.cost Cost.alu;
+      set_reg fr dst (exec_binop op (reg fr a) k) None
+  | _, _, _ ->
+    fun st fr ->
+      Cost.add st.cost Cost.alu;
+      set_reg fr dst (exec_binop op (eval_v fr l) (eval_v fr r)) None
+
+let[@inline] set_flag st fr dst c =
+  Cost.add st.cost Cost.alu;
+  Array.unsafe_set fr.regs dst (if c then 1 else 0);
+  set_m fr.rmeta dst None
+
+let compile_cmp dst (op : I.cmpop) (l : Loader.pmeta Pr.operand) r : op =
+  match op, l, r with
+  | I.Eq, Pr.Reg a, Pr.Reg b ->
+    fun st fr -> set_flag st fr dst (reg fr a = reg fr b)
+  | I.Ne, Pr.Reg a, Pr.Reg b ->
+    fun st fr -> set_flag st fr dst (reg fr a <> reg fr b)
+  | I.Lt, Pr.Reg a, Pr.Reg b ->
+    fun st fr -> set_flag st fr dst (reg fr a < reg fr b)
+  | I.Le, Pr.Reg a, Pr.Reg b ->
+    fun st fr -> set_flag st fr dst (reg fr a <= reg fr b)
+  | I.Gt, Pr.Reg a, Pr.Reg b ->
+    fun st fr -> set_flag st fr dst (reg fr a > reg fr b)
+  | I.Ge, Pr.Reg a, Pr.Reg b ->
+    fun st fr -> set_flag st fr dst (reg fr a >= reg fr b)
+  | I.Eq, Pr.Reg a, Pr.Const (k, _) ->
+    fun st fr -> set_flag st fr dst (reg fr a = k)
+  | I.Ne, Pr.Reg a, Pr.Const (k, _) ->
+    fun st fr -> set_flag st fr dst (reg fr a <> k)
+  | I.Lt, Pr.Reg a, Pr.Const (k, _) ->
+    fun st fr -> set_flag st fr dst (reg fr a < k)
+  | I.Le, Pr.Reg a, Pr.Const (k, _) ->
+    fun st fr -> set_flag st fr dst (reg fr a <= k)
+  | I.Gt, Pr.Reg a, Pr.Const (k, _) ->
+    fun st fr -> set_flag st fr dst (reg fr a > k)
+  | I.Ge, Pr.Reg a, Pr.Const (k, _) ->
+    fun st fr -> set_flag st fr dst (reg fr a >= k)
+  | _, _, _ ->
+    fun st fr ->
+      Cost.add st.cost Cost.alu;
+      set_reg fr dst (exec_cmp op (eval_v fr l) (eval_v fr r)) None
+
+(* A constant address in the plain regular region (a global): not the
+   null page, the safe region or code, and not a stack word the locality
+   model could charge. Its accesses skip the region classification. *)
+let plain_const (image : Loader.image) a =
+  let u = a - image.Loader.slide in
+  u >= Layout.null_guard && u < Layout.stack_limit
+
+(* Narrow the based-on bounds to a sub-object (case iii). *)
+let narrow m a fsize =
+  match m with
+  | Some mm when mm.kind = Safestore.Data ->
+    Some { mm with lower = a; upper = a + fsize }
+  | other -> other
+
+let rec gep_walk fr dst path k a m =
+  if k = Array.length path then set_reg fr dst a m
+  else
+    match Array.unsafe_get path k with
+    | Pr.Field (off, fsize) ->
+      let a = a + off in
+      gep_walk fr dst path (k + 1) a (narrow m a fsize)
+    | Pr.Index (elem_size, idx_op) ->
+      gep_walk fr dst path (k + 1) (a + (eval_v fr idx_op * elem_size)) m
+
+(* The same walk over constant steps, at compile time. *)
+let gep_const path a m =
+  Array.fold_left
+    (fun (a, m) step ->
+      match step with
+      | Pr.Field (off, fsize) -> (a + off, narrow m (a + off) fsize)
+      | Pr.Index (elem_size, Pr.Const (k, _)) -> (a + (k * elem_size), m)
+      | Pr.Index (_, Pr.Reg _) -> invalid_arg "gep_const")
+    (a, m) path
+
+let compile_gep dst (base : Loader.pmeta Pr.operand) path : op =
+  let cost = Cost.alu * Array.length path in
+  let consts =
+    Array.for_all
+      (function Pr.Field _ | Pr.Index (_, Pr.Const _) -> true
+              | Pr.Index (_, Pr.Reg _) -> false)
+      path
+  in
+  match base, path with
+  | Pr.Const (a, m), _ when consts ->
+    (* A constant base (a global) with constant steps: the address and
+       its narrowed metadata are computed once, here. *)
+    let a, m = gep_const path a m in
+    fun st fr ->
+      Cost.add st.cost cost;
+      set_reg fr dst a m
+  | Pr.Const (a, m), [| Pr.Index (es, Pr.Reg i) |] ->
+    fun st fr ->
+      Cost.add st.cost cost;
+      Array.unsafe_set fr.regs dst (a + (Array.unsafe_get fr.regs i * es));
+      set_m fr.rmeta dst m
+  | Pr.Reg b, [| Pr.Index (es, Pr.Reg i) |] ->
+    fun st fr ->
+      Cost.add st.cost cost;
+      Array.unsafe_set fr.regs dst
+        (Array.unsafe_get fr.regs b + (Array.unsafe_get fr.regs i * es));
+      set_m fr.rmeta dst (Array.unsafe_get fr.rmeta b)
+  | Pr.Reg b, [| Pr.Index (es, Pr.Const (k, _)) |] ->
+    let off = k * es in
+    fun st fr ->
+      Cost.add st.cost cost;
+      Array.unsafe_set fr.regs dst (Array.unsafe_get fr.regs b + off);
+      set_m fr.rmeta dst (Array.unsafe_get fr.rmeta b)
+  | Pr.Reg b, [| Pr.Field (off, fsize) |] ->
+    fun st fr ->
+      Cost.add st.cost cost;
+      let a = Array.unsafe_get fr.regs b + off in
+      let m = narrow (Array.unsafe_get fr.rmeta b) a fsize in
+      set_reg fr dst a m
+  | _ ->
+    fun st fr ->
+      Cost.add st.cost cost;
+      gep_walk fr dst path 0 (eval_v fr base) (eval_m fr base)
+
+let compile_instr image (i : Loader.pmeta Pr.instr) : op =
   match i with
   | Pr.Alloca { dst; on_safe; offset; size } ->
-    fr.ip <- fr.ip + 1;
-    Cost.add st.cost Cost.alu;
-    let base = if on_safe then fr.base_s else fr.base_r in
-    let addr = base - offset in
-    set_reg fr dst addr
-      (Some { lower = addr; upper = addr + size; tid = 0;
-              kind = Safestore.Data })
-  | Pr.Bin { dst; op; l; r } ->
-    fr.ip <- fr.ip + 1;
-    Cost.add st.cost Cost.alu;
-    let a = eval_v fr l in
-    let b = eval_v fr r in
-    let am = eval_m fr l in
-    let bm = eval_m fr r in
-    let m =
-      match op, am, bm with
-      | (I.Add | I.Sub), Some m, None -> Some m
-      | I.Add, None, Some m -> Some m
-      | _, _, _ -> None
-    in
-    set_reg fr dst (exec_binop op a b) m
-  | Pr.Cmp { dst; op; l; r } ->
-    fr.ip <- fr.ip + 1;
-    Cost.add st.cost Cost.alu;
-    let a = eval_v fr l in
-    let b = eval_v fr r in
-    set_reg fr dst (exec_cmp op a b) None
+    fun st fr ->
+      Cost.add st.cost Cost.alu;
+      let base = if on_safe then fr.base_s else fr.base_r in
+      let addr = base - offset in
+      set_reg fr dst addr
+        (Some { lower = addr; upper = addr + size; tid = 0;
+                kind = Safestore.Data })
+  | Pr.Bin { dst; op; l; r } -> compile_bin dst op l r
+  | Pr.Cmp { dst; op; l; r } -> compile_cmp dst op l r
+  | Pr.Load { dst; addr = Pr.Reg r; where = I.Regular; checked = false; _ } ->
+    fun st fr ->
+      load_regular st fr dst (Array.unsafe_get fr.regs r)
+        (Array.unsafe_get fr.rmeta r)
+  | Pr.Load { dst; addr = Pr.Const (a, _); where = I.Regular;
+              checked = false; _ }
+    when plain_const image a ->
+    fun st fr ->
+      Cost.charge_mem st.cost ~instrumented:false Cost.load_base;
+      race_data st a ~write:false;
+      set_reg fr dst (Mem.read st.mem a) None
   | Pr.Load { dst; what; universal; addr; where; checked } ->
-    fr.ip <- fr.ip + 1;
-    do_load st fr dst ~what ~universal addr where checked
+    fun st fr -> do_load st fr dst ~what ~universal addr where checked
+  | Pr.Store { v = Pr.Reg x; addr = Pr.Reg r; where = I.Regular;
+               checked = false; _ } ->
+    fun st fr ->
+      store_regular st fr (Array.unsafe_get fr.regs r)
+        (Array.unsafe_get fr.rmeta r) (Array.unsafe_get fr.regs x)
+        (Array.unsafe_get fr.rmeta x)
+  | Pr.Store { v = Pr.Const (k, km); addr = Pr.Reg r; where = I.Regular;
+               checked = false; _ } ->
+    fun st fr ->
+      store_regular st fr (Array.unsafe_get fr.regs r)
+        (Array.unsafe_get fr.rmeta r) k km
+  | Pr.Store { v = Pr.Reg x; addr = Pr.Const (a, _); where = I.Regular;
+               checked = false; _ }
+    when plain_const image a ->
+    fun st fr ->
+      Cost.charge_mem st.cost ~instrumented:false Cost.store_base;
+      race_data st a ~write:true;
+      charge_sfi st;
+      Mem.write st.mem a (Array.unsafe_get fr.regs x)
   | Pr.Store { what; universal; v; addr; where; checked } ->
-    fr.ip <- fr.ip + 1;
-    do_store st fr ~what ~universal v addr where checked
-  | Pr.Gep { dst; base; path } ->
-    fr.ip <- fr.ip + 1;
-    let n = Array.length path in
-    let rec go k a m =
-      if k = n then set_reg fr dst a m
-      else begin
-        Cost.add st.cost Cost.alu;
-        match path.(k) with
-        | Pr.Field (off, fsize) ->
-          let a = a + off in
-          (* Narrow the based-on bounds to the sub-object (case iii). *)
-          let m =
-            match m with
-            | Some mm when mm.kind = Safestore.Data ->
-              Some { mm with lower = a; upper = a + fsize }
-            | other -> other
-          in
-          go (k + 1) a m
-        | Pr.Index (elem_size, idx_op) ->
-          go (k + 1) (a + (eval_v fr idx_op * elem_size)) m
-      end
-    in
-    go 0 (eval_v fr base) (eval_m fr base)
-  | Pr.Cast { dst; v } ->
-    fr.ip <- fr.ip + 1;
-    Cost.add st.cost Cost.alu;
-    set_reg fr dst (eval_v fr v) (eval_m fr v)
-  | Pr.Call { dst; callee; args; cfi_checked; cfi_set; ret_addr } ->
-    do_call st fr dst callee args cfi_checked cfi_set ret_addr
-  | Pr.Intrin { dst; op; args } ->
-    fr.ip <- fr.ip + 1;
-    do_intrin st fr dst op args
+    fun st fr -> do_store st fr ~what ~universal v addr where checked
+  | Pr.Gep { dst; base; path } -> compile_gep dst base path
+  | Pr.Cast { dst; v = Pr.Reg x } ->
+    fun st fr ->
+      Cost.add st.cost Cost.alu;
+      set_reg fr dst (Array.unsafe_get fr.regs x) (Array.unsafe_get fr.rmeta x)
+  | Pr.Cast { dst; v = Pr.Const (k, km) } ->
+    fun st fr ->
+      Cost.add st.cost Cost.alu;
+      set_reg fr dst k km
+  | Pr.Call { dst; callee = Pr.Direct idx; args; ret_addr; _ } ->
+    let pf = image.Loader.p_funcs.(idx) and nargs = Array.length args in
+    fun st fr ->
+      Cost.add st.cost nargs;
+      invoke st fr dst args ret_addr pf
+  | Pr.Call { dst; callee = Pr.Indirect o; args; cfi_checked; cfi_set;
+              ret_addr } ->
+    fun st fr -> do_call st fr dst o args cfi_checked cfi_set ret_addr
+  | Pr.Intrin { dst; op; args } -> fun st fr -> do_intrin st fr dst op args
 
 let[@inline] goto fr b =
   fr.block <- b;
-  fr.blk <- fr.fr_pf.Pr.blocks.(b);
   fr.ip <- 0
 
-let exec_term st fr (t : Loader.pmeta Pr.term) =
+let compile_term (t : Loader.pmeta Pr.term) : op =
   match t with
-  | Pr.Ret None -> do_ret st 0 None
-  | Pr.Ret (Some o) -> do_ret st (eval_v fr o) (eval_m fr o)
-  | Pr.Br (c, bt, bf) ->
-    Cost.add st.cost Cost.branch;
-    goto fr (if eval_v fr c <> 0 then bt else bf)
+  | Pr.Ret None -> fun st _ -> do_ret st 0 None
+  | Pr.Ret (Some (Pr.Reg r)) ->
+    fun st fr ->
+      do_ret st (Array.unsafe_get fr.regs r) (Array.unsafe_get fr.rmeta r)
+  | Pr.Ret (Some (Pr.Const (k, km))) -> fun st _ -> do_ret st k km
+  | Pr.Br (Pr.Reg c, bt, bf) ->
+    fun st fr ->
+      Cost.add st.cost Cost.branch;
+      goto fr (if Array.unsafe_get fr.regs c <> 0 then bt else bf)
+  | Pr.Br (Pr.Const (k, _), bt, bf) ->
+    let b = if k <> 0 then bt else bf in
+    fun st fr ->
+      Cost.add st.cost Cost.branch;
+      goto fr b
   | Pr.Jmp b ->
-    Cost.add st.cost Cost.branch;
-    goto fr b
+    fun st fr ->
+      Cost.add st.cost Cost.branch;
+      goto fr b
   | Pr.Switch (o, tbl) ->
-    Cost.add st.cost (Cost.branch + 1);
-    goto fr (Pr.switch_target tbl (eval_v fr o))
-  | Pr.Unreachable -> stop (Crash "unreachable executed")
+    fun st fr ->
+      Cost.add st.cost (Cost.branch + 1);
+      goto fr (Pr.switch_target tbl (eval_v fr o))
+  | Pr.Unreachable -> fun _ _ -> stop (Crash "unreachable executed")
+
+(* A straight-line stretch ends before a call or an intrinsic (they push
+   frames, block, spawn or reschedule) and takes in the terminator only
+   when it stays in the frame. *)
+let compile_block image (b : Loader.pmeta Pr.block) =
+  let n = Array.length b.Pr.instrs in
+  let ops =
+    Array.append (Array.map (compile_instr image) b.Pr.instrs)
+      [| compile_term b.Pr.term |]
+  in
+  let span = Array.make (n + 1) 0 in
+  (match b.Pr.term with
+   | Pr.Br _ | Pr.Jmp _ | Pr.Switch _ -> span.(n) <- 1
+   | Pr.Ret _ | Pr.Unreachable -> ());
+  for ip = n - 1 downto 0 do
+    match b.Pr.instrs.(ip) with
+    | Pr.Call _ | Pr.Intrin _ -> ()
+    | Pr.Alloca _ | Pr.Bin _ | Pr.Cmp _ | Pr.Load _ | Pr.Store _ | Pr.Gep _
+    | Pr.Cast _ ->
+      span.(ip) <- span.(ip + 1) + 1
+  done;
+  { ops; span }
+
+let () =
+  compile_fwd :=
+    fun image (pf : Loader.pmeta Pr.func) ->
+      Array.map (compile_block image) pf.Pr.blocks
 
 (* ---------- Fault injection ---------- *)
 
@@ -1251,6 +1526,12 @@ let inject_faults st =
     if st.fault_pos < n then st.fuel0 - fst st.faults.(st.fault_pos)
     else min_int
 
+(* ---------- Drivers ---------- *)
+
+(* The single-step driver: one step of the step semantics. The tests
+   come in a fixed order (fuel, then the faults scheduled for this step,
+   then preemption) and each may end the run or switch threads, so the
+   frame is read only after them. *)
 let step st =
   if st.fuel <= 0 then stop Fuel_exhausted;
   if st.fuel = st.next_fault_fuel then inject_faults st;
@@ -1262,10 +1543,37 @@ let step st =
   end;
   st.fuel <- st.fuel - 1;
   let fr = st.running.cur in
-  let blk = fr.blk in
-  if fr.ip < Array.length blk.Pr.instrs then
-    exec_instr st fr (Array.unsafe_get blk.Pr.instrs fr.ip)
-  else exec_term st fr blk.Pr.term
+  let ip = fr.ip in
+  fr.ip <- ip + 1;
+  (Array.unsafe_get fr.code.(fr.block).ops ip) st fr
+
+(* The straight-line driver runs the stretch of [n] steps at the current
+   position in one go when no step of it can meet a boundary: the fuel
+   lasts all [n] steps, the next scheduled fault fires after them, and
+   the quantum outlasts them (so every one of the [n] preemption checks
+   would just decrement). Otherwise it single-steps. Nothing inside a
+   stretch switches threads or frames. *)
+let rec run_loop st =
+  let fr = st.running.cur in
+  let bc = fr.code.(fr.block) in
+  let ip = fr.ip in
+  let n = Array.unsafe_get bc.span ip in
+  let fuel = st.fuel in
+  if n > 0 && fuel >= n && st.next_fault_fuel <= fuel - n
+     && ((not st.mt) || st.sched_left >= n)
+  then begin
+    if st.mt then st.sched_left <- st.sched_left - n;
+    let ops = bc.ops in
+    for i = ip to ip + n - 1 do
+      st.fuel <- st.fuel - 1;
+      (Array.unsafe_get ops i) st fr
+    done;
+    (* A stretch that ran its terminator left the frame at the branch
+       target; one that stopped at a call or intrinsic resumes there. *)
+    if ip + n < Array.length ops then fr.ip <- ip + n
+  end
+  else step st;
+  run_loop st
 
 (* ---------- Top level ---------- *)
 
@@ -1320,7 +1628,8 @@ let create ?(input = [||]) ?(fuel = 60_000_000) ?(faults = [])
     live = 1;
     mutexes = Hashtbl.create 8; race = Race.create (); race_mute = false;
     fuel0 = fuel; input; input_pos = 0; out = Buffer.create 256; checksum = 0; fuel;
-    jmp_ctxs = Hashtbl.create 8; next_jmp = 1; safe_meta = Hashtbl.create 64;
+    jmp_ctxs = Hashtbl.create 8; next_jmp = 1;
+    shadow = Safestore.Paged.create ~page_bits:8;
     faults; fault_pos = 0; next_fault_fuel }
 
 let result_of st outcome =
@@ -1350,16 +1659,12 @@ let run ?input ?fuel ?faults ?sched_seed (image : Loader.image) : result =
   let main = Loader.prepared st.image "main" in
   (* A synthetic outermost frame is not needed: push main with the exit
      sentinel as its return address. *)
-  (try
-     push_frame st st.running main
-       ~args:(Array.make main.Pr.nparams (0, None))
-       ~ret_dst:None ~pushed_ret:exit_sentinel ~entry:(0, 0);
-     let rec loop () =
-       step st;
-       loop ()
-     in
-     loop ()
-   with Machine_stop outcome -> result_of st outcome)
+  try
+    push_frame st st.running main
+      ~args:(Array.make main.Pr.nparams (0, None))
+      ~ret_dst:None ~pushed_ret:exit_sentinel ~entry:(0, 0);
+    run_loop st
+  with Machine_stop outcome -> result_of st outcome
 
 (** Compile-free convenience used everywhere in tests and benches. *)
 let run_program ?input ?fuel ?faults ?sched_seed (prog : Prog.t)

@@ -5,7 +5,26 @@
     drop it, checked operations verify it. Every instruction has a code
     address, so a corrupted return address or function pointer "jumps"
     exactly where the attacker pointed it — a function, a gadget in the
-    middle of one, injected shellcode in a data page, or garbage. *)
+    middle of one, injected shellcode in a data page, or garbage.
+
+    Execution model. A function is compiled on its first entry into one
+    closure per instruction and terminator, and the code is cached on the
+    [Loader.image]: every run of an image shares it, and each function is
+    compiled at most once per image. Two drivers run the same closures:
+
+    - single-step: before every instruction, in this order, the fuel test
+      ([Trap.Fuel_exhausted] when it is spent), the faults scheduled for
+      that step, and the preemption check of a multithreaded machine;
+    - straight-line: a run of a block's instructions with no call or
+      intrinsic, through its [Br]/[Jmp]/[Switch] terminator if it reaches
+      one, executed with those tests made once. It is used only when the
+      fuel covers every step of the run, no fault is scheduled inside it
+      and the scheduler quantum cannot expire inside it; fuel is still
+      counted per instruction, so a trap inside the run reports the same
+      [instrs] and [cycles].
+
+    The driver never changes a result: every field of {!result} is
+    exactly what single-stepping the whole run would produce. *)
 
 (** A scheduled corruption for deterministic fault-injection campaigns.
     Addresses are absolute machine addresses (after any ASLR slide);

@@ -36,6 +36,12 @@ type frame_layout = {
   fl_has_unsafe : bool;              (* needs a separate unsafe frame *)
 }
 
+(* The interpreter's compiled form of a function. The loader only holds
+   the slots, so it stays free of the interpreter's types; see
+   [loader.mli]. *)
+type code = ..
+type code += Not_compiled
+
 type image = {
   prog : Prog.t;
   cfg : Config.t;
@@ -54,6 +60,7 @@ type image = {
   p_findex : (string, int) Hashtbl.t;       (* function name -> index *)
   entry_findex : (int, int) Hashtbl.t;      (* entry addr -> function index *)
   p_layouts : frame_layout array;           (* indexed by function index *)
+  p_code : code array;                      (* indexed by function index *)
 }
 
 let layout_of_func tenv (cfg : Config.t) (fn : Prog.func) =
@@ -310,7 +317,8 @@ let load (prog : Prog.t) (cfg : Config.t) =
   in
   { prog; cfg; slide; func_entry; addr_of_point; point_of_addr;
     return_sites; func_entries; global_addr; global_bounds; layouts;
-    p_funcs; p_findex; entry_findex; p_layouts }
+    p_funcs; p_findex; entry_findex; p_layouts;
+    p_code = Array.make (Array.length p_funcs) Not_compiled }
 
 (** Write global initializers into [mem]; code-pointer cells that the
     compiler/linker emitted (jump tables etc., Section 4 "binary level

@@ -31,6 +31,16 @@ type frame_layout = {
   fl_has_unsafe : bool;              (** needs a separate unsafe frame *)
 }
 
+(** The interpreter's compiled form of one function, cached on the image.
+    Extensible so the loader stays free of the interpreter's types: the
+    interpreter adds its own constructor and fills a slot the first time
+    the function is entered, so every run of an image shares the code
+    and each function is compiled at most once per image. The slots are
+    filled without a lock: an image is built and run inside one pool
+    task, never shared between domains. *)
+type code = ..
+type code += Not_compiled
+
 type image = {
   prog : Prog.t;
   cfg : Config.t;
@@ -50,6 +60,7 @@ type image = {
   p_findex : (string, int) Hashtbl.t;
   entry_findex : (int, int) Hashtbl.t;
   p_layouts : frame_layout array;
+  p_code : code array;   (** per function index; [Not_compiled] at load *)
 }
 
 (** Frame layout of one function under a configuration. *)

@@ -2,6 +2,10 @@
     which matches OS behaviour and lets the evaluation measure the memory
     footprint of each configuration. *)
 
+(** Hashtable on int keys with a monomorphic hash and compare (the page
+    tables here and in {!Safestore}). *)
+module Tbl : Hashtbl.S with type key = int
+
 type t
 
 val create : unit -> t

@@ -5,7 +5,12 @@
     upper bounds of the target object and a temporal id. Three
     organisations are implemented, matching Section 4's "simple array,
     two-level lookup table, and hashtable"; they differ in lookup cost and
-    memory overhead, which the ablation benchmarks measure. *)
+    memory overhead, which the ablation benchmarks measure.
+
+    The array and two-level organisations (and MPX, which shares the
+    two-level layout) are one paged table, [Paged], at two page sizes;
+    the interpreter's metadata shadow of the safe stack is a third
+    instance. The hashtable organisation is a monomorphic int hashtable. *)
 
 type kind =
   | Data                  (* ordinary sensitive data pointer *)
@@ -30,220 +35,154 @@ let impl_name = function
   | Hashtable -> "hashtable"
   | Mpx -> "mpx"
 
-(* A sentinel page index that no address maps to ([addr lsr bits] is
-   non-negative), plus the empty page it nominally caches. Both paged
-   organisations below front their hashtable with a one-entry direct-mapped
-   cache of the last page touched, so the hot loop's per-word probe is an
-   integer compare on the common path. Misses on get/clear_at never
-   allocate and never populate the cache with a phantom page. *)
-let no_page_idx = min_int
-let no_page : entry option array = [||]
-
-(* Array organisation: one flat, lazily-paged table indexed by address
-   (models the sparse-mmap-backed array; large footprint, cheapest lookup). *)
-module A = struct
-  let page_bits = 12
-  let page_words = 1 lsl page_bits
-
-  type t = {
-    pages : (int, entry option array) Hashtbl.t;
-    mutable npages : int;
+(* One lazily paged table of optional values, parameterised by its page
+   size. The array and two-level organisations below are this table with
+   4096-word pages and 512-word leaves; the interpreter's safe-stack
+   metadata shadow is a third instance. Pages live in a monomorphic int
+   hashtable fronted by a one-entry cache of the last page touched, so the
+   common access is an integer compare and an array index. Misses on
+   [get] and [clear_at] never allocate and never populate the cache with
+   a phantom page. *)
+module Paged = struct
+  type 'a t = {
+    bits : int;
+    pages : 'a option array Mem.Tbl.t;
     mutable last_idx : int;
-    mutable last_page : entry option array;
+    mutable last_page : 'a option array;
   }
 
-  let create () =
-    { pages = Hashtbl.create 64; npages = 0;
-      last_idx = no_page_idx; last_page = no_page }
+  (* A sentinel page index that no address maps to ([addr lsr bits] is
+     non-negative). *)
+  let no_page_idx = min_int
 
-  let page t idx =
-    match Hashtbl.find_opt t.pages idx with
-    | Some p -> p
-    | None ->
-      let p = Array.make page_words None in
-      Hashtbl.replace t.pages idx p;
-      t.npages <- t.npages + 1;
-      p
+  let create ~page_bits =
+    { bits = page_bits; pages = Mem.Tbl.create 64; last_idx = no_page_idx;
+      last_page = [||] }
 
-  let set t addr e =
-    let idx = addr lsr page_bits in
-    let p =
-      if idx = t.last_idx then t.last_page
-      else begin
-        let p = page t idx in
-        t.last_idx <- idx;
-        t.last_page <- p;
-        p
-      end
-    in
-    Array.unsafe_set p (addr land (page_words - 1)) (Some e)
+  let page_words t = 1 lsl t.bits
+  let pages t = Mem.Tbl.length t.pages
 
-  let get t addr =
-    let idx = addr lsr page_bits in
+  let[@inline] get t addr =
+    let idx = addr lsr t.bits in
     (* [addr land (page_words - 1)] < page_words by construction. *)
-    if idx = t.last_idx then Array.unsafe_get t.last_page (addr land (page_words - 1))
+    if idx = t.last_idx then
+      Array.unsafe_get t.last_page (addr land ((1 lsl t.bits) - 1))
     else
-      match Hashtbl.find_opt t.pages idx with
+      match Mem.Tbl.find_opt t.pages idx with
       | Some p ->
         t.last_idx <- idx;
         t.last_page <- p;
-        Array.unsafe_get p (addr land (page_words - 1))
+        Array.unsafe_get p (addr land ((1 lsl t.bits) - 1))
       | None -> None
 
+  (* The page holding [addr], allocated on first use. *)
+  let page t idx =
+    if idx = t.last_idx then t.last_page
+    else begin
+      let p =
+        match Mem.Tbl.find_opt t.pages idx with
+        | Some p -> p
+        | None ->
+          let p = Array.make (1 lsl t.bits) None in
+          Mem.Tbl.replace t.pages idx p;
+          p
+      in
+      t.last_idx <- idx;
+      t.last_page <- p;
+      p
+    end
+
   let clear_at t addr =
-    let idx = addr lsr page_bits in
-    if idx = t.last_idx then t.last_page.(addr land (page_words - 1)) <- None
+    let idx = addr lsr t.bits in
+    let slot = addr land ((1 lsl t.bits) - 1) in
+    if idx = t.last_idx then Array.unsafe_set t.last_page slot None
     else
-      match Hashtbl.find_opt t.pages idx with
+      match Mem.Tbl.find_opt t.pages idx with
       | Some p ->
         t.last_idx <- idx;
         t.last_page <- p;
-        p.(addr land (page_words - 1)) <- None
+        Array.unsafe_set p slot None
       | None -> ()
 
-  let reset t =
-    Hashtbl.reset t.pages;
-    t.npages <- 0;
-    t.last_idx <- no_page_idx;
-    t.last_page <- no_page
-end
+  (** [set t addr v] stores [v] as is; storing [None] is [clear_at] and
+      never allocates a page. *)
+  let set t addr v =
+    match v with
+    | None -> clear_at t addr
+    | Some _ ->
+      Array.unsafe_set (page t (addr lsr t.bits))
+        (addr land ((1 lsl t.bits) - 1)) v
 
-(* Two-level organisation: directory + smaller leaves (the layout MPX uses,
-   Section 4's "future MPX-based implementation"). *)
-module T = struct
-  let leaf_bits = 9
-  let leaf_words = 1 lsl leaf_bits
-
-  type t = {
-    dirs : (int, entry option array) Hashtbl.t;
-    mutable nleaves : int;
-    mutable last_idx : int;
-    mutable last_leaf : entry option array;
-  }
-
-  let create () =
-    { dirs = Hashtbl.create 64; nleaves = 0;
-      last_idx = no_page_idx; last_leaf = no_page }
-
-  let leaf t idx =
-    match Hashtbl.find_opt t.dirs idx with
-    | Some l -> l
-    | None ->
-      let l = Array.make leaf_words None in
-      Hashtbl.replace t.dirs idx l;
-      t.nleaves <- t.nleaves + 1;
-      l
-
-  let set t addr e =
-    let idx = addr lsr leaf_bits in
-    let l =
-      if idx = t.last_idx then t.last_leaf
-      else begin
-        let l = leaf t idx in
-        t.last_idx <- idx;
-        t.last_leaf <- l;
-        l
-      end
-    in
-    Array.unsafe_set l (addr land (leaf_words - 1)) (Some e)
-
-  let get t addr =
-    let idx = addr lsr leaf_bits in
-    (* [addr land (leaf_words - 1)] < leaf_words by construction. *)
-    if idx = t.last_idx then Array.unsafe_get t.last_leaf (addr land (leaf_words - 1))
-    else
-      match Hashtbl.find_opt t.dirs idx with
-      | Some l ->
-        t.last_idx <- idx;
-        t.last_leaf <- l;
-        Array.unsafe_get l (addr land (leaf_words - 1))
-      | None -> None
-
-  let clear_at t addr =
-    let idx = addr lsr leaf_bits in
-    if idx = t.last_idx then t.last_leaf.(addr land (leaf_words - 1)) <- None
-    else
-      match Hashtbl.find_opt t.dirs idx with
-      | Some l ->
-        t.last_idx <- idx;
-        t.last_leaf <- l;
-        l.(addr land (leaf_words - 1)) <- None
-      | None -> ()
+  let count t =
+    Mem.Tbl.fold
+      (fun _ p acc ->
+        Array.fold_left (fun n e -> if e = None then n else n + 1) acc p)
+      t.pages 0
 
   let reset t =
-    Hashtbl.reset t.dirs;
-    t.nleaves <- 0;
+    Mem.Tbl.reset t.pages;
     t.last_idx <- no_page_idx;
-    t.last_leaf <- no_page
+    t.last_page <- [||]
 end
-
-type mpx_tag = T_two | T_mpx
 
 type backend =
-  | Arr of A.t
-  | Two of T.t * mpx_tag
-  | Hsh of (int, entry) Hashtbl.t
+  | Pages of entry Paged.t   (* array, two-level and mpx organisations *)
+  | Hsh of entry Mem.Tbl.t
 
 (* The backend is wrapped with an access counter so the harness can
    journal how hard each run exercised the safe region. *)
 type t = {
+  impl : impl;
   backend : backend;
   mutable accesses : int;
 }
 
-(* The MPX organisation (Section 4's "future MPX-based implementation")
-   shares the two-level layout — which is exactly the structure Intel MPX's
-   bound directory/table uses — but the walk is performed by hardware, so
-   its lookup cost is the cheapest of all. We model it as the same data
+(* The array organisation is one flat, lazily-paged table indexed by
+   address (models the sparse-mmap-backed array; large footprint,
+   cheapest lookup). The two-level organisation pays a directory probe
+   for smaller leaves: the layout Intel MPX's bound directory/table uses.
+   The MPX organisation (Section 4's "future MPX-based implementation")
+   shares that layout, but the walk is performed by hardware, so its
+   lookup cost is the cheapest of all; we model it as the same data
    structure behind a distinct cost entry. *)
 let create impl =
   let backend =
     match impl with
-    | Simple_array -> Arr (A.create ())
-    | Two_level -> Two (T.create (), T_two)
-    | Hashtable -> Hsh (Hashtbl.create 1024)
-    | Mpx -> Two (T.create (), T_mpx)
+    | Simple_array -> Pages (Paged.create ~page_bits:12)
+    | Two_level | Mpx -> Pages (Paged.create ~page_bits:9)
+    | Hashtable -> Hsh (Mem.Tbl.create 1024)
   in
-  { backend; accesses = 0 }
+  { impl; backend; accesses = 0 }
 
-let impl_of t =
-  match t.backend with
-  | Arr _ -> Simple_array
-  | Two (_, T_two) -> Two_level
-  | Two (_, T_mpx) -> Mpx
-  | Hsh _ -> Hashtable
+let impl_of t = t.impl
 
 let access_count t = t.accesses
 
 let set t addr e =
   t.accesses <- t.accesses + 1;
   match t.backend with
-  | Arr a -> A.set a addr e
-  | Two (a, _) -> T.set a addr e
-  | Hsh h -> Hashtbl.replace h addr e
+  | Pages p -> Paged.set p addr (Some e)
+  | Hsh h -> Mem.Tbl.replace h addr e
 
 let get t addr =
   t.accesses <- t.accesses + 1;
   match t.backend with
-  | Arr a -> A.get a addr
-  | Two (a, _) -> T.get a addr
-  | Hsh h -> Hashtbl.find_opt h addr
+  | Pages p -> Paged.get p addr
+  | Hsh h -> Mem.Tbl.find_opt h addr
 
 let clear_at t addr =
   t.accesses <- t.accesses + 1;
   match t.backend with
-  | Arr a -> A.clear_at a addr
-  | Two (a, _) -> T.clear_at a addr
-  | Hsh h -> Hashtbl.remove h addr
+  | Pages p -> Paged.clear_at p addr
+  | Hsh h -> Mem.Tbl.remove h addr
 
 (** Drop every entry and return the store to its freshly-created state
     (including the access counter and the backend page caches). *)
 let reset t =
   t.accesses <- 0;
   match t.backend with
-  | Arr a -> A.reset a
-  | Two (a, _) -> T.reset a
-  | Hsh h -> Hashtbl.reset h
+  | Pages p -> Paged.reset p
+  | Hsh h -> Mem.Tbl.reset h
 
 (** Lookup cost in model cycles; the differences reproduce the paper's
     finding that the superpage-backed array is fastest, the hashtable
@@ -261,20 +200,13 @@ let lookup_cost = function
     overhead. *)
 let footprint_words ?(entry_words = 4) t =
   match t.backend with
-  | Arr a -> a.A.npages * A.page_words * entry_words
-  | Two (a, _) ->
-    (a.T.nleaves * T.leaf_words * entry_words) + (Hashtbl.length a.T.dirs * 2)
-  | Hsh h -> Hashtbl.length h * (entry_words + 2)
+  | Pages p when t.impl = Simple_array ->
+    Paged.pages p * Paged.page_words p * entry_words
+  | Pages p -> Paged.pages p * ((Paged.page_words p * entry_words) + 2)
+  | Hsh h -> Mem.Tbl.length h * (entry_words + 2)
 
 (** Number of live entries (used by tests). *)
 let entry_count t =
   match t.backend with
-  | Arr a ->
-    Hashtbl.fold
-      (fun _ p acc -> Array.fold_left (fun n e -> if e = None then n else n + 1) acc p)
-      a.A.pages 0
-  | Two (a, _) ->
-    Hashtbl.fold
-      (fun _ l acc -> Array.fold_left (fun n e -> if e = None then n else n + 1) acc l)
-      a.T.dirs 0
-  | Hsh h -> Hashtbl.length h
+  | Pages p -> Paged.count p
+  | Hsh h -> Mem.Tbl.length h

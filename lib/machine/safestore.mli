@@ -32,6 +32,37 @@ type impl =
 
 val impl_name : impl -> string
 
+(** A lazily paged table of optional values at integer addresses, one page
+    of [2^page_bits] slots at a time, with a one-entry cache of the last
+    page touched. The array and two-level organisations are instances
+    (4096-word pages, 512-word leaves), and so is the interpreter's
+    metadata shadow of the safe stack. Any int is a valid address,
+    negative ones included. *)
+module Paged : sig
+  type 'a t
+
+  val create : page_bits:int -> 'a t
+  val get : 'a t -> int -> 'a option
+
+  (** [set t addr v] stores [v] as is: no re-wrapping, so a stored
+      [Some x] reads back physically equal. Storing [None] is
+      [clear_at]. *)
+  val set : 'a t -> int -> 'a option -> unit
+
+  (** Empty one slot; never allocates a page. *)
+  val clear_at : 'a t -> int -> unit
+
+  (** Pages allocated so far. Reads and clears never allocate. *)
+  val pages : 'a t -> int
+
+  val page_words : 'a t -> int
+
+  (** Slots holding a value. *)
+  val count : 'a t -> int
+
+  val reset : 'a t -> unit
+end
+
 type t
 
 val create : impl -> t

@@ -14,7 +14,7 @@
 # baseline the next CI run gates against, which is also how a deliberate
 # schema bump re-baselines without tripping the gate on shape changes.
 # Host wall-clock speed is measured by `python3 benchmark/run.py`, not
-# here.
+# here; the script only prints the wall time of its `dune runtest` step.
 #
 # Usage: scripts/ci.sh
 
@@ -27,7 +27,9 @@ echo "== build =="
 dune build
 
 echo "== tests =="
+tests_start=$(date +%s)
 dune runtest
+echo "== tests: $(( $(date +%s) - tests_start )) s wall =="
 
 LEVEE="dune exec --no-build bin/levee.exe --"
 

@@ -350,9 +350,11 @@ let digest_examples =
     "dispatch.c"; "fptr_zoo.c"; "guarded_web.c"; "opaque.c";
     "racy_counter.c"; "strings.c" ]
 
+let bundled =
+  W.Spec.all @ W.Phoronix.all @ W.Webstack.all @ W.Base_system.all
+
 let digest_corpus () =
-  List.map W.Workload.compile
-    (W.Spec.all @ W.Phoronix.all @ W.Webstack.all @ W.Base_system.all)
+  List.map W.Workload.compile bundled
   @ List.map
       (fun f ->
         Levee_minic.Lower.compile ~name:f
@@ -413,6 +415,91 @@ let test_golden_instrumentation () =
   else
     Alcotest.(check (list (pair string string)))
       "instrumentation digests" golden_instrumentation actual
+
+(* ---------- Simulation digests ----------
+
+   The golden rows pin cycles but leave footprints, heap peak, thread
+   counts, five of the protections and the campaigns open. These digests
+   close that gap: one MD5 per protection over every [Interp.result]
+   field of the 41 bundled workloads at a 20k fuel cap, one over the
+   fault campaign's JSON report and one over the RIPE matrix's verdicts.
+   A change to the machine's engine, memory or safe store must leave
+   every digest unchanged. LEVEE_GOLDEN_DUMP=1 prints the fresh digests
+   instead of checking them. *)
+
+module Faults = Levee_harness.Faults
+module Ripe = Levee_attacks.Ripe
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let add_result buf (r : M.Interp.result) =
+  Printf.bprintf buf "%s %d %d %d %d %s %d %d %d %d %d %d %d [%s]\n"
+    (M.Trap.outcome_to_string r.M.Interp.outcome)
+    r.M.Interp.cycles r.M.Interp.instrs r.M.Interp.mem_ops
+    r.M.Interp.instrumented_mem_ops (md5 r.M.Interp.output)
+    r.M.Interp.checksum r.M.Interp.mem_footprint r.M.Interp.store_footprint
+    r.M.Interp.store_accesses r.M.Interp.heap_peak r.M.Interp.threads
+    r.M.Interp.ctx_switches
+    (String.concat "; " r.M.Interp.race_reports)
+
+let golden_results =
+  [ ("vanilla", "291ea795fedc5c553ffba64c8585b652");
+    ("dep+aslr+cookies", "86645749fd49a3f1e69d438364c5d405");
+    ("cookies", "86645749fd49a3f1e69d438364c5d405");
+    ("safestack", "19bf2119278062a796395052de8d4c25");
+    ("cfi", "03724a49730d2de5d68456813c8ee056");
+    ("cps", "9893df66091e34bb2fd825130c6fccc4");
+    ("cpi", "afca5128ba552f91839d820cad4e1edf");
+    ("cpi-debug", "e9629a5bc77d730f99cbf6b2fc9abd20");
+    ("softbound", "3b3f764c53945eee2e03862cee7339d8");
+    ("cfi-type", "67c352c57801c3524933d421de468cab");
+    ("cpi-crypt", "bc8108c9c20223787a4021129ab42d0e") ]
+
+let golden_faults = "a4314f7efbaae7537f16caf6a662d2aa"
+let golden_ripe = "861b1707afd1f260a2170f154c17fde3"
+
+let check_digests what expected actual =
+  if Sys.getenv_opt "LEVEE_GOLDEN_DUMP" <> None then begin
+    Printf.printf "(* %s *)\n" what;
+    List.iter (fun (k, d) -> Printf.printf "    (%S, %S);\n" k d) actual
+  end
+  else Alcotest.(check (list (pair string string))) what expected actual
+
+let test_golden_results () =
+  Alcotest.(check int) "bundled workloads" 41 (List.length bundled);
+  let actual =
+    List.map
+      (fun prot ->
+        let buf = Buffer.create 4096 in
+        List.iter
+          (fun (w : W.Workload.t) ->
+            let b = P.build prot (W.Workload.compile w) in
+            add_result buf
+              (M.Interp.run_program ~input:w.W.Workload.input
+                 ~fuel:(min 20_000 w.W.Workload.fuel) b.P.prog b.P.config))
+          bundled;
+        (P.protection_name prot, md5 (Buffer.contents buf)))
+      P.all_protections
+  in
+  check_digests "result digests" golden_results actual
+
+let test_golden_campaigns () =
+  let faults = md5 (Faults.to_json (Faults.run (Faults.smoke ()))) in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (s : Ripe.summary) ->
+      List.iter
+        (fun (r : Ripe.run) ->
+          Printf.bprintf buf "%s %s %s %s\n"
+            r.Ripe.instance.Ripe.victim.Levee_attacks.Victims.vid
+            (Levee_attacks.Attack.payload_name r.Ripe.instance.Ripe.payload)
+            (P.protection_name r.Ripe.protection)
+            (M.Trap.outcome_to_string r.Ripe.outcome))
+        s.Ripe.runs)
+    (Ripe.run_matrix ());
+  check_digests "campaign digests"
+    [ ("faults", golden_faults); ("ripe", golden_ripe) ]
+    [ ("faults", faults); ("ripe", md5 (Buffer.contents buf)) ]
 
 (* ---------- Run-store determinism ----------
 
@@ -495,7 +582,10 @@ let () =
           Alcotest.test_case "concurrent machine" `Quick
             test_golden_concurrent;
           Alcotest.test_case "instrumentation digests" `Quick
-            test_golden_instrumentation ] );
+            test_golden_instrumentation;
+          Alcotest.test_case "result digests" `Quick test_golden_results;
+          Alcotest.test_case "campaign digests" `Quick
+            test_golden_campaigns ] );
       ( "history",
         [ Alcotest.test_case "record bytes across --jobs" `Quick
             test_record_bytes_jobs;

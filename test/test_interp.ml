@@ -341,6 +341,148 @@ let test_concurrent_workload () =
   Alcotest.(check int) "checksum protection-independent"
     r0.M.Interp.checksum rv.M.Interp.checksum
 
+(* ---------- Step boundaries ----------
+
+   The machine runs straight-line stretches of a block without the
+   per-step fuel, fault and preemption tests, and falls back to single
+   steps wherever one of those can fire. These sweeps put a boundary on
+   every step of small programs and check that none is skipped: every
+   fuel cap stops on exactly that step, a stall fault at any step costs
+   exactly its cycles, and a zero-cycle stall on every step (which forces
+   single-stepping everywhere) changes nothing at all. *)
+
+module B = Levee_ir.Builder
+module I = Levee_ir.Instr
+module Ty = Levee_ir.Ty
+
+let sweep_src =
+  {|int classify(int x) { return x; }
+    int sq(int x) { return x * x; }
+    int neg(int x) { return 0 - x; }
+    int (*ops[2])(int);
+    struct cell { int v; int (*f)(int); };
+    int main() {
+      int i;
+      int acc = 0;
+      struct cell c;
+      ops[0] = sq;
+      ops[1] = neg;
+      c.f = sq;
+      for (i = 0; i < 7; i = i + 1) {
+        c.v = classify(i % 5);
+        acc = acc + c.v * 3;
+        checksum(acc);
+        acc = acc + ops[i % 2](i) + (acc % 7);
+        acc = acc + c.f(i);
+      }
+      print_int(acc);
+      return 0;
+    }|}
+
+(* [classify] again, as a dense switch over 0..2 falling through to a
+   sparse one (MiniC has no switch statement). *)
+let switch_classify () =
+  let b =
+    B.create ~name:"classify" ~params:[ ("x", Ty.Int) ] ~ret_ty:Ty.Int
+  in
+  let x = I.Reg (B.param_reg b 0) in
+  let ret_of ops =
+    let blk = B.new_block b in
+    B.position_at b blk;
+    B.set_term b (I.Ret (Some (I.Reg (ops ()))));
+    blk
+  in
+  let k10 = ret_of (fun () -> B.bin b I.Add x (I.Imm 10)) in
+  let k20 = ret_of (fun () -> B.bin b I.Mul x (I.Imm 7)) in
+  let k30 = ret_of (fun () -> B.bin b I.Sub (I.Imm 30) x) in
+  let dflt = ret_of (fun () -> B.bin b I.Xor x (I.Imm 5)) in
+  let sparse = B.new_block b in
+  B.position_at b sparse;
+  B.set_term b (I.Switch (x, [ (4, k30); (1_000_000, k10) ], dflt));
+  B.position_at b 0;
+  B.set_term b (I.Switch (x, [ (0, k10); (1, k20); (2, k30) ], sparse));
+  B.finish b
+
+let sweep_prog () =
+  let prog = compile sweep_src in
+  Hashtbl.replace prog.Levee_ir.Prog.funcs "classify" (switch_classify ());
+  prog
+
+let two_thread_src =
+  {|int n; int lk;
+    int worker(int w) {
+      int i;
+      for (i = 0; i < 12; i = i + 1) {
+        mutex_lock(&lk); n = n + w; mutex_unlock(&lk);
+      }
+      return w;
+    }
+    int main() {
+      int t = thread_spawn(worker, 3);
+      int i;
+      for (i = 0; i < 12; i = i + 1) {
+        mutex_lock(&lk); n = n + 1; mutex_unlock(&lk);
+      }
+      int a = thread_join(t);
+      print_int(n);
+      return a + n;
+    }|}
+
+let check_boundaries what prog protection sched_seed =
+  let built = P.build protection prog in
+  let image = M.Loader.load built.P.prog built.P.config in
+  let run ?(fuel = 1_000_000) ?faults () =
+    M.Interp.run ~fuel ?faults ~sched_seed image
+  in
+  let full = run () in
+  (match full.M.Interp.outcome with
+   | M.Trap.Exit _ -> ()
+   | o -> Alcotest.failf "%s: %s" what (M.Trap.outcome_to_string o));
+  let n = full.M.Interp.instrs in
+  Alcotest.(check bool) (what ^ ": a few hundred steps") true
+    (n > 200 && n < 5000);
+  for f = 0 to n - 1 do
+    let r = run ~fuel:f () in
+    if r.M.Interp.outcome <> M.Trap.Fuel_exhausted || r.M.Interp.instrs <> f
+    then
+      Alcotest.failf "%s: fuel %d ended %s after %d steps" what f
+        (M.Trap.outcome_to_string r.M.Interp.outcome) r.M.Interp.instrs
+  done;
+  for s = 0 to n - 1 do
+    let r = run ~faults:[ (s, M.Interp.Stall { cycles = 1000 }) ] () in
+    if r.M.Interp.outcome <> full.M.Interp.outcome
+       || r.M.Interp.instrs <> n
+       || r.M.Interp.output <> full.M.Interp.output
+       || r.M.Interp.checksum <> full.M.Interp.checksum
+       || r.M.Interp.cycles <> full.M.Interp.cycles + 1000
+    then
+      Alcotest.failf "%s: stall at step %d: %s, %d steps, %d cycles (want %d)"
+        what s (M.Trap.outcome_to_string r.M.Interp.outcome)
+        r.M.Interp.instrs r.M.Interp.cycles (full.M.Interp.cycles + 1000)
+  done;
+  let stepped =
+    run ~faults:(List.init n (fun s -> (s, M.Interp.Stall { cycles = 0 }))) ()
+  in
+  Alcotest.(check bool) (what ^ ": single-stepped run identical") true
+    (stepped = full);
+  full
+
+let test_boundaries_sequential () =
+  let prog = sweep_prog () in
+  List.iter
+    (fun p -> ignore (check_boundaries (P.protection_name p) prog p 0))
+    [ P.Vanilla; P.Cpi ]
+
+let test_boundaries_threads () =
+  let prog = compile two_thread_src in
+  List.iter
+    (fun seed ->
+      let what = Printf.sprintf "threads seed %d" seed in
+      let full = check_boundaries what prog P.Vanilla seed in
+      Alcotest.(check bool) (what ^ ": preempted") true
+        (full.M.Interp.ctx_switches > 0))
+    [ 0; 5 ]
+
 let () =
   Alcotest.run "interp"
     [ ("traps",
@@ -369,4 +511,7 @@ let () =
          t "mutex misuse" test_mutex_misuse;
          t "thread errors" test_thread_errors;
          t "spawn via function pointer" test_spawn_via_fptr;
-         t "concurrent workload" test_concurrent_workload ]) ]
+         t "concurrent workload" test_concurrent_workload ]);
+      ("step boundaries",
+       [ t "fuel, stall and single-step sweeps" test_boundaries_sequential;
+         t "the same under preemption" test_boundaries_threads ]) ]

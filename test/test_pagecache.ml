@@ -1,12 +1,15 @@
-(* Unit tests for the one-entry direct-mapped page caches that front the
-   paged memory and the array/two-level safe-store backends.
+(* Unit tests for the page caches that front the paged memory (a 64-entry
+   direct-mapped cache) and the paged tables behind the array and
+   two-level safe-store organisations and the interpreter's metadata
+   shadow (a one-entry cache of the last page).
 
    The caches are pure host-side accelerators: they must never change what
    a read returns, never make an unmapped read allocate a page, and must
    be invalidated by [clear] / [reset]. The tests drive exactly the access
-   patterns the cache could get wrong: hit-after-miss, interleaving across
-   page boundaries (each access evicts the other page's cache line), and
-   reuse of a cleared store. *)
+   patterns a cache could get wrong: hit-after-miss, interleaving across
+   page boundaries, more live pages than the cache has slots (so pages
+   that share a slot evict each other), addresses an attacker may choose
+   (negative, or 2^31 and above), and reuse of a cleared store. *)
 
 module M = Levee_machine
 
@@ -14,6 +17,17 @@ module M = Levee_machine
    Two addresses this far apart are guaranteed to live on distinct
    pages whatever the (power-of-two) page size below 1 lsl 12. *)
 let page_words = 1 lsl 12
+
+(* More pages than the 64-slot memory cache holds: by pigeonhole, many of
+   them share a slot, and a round-robin walk over them misses on every
+   access once the cache is full. *)
+let many_pages = 200
+
+(* Addresses an attacker-controlled pointer may hold. *)
+let odd_addrs =
+  [ -1; -2; -page_words; -(page_words + 1); min_int; min_int + 1;
+    1 lsl 31; (1 lsl 31) + 1; (1 lsl 31) - 1; 1 lsl 40; 1 lsl 61; max_int;
+    max_int - page_words ]
 
 (* ---------- Mem ---------- *)
 
@@ -52,6 +66,52 @@ let test_mem_cross_page_interleaving () =
     Alcotest.(check int) "page A value" (1000 + i) (M.Mem.read m (a + i));
     Alcotest.(check int) "page B value" (2000 + i) (M.Mem.read m (b + i))
   done
+
+let test_mem_many_pages () =
+  let m = M.Mem.create () in
+  let addr k i = 0x0100_0000 + (k * page_words) + (i * 17) in
+  for round = 0 to 2 do
+    for i = 0 to 7 do
+      for k = 0 to many_pages - 1 do
+        M.Mem.write m (addr k i) ((round * 1_000_000) + (k * 100) + i)
+      done
+    done;
+    for k = many_pages - 1 downto 0 do
+      for i = 0 to 7 do
+        Alcotest.(check int) "value on its own page"
+          ((round * 1_000_000) + (k * 100) + i)
+          (M.Mem.read m (addr k i))
+      done
+    done
+  done;
+  Alcotest.(check int) "one page per distinct page written"
+    (many_pages * page_words) (M.Mem.footprint_words m)
+
+let test_mem_odd_addresses () =
+  let m = M.Mem.create () in
+  List.iteri (fun i a -> M.Mem.write m a (i + 1)) odd_addrs;
+  List.iteri
+    (fun i a -> Alcotest.(check int) (Printf.sprintf "read %d" a) (i + 1)
+        (M.Mem.read m a))
+    odd_addrs;
+  (* Neighbours of the odd addresses stay zero: nothing aliases. *)
+  List.iter
+    (fun a ->
+      if not (List.mem (a + 3) odd_addrs) then
+        Alcotest.(check int) (Printf.sprintf "neighbour of %d" a) 0
+          (M.Mem.read m (a + 3)))
+    odd_addrs
+
+let test_mem_unmapped_many () =
+  let m = M.Mem.create () in
+  M.Mem.write m 0x0100_0000 5;
+  let before = M.Mem.footprint_words m in
+  for k = 0 to many_pages - 1 do
+    Alcotest.(check int) "unmapped" 0 (M.Mem.read m (0x0300_0000 + (k * page_words)))
+  done;
+  List.iter (fun a -> ignore (M.Mem.read m a)) odd_addrs;
+  Alcotest.(check int) "reads never allocate" before (M.Mem.footprint_words m);
+  Alcotest.(check int) "mapped page still reads" 5 (M.Mem.read m 0x0100_0000)
 
 let test_mem_clear_invalidates () =
   let m = M.Mem.create () in
@@ -133,6 +193,27 @@ let test_store_reset_invalidates () =
       check_entry (name ^ ": store is reusable after reset") (Some 21)
         (M.Safestore.get s a))
 
+let test_store_many_pages_and_odd_addresses () =
+  each_impl (fun name impl ->
+      let s = M.Safestore.create impl in
+      let addr k = 0x0100_0000 + (k * page_words) + k in
+      for k = 0 to many_pages - 1 do
+        M.Safestore.set s (addr k) (entry k)
+      done;
+      List.iteri (fun i a -> M.Safestore.set s a (entry (-1 - i))) odd_addrs;
+      for k = many_pages - 1 downto 0 do
+        check_entry (name ^ ": page entry") (Some k) (M.Safestore.get s (addr k))
+      done;
+      List.iteri
+        (fun i a -> check_entry (name ^ ": odd address") (Some (-1 - i))
+            (M.Safestore.get s a))
+        odd_addrs;
+      Alcotest.(check int) (name ^ ": entry count")
+        (many_pages + List.length odd_addrs) (M.Safestore.entry_count s);
+      List.iter (M.Safestore.clear_at s) odd_addrs;
+      Alcotest.(check int) (name ^ ": cleared")
+        many_pages (M.Safestore.entry_count s))
+
 let test_store_get_miss_allocates_nothing () =
   each_impl (fun name impl ->
       let s = M.Safestore.create impl in
@@ -144,6 +225,34 @@ let test_store_get_miss_allocates_nothing () =
         base
         (M.Safestore.footprint_words s))
 
+(* ---------- Paged table (the metadata shadow) ---------- *)
+
+let test_paged_none_reads_none () =
+  let p = M.Safestore.Paged.create ~page_bits:8 in
+  let a = 0x4FFE_0000 in
+  M.Safestore.Paged.set p a None;
+  Alcotest.(check int) "storing None allocates nothing" 0
+    (M.Safestore.Paged.pages p);
+  let v = Some 42 in
+  M.Safestore.Paged.set p a v;
+  Alcotest.(check bool) "value stored as is" true
+    (M.Safestore.Paged.get p a == v);
+  M.Safestore.Paged.set p a None;
+  Alcotest.(check (option int)) "None overwrites" None (M.Safestore.Paged.get p a);
+  Alcotest.(check int) "slot emptied" 0 (M.Safestore.Paged.count p);
+  (* Away from the cached page, too. *)
+  M.Safestore.Paged.set p (a + 1000) (Some 1);
+  M.Safestore.Paged.set p a (Some 2);
+  M.Safestore.Paged.set p (a + 1000) None;
+  Alcotest.(check (option int)) "None on an uncached page" None
+    (M.Safestore.Paged.get p (a + 1000));
+  Alcotest.(check (option int)) "neighbour page intact" (Some 2)
+    (M.Safestore.Paged.get p a);
+  Alcotest.(check (option int)) "unmapped reads None" None
+    (M.Safestore.Paged.get p (-a));
+  Alcotest.(check int) "reads and clears allocate nothing" 2
+    (M.Safestore.Paged.pages p)
+
 let () =
   Alcotest.run "pagecache"
     [ ( "mem",
@@ -152,6 +261,12 @@ let () =
             test_mem_unmapped_reads_free;
           Alcotest.test_case "cross-page interleaving" `Quick
             test_mem_cross_page_interleaving;
+          Alcotest.test_case "more pages than cache slots" `Quick
+            test_mem_many_pages;
+          Alcotest.test_case "negative and high addresses" `Quick
+            test_mem_odd_addresses;
+          Alcotest.test_case "unmapped reads never allocate" `Quick
+            test_mem_unmapped_many;
           Alcotest.test_case "clear invalidates the cache" `Quick
             test_mem_clear_invalidates ] );
       ( "safestore",
@@ -161,5 +276,10 @@ let () =
             test_store_cross_page_interleaving;
           Alcotest.test_case "reset invalidates the cache" `Quick
             test_store_reset_invalidates;
+          Alcotest.test_case "many pages, odd addresses" `Quick
+            test_store_many_pages_and_odd_addresses;
           Alcotest.test_case "get miss allocates nothing" `Quick
-            test_store_get_miss_allocates_nothing ] ) ]
+            test_store_get_miss_allocates_nothing ] );
+      ( "paged",
+        [ Alcotest.test_case "None stored reads back None" `Quick
+            test_paged_none_reads_none ] ) ]

@@ -1,20 +1,43 @@
 (* Workload integrity tests: every evaluation workload must terminate
    cleanly under every protection with an identical checksum — protections
    must never change program behaviour. Overhead-shape assertions encode
-   the paper's qualitative findings. *)
+   the paper's qualitative findings.
+
+   Every (workload, protection) cell runs once: one [Engine.prefetch]
+   over the whole matrix fills the engine's memo through a pool as wide
+   as the machine, and both kinds of case read their results from it. *)
 
 module P = Levee_core.Pipeline
 module W = Levee_workloads
 module M = Levee_machine
 module Stats = Levee_core.Stats
+module Engine = Levee_harness.Engine
 
 let t name f = Alcotest.test_case name f
 
-let protections = [ P.Vanilla; P.Hardened; P.Safe_stack; P.Cfi; P.Cps; P.Cpi;
-                    P.Softbound ]
+let protections = P.all_protections
+
+let workloads =
+  W.Spec.all @ W.Phoronix.all @ W.Webstack.all @ W.Base_system.all
+
+(* The memory test also wants omnetpp under CPI on the hashtable store. *)
+let engine =
+  lazy
+    (let e = Engine.create ~jobs:(Domain.recommended_domain_count ()) () in
+     at_exit (fun () -> Engine.shutdown e);
+     Engine.prefetch e
+       (List.concat_map
+          (fun w -> List.map (Engine.cell w) protections)
+          workloads
+       @ [ Engine.cell ~store_impl:M.Safestore.Hashtable
+             (W.Spec.find "471.omnetpp") P.Cpi ]);
+     e)
+
+let result ?store_impl w p =
+  Engine.run_workload (Lazy.force engine) ?store_impl w p
 
 let run_all (w : W.Workload.t) =
-  List.map (fun p -> (p, W.Workload.run ~protection:p w)) protections
+  List.map (fun p -> (p, result w p)) protections
 
 let check_differential (w : W.Workload.t) () =
   let results = run_all w in
@@ -42,13 +65,9 @@ let differential_cases =
   List.map
     (fun (w : W.Workload.t) ->
       t w.W.Workload.name `Slow (check_differential w))
-    (W.Spec.all @ W.Phoronix.all @ W.Webstack.all @ W.Base_system.all)
+    workloads
 
-let overhead prot (w : W.Workload.t) =
-  let base = W.Workload.run ~protection:P.Vanilla w in
-  let r = W.Workload.run ~protection:prot w in
-  Levee_support.Stats.overhead_pct ~base:base.M.Interp.cycles
-    ~instrumented:r.M.Interp.cycles
+let overhead prot w = Engine.overhead (Lazy.force engine) w prot
 
 let test_cpp_heavier_than_c () =
   (* Table 1's structure: the C++ group costs CPI more than the C group *)
@@ -123,11 +142,8 @@ let test_fnustack_shapes () =
 let test_memory_overheads () =
   (* array store costs much more memory than hashtable under CPI *)
   let w = W.Spec.find "471.omnetpp" in
-  let prog = W.Workload.compile w in
   let footprint impl =
-    let b = P.build ~store_impl:impl P.Cpi prog in
-    (M.Interp.run_program ~fuel:w.W.Workload.fuel b.P.prog b.P.config)
-      .M.Interp.store_footprint
+    (result ~store_impl:impl w P.Cpi).M.Interp.store_footprint
   in
   Alcotest.(check bool) "array >> hashtable memory" true
     (footprint M.Safestore.Simple_array > 2 * footprint M.Safestore.Hashtable)
