@@ -69,7 +69,7 @@ let () =
     | (h, _) :: (b, _) :: _ -> (h, b)
     | _ -> failwith "unexpected frame"
   in
-  let layout = Hashtbl.find image.M.Loader.layouts "serve" in
+  let layout = M.Loader.layout image "serve" in
   let off r = (Hashtbl.find layout.M.Loader.fl_slots r).M.Loader.sl_offset in
   let dist = off buf_reg - off handler_reg in
   let payload = Array.make (dist + 1) (Char.code 'A') in

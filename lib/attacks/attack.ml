@@ -151,17 +151,14 @@ let allocas_of (fn : Prog.func) =
 let nth_slot image fname k =
   let fn = Prog.find_func image.M.Loader.prog fname in
   let reg, _ = List.nth (allocas_of fn) k in
-  let layout = Hashtbl.find image.M.Loader.layouts fname in
-  Hashtbl.find layout.M.Loader.fl_slots reg
+  Hashtbl.find (M.Loader.layout image fname).M.Loader.fl_slots reg
 
 (** Frame base address of the innermost function of [chain] (a direct call
     chain rooted at main), mirroring the machine's frame arithmetic: main's
     frame base is the initial stack pointer, each callee's base is the
     caller's base minus the caller's regular frame size. *)
 let frame_base_from (image : M.Loader.image) ~top chain =
-  let size fname =
-    (Hashtbl.find image.M.Loader.layouts fname).M.Loader.fl_regular_size
-  in
+  let size fname = (M.Loader.layout image fname).M.Loader.fl_regular_size in
   let rec go base = function
     | [] -> invalid_arg "frame_base: empty chain"
     | [ _innermost ] -> base

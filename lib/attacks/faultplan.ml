@@ -110,9 +110,9 @@ let last = function
 let resolve ~(reference : M.Loader.image) ~(deployed : M.Loader.image) p =
   let rebase = deployed.M.Loader.slide - reference.M.Loader.slide in
   let layout fname =
-    match Hashtbl.find_opt reference.M.Loader.layouts fname with
-    | Some l -> l
-    | None -> invalid_arg ("Faultplan: unknown function " ^ fname)
+    match M.Loader.layout reference fname with
+    | l -> l
+    | exception Not_found -> invalid_arg ("Faultplan: unknown function " ^ fname)
   in
   let addr_of = function
     | Stack off -> M.Layout.stack_top + deployed.M.Loader.slide - off

@@ -5,22 +5,24 @@
     probed the frame layout's slot table, switches walked an assoc list and
     call sites re-derived their return address from the code-address map —
     per instruction executed. A prepared function resolves all of that
-    exactly once, at load time, into the types below:
+    once, on the function's first use (the loader caches it on the loaded
+    image), into the types below:
 
     - operands are either registers or fully resolved constants carrying
       their value and (pre-built) metadata;
     - allocas carry their frame placement directly;
     - loads/stores carry the precomputed trap message and type attributes;
     - GEP index steps carry the element size instead of the type;
-    - calls carry the callee's function index and the return address the
-      call pushes;
+    - calls carry the callee's function index (so preparing a caller
+      never prepares its callees) and the return address the call pushes;
     - switches carry a dense jump table or a hashed case map.
 
     The representation is parameterized over the metadata type ['m] so this
     library does not depend on the machine: the loader instantiates ['m]
     with its based-on metadata. Preparation happens after instrumentation
     (the passes mutate [Instr.instr] attributes in place); a prepared
-    function is a snapshot and does not track later mutation of its source.
+    function is a snapshot and does not track later mutation of its
+    source, which is why a program must not change once it is loaded.
 
     The prepared form is what the interpreter compiles: on a function's
     first entry each instruction and terminator becomes one closure,
@@ -82,9 +84,6 @@ type 'm func = {
   nregs : int;
   nparams : int;
   blocks : 'm block array;
-  addrs : int array array;  (** code address of (block, ip); one extra slot
-                                per block for the terminator position *)
-  entry_addr : int;
 }
 
 (* A dense table pays one slot per value in [min, max]; cap the waste at a

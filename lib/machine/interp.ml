@@ -10,9 +10,9 @@
     one, injected shellcode in a data page, or garbage.
 
     The machine runs compiled code. The first time a function is entered,
-    each instruction and terminator of its prepared form
-    ([Levee_ir.Prepared], built by [Loader.load]) is compiled into one
-    closure over the machine state, specialised on its operand kinds
+    the loader prepares it ([Levee_ir.Prepared]) if nothing has yet, and
+    each instruction and terminator of the prepared form is compiled into
+    one closure over the machine state, specialised on its operand kinds
     (register or constant), operator, [where]/[checked] and constant
     address; rare shapes compile to closures over the general
     [do_load]/[do_store]/[do_call]/[do_intrin]/[do_ret] helpers. The code
@@ -196,19 +196,11 @@ let exit_sentinel = Layout.code_base - 7
 let stop outcome = raise (Machine_stop outcome)
 
 (* Placeholder [cur] before the first frame is pushed; never executed. *)
-let dummy_layout : Loader.frame_layout =
-  { Loader.fl_slots = Hashtbl.create 1; fl_regular_size = 0; fl_safe_size = 0;
-    fl_ret_on_safe = false; fl_ret_offset = 0; fl_cookie_offset = None;
-    fl_hot_words = 0; fl_array_words = 0; fl_has_unsafe = false }
-
-let dummy_pf : Loader.pmeta Pr.func =
-  { Pr.findex = -1; fname = "<none>"; nregs = 0; nparams = 0; blocks = [||];
-    addrs = [||]; entry_addr = 0 }
-
 let dummy_frame () =
-  { fr_pf = dummy_pf; code = [||]; regs = [||]; rmeta = [||]; block = 0;
-    ip = 0; base_r = 0; base_s = 0; ret_dst = None; pushed_ret = 0;
-    cookie_value = 0; penalize_stack = false; layout = dummy_layout }
+  { fr_pf = Loader.unprepared.Loader.pf; code = [||]; regs = [||];
+    rmeta = [||]; block = 0; ip = 0; base_r = 0; base_s = 0; ret_dst = None;
+    pushed_ret = 0; cookie_value = 0; penalize_stack = false;
+    layout = Loader.unprepared.Loader.layout }
 
 (* A fresh thread over its carved stack pair. Thread 0's windows are the
    historical single-thread stacks, so single-threaded runs are unchanged. *)
@@ -380,23 +372,27 @@ let compile_fwd :
 
 type Loader.code += Compiled of block_code array
 
-(* A function's compiled code, built on its first entry and cached on the
-   image for every later run. *)
-let code_of image (pf : Loader.pmeta Pr.func) =
-  match Array.unsafe_get image.Loader.p_code pf.Pr.findex with
-  | Compiled c -> c
-  | _ ->
-    let c = !compile_fwd image pf in
-    image.Loader.p_code.(pf.Pr.findex) <- Compiled c;
-    c
+(* Prepare (if nothing has yet) and compile function [idx]; the code is
+   cached in its slot on the image for every later run. *)
+let compile image idx =
+  let fn = Loader.fn image idx in
+  let c = !compile_fwd image fn.Loader.pf in
+  fn.Loader.code <- Compiled c;
+  c
 
-(* Push a frame with zeroed registers onto thread [th]; the caller fills
-   the argument registers afterwards (before any callee instruction runs).
-   [th] is the running thread everywhere except thread_spawn, which pushes
-   the outermost frame of the thread it creates. *)
-let push_frame_empty st th (pf : Loader.pmeta Pr.func) ~ret_dst ~pushed_ret
-    ~entry =
-  let layout = st.image.Loader.p_layouts.(pf.Pr.findex) in
+(* Push a frame of function [idx] with zeroed registers onto thread [th];
+   the caller fills the argument registers afterwards (before any callee
+   instruction runs). [th] is the running thread everywhere except
+   thread_spawn, which pushes the outermost frame of the thread it
+   creates. A function entered before costs one test of its slot. *)
+let push_frame_empty st th idx ~ret_dst ~pushed_ret ~entry =
+  let code =
+    match (Array.unsafe_get st.image.Loader.fns idx).Loader.code with
+    | Compiled c -> c
+    | _ -> compile st.image idx
+  in
+  let fn = Array.unsafe_get st.image.Loader.fns idx in
+  let pf = fn.Loader.pf and layout = fn.Loader.layout in
   let base_r = th.sp_r in
   let base_s = th.sp_s in
   th.sp_r <- th.sp_r - layout.Loader.fl_regular_size;
@@ -436,7 +432,7 @@ let push_frame_empty st th (pf : Loader.pmeta Pr.func) ~ret_dst ~pushed_ret
   let penalize_stack = hot_resident > Cost.hot_frame_threshold in
   let block, ip = entry in
   let fr =
-    { fr_pf = pf; code = code_of st.image pf; regs; rmeta; block; ip;
+    { fr_pf = pf; code; regs; rmeta; block; ip;
       base_r; base_s; ret_dst; pushed_ret; cookie_value; penalize_stack;
       layout }
   in
@@ -445,8 +441,8 @@ let push_frame_empty st th (pf : Loader.pmeta Pr.func) ~ret_dst ~pushed_ret
   th.cur <- fr;
   fr
 
-let push_frame st th pf ~args ~ret_dst ~pushed_ret ~entry =
-  let fr = push_frame_empty st th pf ~ret_dst ~pushed_ret ~entry in
+let push_frame st th idx ~args ~ret_dst ~pushed_ret ~entry =
+  let fr = push_frame_empty st th idx ~ret_dst ~pushed_ret ~entry in
   Array.iteri
     (fun i (v, m) ->
       if i < Array.length fr.regs then begin
@@ -502,31 +498,23 @@ let finish_thread st th rv =
 
 (* ---------- Control-flow diversion ---------- *)
 
-let pf_of_index st idx = st.image.Loader.p_funcs.(idx)
-
 (* [divert st target ~via] models the machine transferring control to an
    arbitrary address: the core of every hijack attempt. *)
 let divert st target ~via =
   (match via, st.cfg.Config.cfi_checks with
    | `Ret, true ->
-     if not (Hashtbl.mem st.image.Loader.return_sites target) then
+     if not (Loader.is_return_site st.image target) then
        stop (Trapped (Cfi_violation "return target is not a call site"))
    | (`Ret | `Call | `Longjmp), _ -> ());
   match Loader.decode st.image target with
   | Some cp ->
-    let pf =
-      pf_of_index st (Hashtbl.find st.image.Loader.p_findex cp.Loader.cp_fn)
-    in
-    if Loader.is_function_entry st.image target then
-      (* Jump to a function entry: executes it with garbage arguments. *)
-      push_frame st st.running pf ~args:[||] ~ret_dst:None
-        ~pushed_ret:exit_sentinel ~entry:(0, 0)
-    else
-      (* Jump into the middle of a function: a gadget; registers hold
-         garbage (zeroes). *)
-      push_frame st st.running pf ~args:[||] ~ret_dst:None
-        ~pushed_ret:exit_sentinel
-        ~entry:(cp.Loader.cp_block, cp.Loader.cp_ip)
+    (* A function entry (block 0, ip 0) runs the function with garbage
+       arguments; any other point is a gadget in the middle of one. Either
+       way the registers hold garbage (zeroes). *)
+    push_frame st st.running
+      (Hashtbl.find st.image.Loader.fn_index cp.Loader.cp_fn)
+      ~args:[||] ~ret_dst:None ~pushed_ret:exit_sentinel
+      ~entry:(cp.Loader.cp_block, cp.Loader.cp_ip)
   | None ->
     if Layout.in_code_s st.slide target then
       stop (Crash "jump into code padding")
@@ -544,14 +532,14 @@ let in_cfi_set (set : int array) v =
   let rec go i = i < n && (set.(i) = v || (set.(i) < v && go (i + 1))) in
   go 0
 
-(* [ret_addr] was resolved at load time: the code address of the
-   instruction after the call site. The driver has already moved the
-   caller past the call, so the frame resumes at the next instruction on
-   return. *)
-let invoke st fr dst args ret_addr pf =
+(* [ret_addr] was resolved when the caller was prepared: the code address
+   of the instruction after the call site. The driver has already moved
+   the caller past the call, so the frame resumes at the next instruction
+   on return. *)
+let invoke st fr dst args ret_addr idx =
   (* Operand evaluation is pure, so the arguments can be read out of the
      caller's (still live) registers directly into the callee's. *)
-  let nf = push_frame_empty st st.running pf ~ret_dst:dst
+  let nf = push_frame_empty st st.running idx ~ret_dst:dst
       ~pushed_ret:ret_addr ~entry:(0, 0) in
   let nregs = Array.length nf.regs in
   for i = 0 to Array.length args - 1 do
@@ -572,15 +560,16 @@ let do_call st fr dst o args cfi_checked cfi_set ret_addr =
        indirect-call targets. *)
     match m with
     | Some { kind = Safestore.Code; _ } ->
-      (match Hashtbl.find_opt st.image.Loader.entry_findex v with
-       | Some idx -> invoke st fr dst args ret_addr (pf_of_index st idx)
-       | None -> stop (Crash "code pointer does not decode"))
+      let idx = Loader.entry_index st.image v in
+      if idx >= 0 then invoke st fr dst args ret_addr idx
+      else stop (Crash "code pointer does not decode")
     | Some _ | None -> stop (Trapped Invalid_code_pointer)
   end
   else begin
+    let idx = Loader.entry_index st.image v in
     if st.cfg.Config.cfi_checks && cfi_checked then begin
       Cost.add st.cost Cost.cfi_cost;
-      if not (Loader.is_function_entry st.image v) then
+      if idx < 0 then
         stop (Trapped (Cfi_violation "indirect call target not a function"));
       (* cfi-type: the target must also lie in this call site's
          per-signature set, not just be some function entry. *)
@@ -592,9 +581,8 @@ let do_call st fr dst o args cfi_checked cfi_set ret_addr =
              (Trapped (Cfi_violation "indirect call target outside type set"))
        | None -> ())
     end;
-    match Hashtbl.find_opt st.image.Loader.entry_findex v with
-    | Some idx -> invoke st fr dst args ret_addr (pf_of_index st idx)
-    | None -> divert st v ~via:`Call
+    if idx >= 0 then invoke st fr dst args ret_addr idx
+    else divert st v ~via:`Call
   end
 
 let do_ret st rv rm =
@@ -784,7 +772,9 @@ let do_intrin st fr dst (op : I.intrin) (args : Loader.pmeta Pr.operand array) =
     let fr = th.cur in
     (* Resume point: the instruction after this setjmp (ip was already
        advanced by the driver). *)
-    let resume = fr.fr_pf.Pr.addrs.(fr.block).(fr.ip) in
+    let resume =
+      st.image.Loader.block_base.(fr.fr_pf.Pr.findex).(fr.block) + fr.ip
+    in
     let id = st.next_jmp in
     st.next_jmp <- id + 1;
     Hashtbl.replace st.jmp_ctxs id
@@ -863,9 +853,9 @@ let do_intrin st fr dst (op : I.intrin) (args : Loader.pmeta Pr.operand array) =
       | Some { kind = Safestore.Code; _ } -> ()
       | Some _ | None -> stop (Trapped Invalid_code_pointer)
     end;
-    (match Hashtbl.find_opt st.image.Loader.entry_findex fv with
-     | None -> stop (Crash "thread_spawn: target is not a function entry")
-     | Some idx ->
+    (match Loader.entry_index st.image fv with
+     | -1 -> stop (Crash "thread_spawn: target is not a function entry")
+     | idx ->
        if st.nthreads >= Layout.max_threads then
          stop (Crash "thread_spawn: thread limit exceeded");
        let tid = st.nthreads in
@@ -873,7 +863,7 @@ let do_intrin st fr dst (op : I.intrin) (args : Loader.pmeta Pr.operand array) =
        st.threads <- Array.append st.threads [| th |];
        st.nthreads <- tid + 1;
        st.live <- st.live + 1;
-       push_frame st th (pf_of_index st idx)
+       push_frame st th idx
          ~args:[| (argv, argm) |]
          ~ret_dst:None ~pushed_ret:exit_sentinel ~entry:(0, 0);
        if not st.mt then begin
@@ -1389,10 +1379,12 @@ let compile_instr image (i : Loader.pmeta Pr.instr) : op =
       Cost.add st.cost Cost.alu;
       set_reg fr dst k km
   | Pr.Call { dst; callee = Pr.Direct idx; args; ret_addr; _ } ->
-    let pf = image.Loader.p_funcs.(idx) and nargs = Array.length args in
+    (* The callee is prepared and compiled when the call first runs, not
+       here, so compiling a function never cascades down its calls. *)
+    let nargs = Array.length args in
     fun st fr ->
       Cost.add st.cost nargs;
-      invoke st fr dst args ret_addr pf
+      invoke st fr dst args ret_addr idx
   | Pr.Call { dst; callee = Pr.Indirect o; args; cfi_checked; cfi_set;
               ret_addr } ->
     fun st fr -> do_call st fr dst o args cfi_checked cfi_set ret_addr
@@ -1660,7 +1652,7 @@ let run ?input ?fuel ?faults ?sched_seed (image : Loader.image) : result =
   (* A synthetic outermost frame is not needed: push main with the exit
      sentinel as its return address. *)
   try
-    push_frame st st.running main
+    push_frame st st.running main.Pr.findex
       ~args:(Array.make main.Pr.nparams (0, None))
       ~ret_dst:None ~pushed_ret:exit_sentinel ~entry:(0, 0);
     run_loop st

@@ -5,7 +5,9 @@
     decoded like a real instruction pointer), lays out globals in the
     regular region, resolves global initializers, and computes per-function
     frame layouts for the active configuration. The loader is trusted, as
-    in the paper's threat model. *)
+    in the paper's threat model. Addresses are arithmetic and functions are
+    prepared on first use, so loading does no work per instruction; see
+    [loader.mli] for how, and for the invariants this relies on. *)
 
 module Ty = Levee_ir.Ty
 module Instr = Levee_ir.Instr
@@ -42,25 +44,25 @@ type frame_layout = {
 type code = ..
 type code += Not_compiled
 
+(* A function's state, built on first use; see [loader.mli]. *)
+type fn = {
+  pf : pmeta Prepared.func;
+  layout : frame_layout;
+  mutable code : code;
+}
+
 type image = {
   prog : Prog.t;
   cfg : Config.t;
   slide : int;
-  func_entry : (string, int) Hashtbl.t;
-  addr_of_point : (string * int * int, int) Hashtbl.t;
-  point_of_addr : (int, code_point) Hashtbl.t;
-  return_sites : (int, unit) Hashtbl.t;     (* valid coarse-CFI return targets *)
-  func_entries : (int, string) Hashtbl.t;   (* entry addr -> name *)
   global_addr : (string, int) Hashtbl.t;
   global_bounds : (string, int * int) Hashtbl.t;
-  layouts : (string, frame_layout) Hashtbl.t;
-  (* Decode-once layer: every function resolved at load time so the
-     interpreter's hot loop never touches the hashtables above. *)
-  p_funcs : pmeta Prepared.func array;      (* indexed by function index *)
-  p_findex : (string, int) Hashtbl.t;       (* function name -> index *)
-  entry_findex : (int, int) Hashtbl.t;      (* entry addr -> function index *)
-  p_layouts : frame_layout array;           (* indexed by function index *)
-  p_code : code array;                      (* indexed by function index *)
+  funcs : Prog.func array;                  (* by function index, code order *)
+  fn_index : (string, int) Hashtbl.t;       (* function name -> index *)
+  entries : int array;                      (* entry address, by index *)
+  block_base : int array array;             (* address of (block, 0) *)
+  code_end : int;                           (* first address past the code *)
+  fns : fn array;                           (* [unprepared] until first used *)
 }
 
 let layout_of_func tenv (cfg : Config.t) (fn : Prog.func) =
@@ -116,36 +118,80 @@ let layout_of_func tenv (cfg : Config.t) (fn : Prog.func) =
     fl_array_words = !arrays;
     fl_has_unsafe = !has_unsafe }
 
-(* ---------- Decode-once preparation ---------- *)
+(* ---------- Code addresses ---------- *)
+
+let entry_addr image name = image.entries.(Hashtbl.find image.fn_index name)
+
+(* Largest [i] with [a.(i) <= x] in the strictly increasing array [a], or
+   -1 if there is none. *)
+let floor_index (a : int array) x =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get a mid <= x then lo := mid + 1 else hi := mid
+  done;
+  !lo - 1
+
+let entry_index image addr =
+  let i = floor_index image.entries addr in
+  if i >= 0 && Array.unsafe_get image.entries i = addr then i else -1
+
+let is_function_entry image addr = entry_index image addr >= 0
+
+let decode image addr =
+  let f = if addr < image.code_end then floor_index image.entries addr else -1 in
+  if f < 0 then None
+  else begin
+    let bases = image.block_base.(f) in
+    let b = floor_index bases addr in
+    Some
+      { cp_fn = image.funcs.(f).Prog.fname; cp_block = b;
+        cp_ip = addr - bases.(b) }
+  end
+
+let is_return_site image addr =
+  match decode image addr with
+  | Some cp when cp.cp_ip > 0 ->
+    let b = (Prog.find_func image.prog cp.cp_fn).Prog.blocks.(cp.cp_block) in
+    (match b.Prog.instrs.(cp.cp_ip - 1) with Instr.Call _ -> true | _ -> false)
+  | Some _ | None -> false
+
+let point_addr image fname block ip =
+  let f = Hashtbl.find image.fn_index fname in
+  let blocks = image.funcs.(f).Prog.blocks in
+  if block < 0 || block >= Array.length blocks || ip < 0
+     || ip > Array.length blocks.(block).Prog.instrs
+  then raise Not_found;
+  image.block_base.(f).(block) + ip
+
+(* ---------- First-use preparation ---------- *)
 
 (* Resolve an operand: immediates and null become bare constants, global
    and function references become (address, metadata) constants. The
    metadata records are built once and shared by every execution of the
    instruction; they are immutable, so sharing is safe. *)
-let prepare_operand ~global_addr ~global_bounds ~func_entry
-    (o : Instr.operand) : pmeta Prepared.operand =
+let prepare_operand image (o : Instr.operand) : pmeta Prepared.operand =
   match o with
   | Instr.Reg r -> Prepared.Reg r
   | Instr.Imm n -> Prepared.Const (n, None)
   | Instr.Nullp -> Prepared.Const (0, None)
   | Instr.Glob g ->
-    let addr = Hashtbl.find global_addr g in
-    let lo, hi = Hashtbl.find global_bounds g in
+    let addr = Hashtbl.find image.global_addr g in
+    let lo, hi = Hashtbl.find image.global_bounds g in
     Prepared.Const
       (addr, Some { Meta.lower = lo; upper = hi; tid = 0; kind = Safestore.Data })
   | Instr.Fun f ->
-    let addr = Hashtbl.find func_entry f in
+    let addr = entry_addr image f in
     Prepared.Const
       (addr,
        Some { Meta.lower = addr; upper = addr + 1; tid = 0; kind = Safestore.Code })
 
-(* [block_base.(bid)] is the code address of (bid, ip=0); addresses within
-   a block are consecutive, so every program-point address is one add away
-   and preparing a function performs no [addr_of_point] probes. *)
-let prepare_func ~tenv ~global_addr ~global_bounds ~func_entry ~block_base
-    ~p_findex ~(layout : frame_layout) ~findex (fn : Prog.func) :
+(* Direct callees stay indices, so preparing a function never prepares
+   the functions it calls. *)
+let prepare_func image ~(layout : frame_layout) findex (fn : Prog.func) :
     pmeta Prepared.func =
-  let op o = prepare_operand ~global_addr ~global_bounds ~func_entry o in
+  let op o = prepare_operand image o in
+  let tenv = image.prog.Prog.tenv and block_base = image.block_base.(findex) in
   let blocks =
     Array.map
       (fun (b : Prog.block) ->
@@ -191,19 +237,16 @@ let prepare_func ~tenv ~global_addr ~global_bounds ~func_entry ~block_base
                 let callee =
                   match callee with
                   | Instr.Direct name ->
-                    Prepared.Direct (Hashtbl.find p_findex name)
+                    Prepared.Direct (Hashtbl.find image.fn_index name)
                   | Instr.Indirect o -> Prepared.Indirect (op o)
                 in
                 (* Resolve the cfi-type target set to sorted entry
-                   addresses once, at load time. *)
+                   addresses once. *)
                 let cfi_set =
                   match cfi_set with
                   | None -> None
                   | Some names ->
-                    let addrs =
-                      List.map (fun n -> Hashtbl.find func_entry n) names
-                    in
-                    let arr = Array.of_list addrs in
+                    let arr = Array.of_list (List.map (entry_addr image) names) in
                     Array.sort compare arr;
                     Some arr
                 in
@@ -231,54 +274,57 @@ let prepare_func ~tenv ~global_addr ~global_bounds ~func_entry ~block_base
         { Prepared.instrs; term })
       fn.Prog.blocks
   in
-  let addrs =
-    Array.map
-      (fun (b : Prog.block) ->
-        let base = block_base.(b.Prog.bid) in
-        Array.init (Array.length b.Prog.instrs + 1) (fun ip -> base + ip))
-      fn.Prog.blocks
-  in
   { Prepared.findex; fname = fn.Prog.fname; nregs = fn.Prog.nregs;
-    nparams = List.length fn.Prog.params; blocks; addrs;
-    entry_addr = Hashtbl.find func_entry fn.Prog.fname }
+    nparams = List.length fn.Prog.params; blocks }
 
-(** [load prog cfg] builds the image and the initial memory/metadata state
-    for globals. Returns the image plus an initialization function that
-    populates a fresh memory. *)
+let unprepared =
+  { pf = { Prepared.findex = -1; fname = "<unprepared>"; nregs = 0;
+           nparams = 0; blocks = [||] };
+    layout =
+      { fl_slots = Hashtbl.create 1; fl_regular_size = 0; fl_safe_size = 0;
+        fl_ret_on_safe = false; fl_ret_offset = 0; fl_cookie_offset = None;
+        fl_hot_words = 0; fl_array_words = 0; fl_has_unsafe = false };
+    code = Not_compiled }
+
+let fn image i =
+  let s = image.fns.(i) in
+  if s != unprepared then s
+  else begin
+    let f = image.funcs.(i) in
+    let layout = layout_of_func image.prog.Prog.tenv image.cfg f in
+    let s = { pf = prepare_func image ~layout i f; layout; code = Not_compiled } in
+    image.fns.(i) <- s;
+    s
+  end
+
+let prepared image name = (fn image (Hashtbl.find image.fn_index name)).pf
+
+let layout image name = (fn image (Hashtbl.find image.fn_index name)).layout
+
+(* ---------- Loading ---------- *)
+
 let load (prog : Prog.t) (cfg : Config.t) =
   let slide = if cfg.Config.aslr then Layout.aslr_slide else 0 in
-  let func_entry = Hashtbl.create 16 in
-  let addr_of_point = Hashtbl.create 256 in
-  let point_of_addr = Hashtbl.create 256 in
-  let return_sites = Hashtbl.create 64 in
-  let func_entries = Hashtbl.create 16 in
+  let funcs =
+    Array.of_list (List.rev (Prog.fold_funcs prog (fun l f -> f :: l) []))
+  in
+  let fn_index = Hashtbl.create (Array.length funcs) in
+  let entries = Array.make (Array.length funcs) 0 in
   let next_code = ref (Layout.code_base + slide) in
-  (* Per-function array of block base addresses (address of ip = 0),
-     consumed by [prepare_func] below. *)
-  let block_bases : (string, int array) Hashtbl.t = Hashtbl.create 16 in
-  Prog.iter_funcs prog (fun fn ->
-      Hashtbl.replace func_entry fn.Prog.fname !next_code;
-      Hashtbl.replace func_entries !next_code fn.Prog.fname;
-      let bases = Array.make (Array.length fn.Prog.blocks) 0 in
-      Hashtbl.replace block_bases fn.Prog.fname bases;
-      Array.iter
-        (fun (b : Prog.block) ->
-          bases.(b.Prog.bid) <- !next_code;
-          (* one address per instruction plus one for the terminator *)
-          for ip = 0 to Array.length b.Prog.instrs do
-            let addr = !next_code in
-            incr next_code;
-            Hashtbl.replace addr_of_point (fn.Prog.fname, b.Prog.bid, ip) addr;
-            Hashtbl.replace point_of_addr addr
-              { cp_fn = fn.Prog.fname; cp_block = b.Prog.bid; cp_ip = ip };
-            (* the address after a call instruction is a return site *)
-            if ip > 0 then
-              (match b.Prog.instrs.(ip - 1) with
-               | Instr.Call _ -> Hashtbl.replace return_sites addr ()
-               | _ -> ())
-          done)
-        fn.Prog.blocks);
-  (* Globals. *)
+  let block_base =
+    Array.mapi
+      (fun i (fn : Prog.func) ->
+        Hashtbl.replace fn_index fn.Prog.fname i;
+        entries.(i) <- !next_code;
+        Array.map
+          (fun (b : Prog.block) ->
+            let base = !next_code in
+            (* one address per instruction plus one for the terminator *)
+            next_code := base + Array.length b.Prog.instrs + 1;
+            base)
+          fn.Prog.blocks)
+      funcs
+  in
   let global_addr = Hashtbl.create 16 in
   let global_bounds = Hashtbl.create 16 in
   let next_g = ref (Layout.globals_base + slide) in
@@ -289,36 +335,9 @@ let load (prog : Prog.t) (cfg : Config.t) =
       Hashtbl.replace global_bounds g.Prog.gname (!next_g, !next_g + size);
       next_g := !next_g + size + 1 (* one guard word between globals *))
     prog.Prog.globals;
-  let layouts = Hashtbl.create 16 in
-  Prog.iter_funcs prog (fun fn ->
-      Hashtbl.replace layouts fn.Prog.fname
-        (layout_of_func prog.Prog.tenv cfg fn));
-  (* Decode-once layer: resolve every function into its prepared form. *)
-  let funcs = ref [] in
-  Prog.iter_funcs prog (fun fn -> funcs := fn :: !funcs);
-  let funcs = Array.of_list (List.rev !funcs) in
-  let p_findex = Hashtbl.create 16 in
-  Array.iteri (fun i (fn : Prog.func) -> Hashtbl.replace p_findex fn.Prog.fname i) funcs;
-  let entry_findex = Hashtbl.create 16 in
-  Array.iteri
-    (fun i (fn : Prog.func) ->
-      Hashtbl.replace entry_findex (Hashtbl.find func_entry fn.Prog.fname) i)
-    funcs;
-  let p_layouts =
-    Array.map (fun (fn : Prog.func) -> Hashtbl.find layouts fn.Prog.fname) funcs
-  in
-  let p_funcs =
-    Array.mapi
-      (fun i fn ->
-        prepare_func ~tenv:prog.Prog.tenv ~global_addr ~global_bounds
-          ~func_entry ~block_base:(Hashtbl.find block_bases fn.Prog.fname)
-          ~p_findex ~layout:p_layouts.(i) ~findex:i fn)
-      funcs
-  in
-  { prog; cfg; slide; func_entry; addr_of_point; point_of_addr;
-    return_sites; func_entries; global_addr; global_bounds; layouts;
-    p_funcs; p_findex; entry_findex; p_layouts;
-    p_code = Array.make (Array.length p_funcs) Not_compiled }
+  { prog; cfg; slide; global_addr; global_bounds; funcs; fn_index; entries;
+    block_base; code_end = !next_code;
+    fns = Array.make (Array.length funcs) unprepared }
 
 (** Write global initializers into [mem]; code-pointer cells that the
     compiler/linker emitted (jump tables etc., Section 4 "binary level
@@ -339,7 +358,7 @@ let init_globals (image : image) (mem : Mem.t) (store : Safestore.t) =
           let v =
             match cell with
             | Prog.Cint n -> n
-            | Prog.Cfun f -> Hashtbl.find image.func_entry f
+            | Prog.Cfun f -> entry_addr image f
             | Prog.Cglob (name, off) -> Hashtbl.find image.global_addr name + off
           in
           Mem.write mem (base + i) v;
@@ -356,15 +375,3 @@ let init_globals (image : image) (mem : Mem.t) (store : Safestore.t) =
           | Prog.Cint _ | Prog.Cfun _ | Prog.Cglob _ -> ())
         g.Prog.init)
     image.prog.Prog.globals
-
-let entry_addr image name = Hashtbl.find image.func_entry name
-
-(** Prepared form of a function. @raise Not_found if unknown. *)
-let prepared image name = image.p_funcs.(Hashtbl.find image.p_findex name)
-
-let point_addr image fname block ip =
-  Hashtbl.find image.addr_of_point (fname, block, ip)
-
-let decode image addr = Hashtbl.find_opt image.point_of_addr addr
-
-let is_function_entry image addr = Hashtbl.mem image.func_entries addr

@@ -3,7 +3,26 @@
     Assigns code addresses to every instruction (so corrupted code pointers
     decode like a real instruction pointer), lays out globals, resolves
     initializers, and computes per-function frame layouts for the active
-    configuration. The loader is trusted, per the paper's threat model. *)
+    configuration. The loader is trusted, per the paper's threat model.
+
+    [load] costs work per function, block and global, never per
+    instruction. Code addresses are arithmetic: functions follow one
+    another from the (slid) code base in declaration order, blocks in
+    order within a function, one address per instruction plus one per
+    terminator; the image keeps each block's base address, and [decode]
+    binary-searches the function entries, then that function's block
+    bases. A function's prepared form and frame layout are built the first
+    time anything needs them (its first entry, a diverted jump into it,
+    [prepared] or [layout]) and cached in its slot, at most once per
+    function per image. This relies on three invariants:
+    - the image reads its [Prog.t] lazily, so a program must not be
+      mutated after [load] (the passes mutate a clone inside
+      [Pipeline.build], before loading);
+    - every function has at least one block and block ids are positions
+      ([Verify] and [Builder] ensure both), so entries and block bases
+      strictly increase;
+    - slots are filled without a lock: an image is built and run inside
+      one pool task, never shared between domains. *)
 
 module Prog = Levee_ir.Prog
 
@@ -33,34 +52,32 @@ type frame_layout = {
 
 (** The interpreter's compiled form of one function, cached on the image.
     Extensible so the loader stays free of the interpreter's types: the
-    interpreter adds its own constructor and fills a slot the first time
-    the function is entered, so every run of an image shares the code
-    and each function is compiled at most once per image. The slots are
-    filled without a lock: an image is built and run inside one pool
-    task, never shared between domains. *)
+    interpreter adds its own constructor and fills a slot's [code] the
+    first time the function is entered, so every run of an image shares
+    the code and each function is compiled at most once per image. *)
 type code = ..
 type code += Not_compiled
+
+(** One function's slot: its prepared form, its frame layout and its
+    compiled code. *)
+type fn = {
+  pf : pmeta Levee_ir.Prepared.func;
+  layout : frame_layout;
+  mutable code : code;
+}
 
 type image = {
   prog : Prog.t;
   cfg : Config.t;
   slide : int;                       (** ASLR slide actually applied *)
-  func_entry : (string, int) Hashtbl.t;
-  addr_of_point : (string * int * int, int) Hashtbl.t;
-  point_of_addr : (int, code_point) Hashtbl.t;
-  return_sites : (int, unit) Hashtbl.t;   (** coarse-CFI return targets *)
-  func_entries : (int, string) Hashtbl.t;
   global_addr : (string, int) Hashtbl.t;
   global_bounds : (string, int * int) Hashtbl.t;
-  layouts : (string, frame_layout) Hashtbl.t;
-  (* Decode-once layer (see [Levee_ir.Prepared]): every function resolved
-     at load time so the interpreter's hot loop never probes the
-     hashtables above. *)
-  p_funcs : pmeta Levee_ir.Prepared.func array;
-  p_findex : (string, int) Hashtbl.t;
-  entry_findex : (int, int) Hashtbl.t;
-  p_layouts : frame_layout array;
-  p_code : code array;   (** per function index; [Not_compiled] at load *)
+  funcs : Prog.func array;           (** by function index, in code order *)
+  fn_index : (string, int) Hashtbl.t;  (** function name -> index *)
+  entries : int array;               (** entry address, by index *)
+  block_base : int array array;      (** address of (block, 0), by index *)
+  code_end : int;                    (** first address past the code *)
+  fns : fn array;                    (** by index; see [fn] *)
 }
 
 (** Frame layout of one function under a configuration. *)
@@ -77,14 +94,31 @@ val init_globals : image -> Mem.t -> Safestore.t -> unit
 (** Code address of a function's entry. @raise Not_found if unknown. *)
 val entry_addr : image -> string -> int
 
-(** Prepared (decode-once) form of a function.
-    @raise Not_found if unknown. *)
-val prepared : image -> string -> pmeta Levee_ir.Prepared.func
+(** Index of the function whose entry is the address, or [-1]. *)
+val entry_index : image -> int -> int
 
-(** Code address of instruction [ip] of block [block] of [fname]. *)
+val is_function_entry : image -> int -> bool
+
+(** Code address of instruction [ip] (the terminator when [ip] is the
+    instruction count) of block [block] of [fname].
+    @raise Not_found if there is no such point. *)
 val point_addr : image -> string -> int -> int -> int
 
 (** Decode a code address back to its program point. *)
 val decode : image -> int -> code_point option
 
-val is_function_entry : image -> int -> bool
+(** Whether the address follows a call: coarse-CFI's return targets. *)
+val is_return_site : image -> int -> bool
+
+(** Every slot of [fns] until its function is first used (compare with
+    [==]); never mutated. *)
+val unprepared : fn
+
+(** The slot of the function at an index, prepared on first use. *)
+val fn : image -> int -> fn
+
+(** Prepared (decode-once) form of a function. @raise Not_found if unknown. *)
+val prepared : image -> string -> pmeta Levee_ir.Prepared.func
+
+(** Frame layout of a function. @raise Not_found if unknown. *)
+val layout : image -> string -> frame_layout

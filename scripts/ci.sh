@@ -14,7 +14,8 @@
 # baseline the next CI run gates against, which is also how a deliberate
 # schema bump re-baselines without tripping the gate on shape changes.
 # Host wall-clock speed is measured by `python3 benchmark/run.py`, not
-# here; the script only prints the wall time of its `dune runtest` step.
+# here; the script only prints the wall time of its `dune runtest` step
+# and of the benchmark's `--self-test`, which it runs after the tests.
 #
 # Usage: scripts/ci.sh
 
@@ -30,6 +31,14 @@ echo "== tests =="
 tests_start=$(date +%s)
 dune runtest
 echo "== tests: $(( $(date +%s) - tests_start )) s wall =="
+
+# The benchmark's self-test runs generated 400-function programs to
+# completion under every protection: the one full-length whole-program
+# run, so it enters (and prepares on first use) every function.
+echo "== whole programs: benchmark self-test =="
+selftest_start=$(date +%s)
+python3 benchmark/run.py --self-test
+echo "== whole programs: $(( $(date +%s) - selftest_start )) s wall =="
 
 LEVEE="dune exec --no-build bin/levee.exe --"
 

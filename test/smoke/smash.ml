@@ -30,7 +30,7 @@ let () =
       let image = M.Loader.load built.P.prog built.P.config in
       (* Attacker knowledge: layout of vuln's frame in the unprotected
          build (no ASLR adjustment -> hardened config should crash). *)
-      let layout = Hashtbl.find image.M.Loader.layouts "vuln" in
+      let layout = M.Loader.layout image "vuln" in
       let vuln_fn = Levee_ir.Prog.find_func built.P.prog "vuln" in
       let buf_reg =
         let r = ref (-1) in

@@ -1,9 +1,12 @@
 (* Machine substrate tests: paged memory, the three safe-pointer-store
    organisations (with QCheck equivalence properties), the heap allocator
-   with temporal ids, and the address-space layout. *)
+   with temporal ids, the address-space layout, and the loader's code
+   addresses, first-use preparation and frame layouts. *)
 
 module M = Levee_machine
 module SS = M.Safestore
+module P = Levee_core.Pipeline
+module Prog = Levee_ir.Prog
 
 let t name f = Alcotest.test_case name `Quick f
 
@@ -173,13 +176,152 @@ let test_loader_code_addressing () =
      Alcotest.(check int) "entry block" 0 cp.M.Loader.cp_block;
      Alcotest.(check int) "entry ip" 0 cp.M.Loader.cp_ip
    | None -> Alcotest.fail "entry does not decode");
-  (* the address right after each call is a return site *)
-  let sites = Hashtbl.length image.M.Loader.return_sites in
-  Alcotest.(check bool) "three return sites (two in g, one in main)" true
-    (sites = 3);
+  (* the address right after each call is a return site; code is one
+     contiguous range, so count over it until an address stops decoding *)
+  let rec count_sites a n =
+    if M.Loader.decode image a = None then n
+    else count_sites (a + 1) (if M.Loader.is_return_site image a then n + 1 else n)
+  in
+  Alcotest.(check int) "three return sites (two in g, one in main)" 3
+    (count_sites (M.Layout.code_base + image.M.Loader.slide) 0);
   (* data addresses do not decode *)
   Alcotest.(check bool) "data does not decode" true
     (M.Loader.decode image M.Layout.globals_base = None)
+
+(* The address map as a per-instruction table, built by the loop the
+   loader once ran at load time: consecutive addresses from the code base,
+   one per instruction plus one per terminator, function by function and
+   block by block, with the address after a call marked a return site.
+   [decode], [is_function_entry], [is_return_site], [point_addr] and
+   [entry_addr] must agree with it everywhere, including just outside the
+   code range. *)
+let check_address_map what (image : M.Loader.image) =
+  let lo = M.Layout.code_base + image.M.Loader.slide in
+  let point_of_addr = Hashtbl.create 256 and addr_of_point = Hashtbl.create 256 in
+  let entries = Hashtbl.create 16 and return_sites = Hashtbl.create 64 in
+  let next = ref lo in
+  Prog.iter_funcs image.M.Loader.prog (fun fn ->
+      Hashtbl.replace entries !next fn.Prog.fname;
+      Array.iter
+        (fun (b : Prog.block) ->
+          for ip = 0 to Array.length b.Prog.instrs do
+            Hashtbl.replace addr_of_point (fn.Prog.fname, b.Prog.bid, ip) !next;
+            Hashtbl.replace point_of_addr !next
+              { M.Loader.cp_fn = fn.Prog.fname; cp_block = b.Prog.bid; cp_ip = ip };
+            if ip > 0 then
+              (match b.Prog.instrs.(ip - 1) with
+               | Levee_ir.Instr.Call _ -> Hashtbl.replace return_sites !next ()
+               | _ -> ());
+            incr next
+          done)
+        fn.Prog.blocks);
+  let fail fmt = Alcotest.failf ("%s: " ^^ fmt) what in
+  for a = lo - 3 to !next + 3 do
+    if M.Loader.decode image a <> Hashtbl.find_opt point_of_addr a then
+      fail "decode differs at %#x" a;
+    if M.Loader.is_function_entry image a <> Hashtbl.mem entries a then
+      fail "is_function_entry differs at %#x" a;
+    if M.Loader.is_return_site image a <> Hashtbl.mem return_sites a then
+      fail "is_return_site differs at %#x" a
+  done;
+  Hashtbl.iter
+    (fun (f, b, ip) a ->
+      if M.Loader.point_addr image f b ip <> a then
+        fail "point_addr %s b%d.%d differs" f b ip)
+    addr_of_point;
+  Hashtbl.iter
+    (fun a f ->
+      if M.Loader.entry_addr image f <> a then fail "entry_addr %s differs" f)
+    entries;
+  let raises f b ip =
+    match M.Loader.point_addr image f b ip with
+    | _ -> fail "point_addr %s b%d.%d should raise Not_found" f b ip
+    | exception Not_found -> ()
+  in
+  Prog.iter_funcs image.M.Loader.prog (fun fn ->
+      let f = fn.Prog.fname in
+      Array.iter
+        (fun (b : Prog.block) ->
+          raises f b.Prog.bid (Array.length b.Prog.instrs + 1))
+        fn.Prog.blocks;
+      raises f (Array.length fn.Prog.blocks) 0;
+      raises f (-1) 0);
+  raises "no such function" 0 0
+
+let oracle_examples () =
+  Sys.readdir "../examples/minic"
+  |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".c")
+  |> List.sort compare
+  |> List.map (fun f ->
+         ( f,
+           Levee_minic.Lower.compile ~name:f
+             (In_channel.with_open_bin ("../examples/minic/" ^ f)
+                In_channel.input_all) ))
+
+let test_loader_address_oracle () =
+  let module W = Levee_workloads in
+  let bundled =
+    W.Spec.all @ W.Phoronix.all @ W.Webstack.all @ W.Base_system.all
+  in
+  let programs =
+    List.map (fun w -> (w.W.Workload.name, W.Workload.compile w)) bundled
+    @ oracle_examples ()
+  in
+  Alcotest.(check int) "41 bundled workloads" 41 (List.length bundled);
+  List.iter
+    (fun (name, prog) ->
+      List.iter
+        (fun protection ->
+          let built = P.build protection prog in
+          check_address_map
+            (name ^ "/" ^ P.protection_name protection)
+            (M.Loader.load built.P.prog built.P.config))
+        [ P.Vanilla; P.Cpi; P.Cfi_type; P.Hardened ])
+    programs
+
+(* Functions are prepared and compiled on first use, once per image: a
+   call compiled into a caller does not prepare the callee, a second run
+   reuses every slot, and [Loader.layout] prepares a function that never
+   ran with the same layout [layout_of_func] computes. *)
+let test_loader_lazy () =
+  let prog =
+    Helpers.compile
+      {|int unused(int x) { char buf[8]; buf[0] = x; return buf[0]; }
+        int rare(int x) { return x * 2; }
+        int f(int x) { return x + 1; }
+        int main() { if (read_int() == 7) { return rare(3); } return f(1); }|}
+  in
+  let built = P.build P.Safe_stack prog in
+  let image = M.Loader.load built.P.prog built.P.config in
+  let fns = image.M.Loader.fns in
+  let unprepared name =
+    fns.(Hashtbl.find image.M.Loader.fn_index name) == M.Loader.unprepared
+  in
+  Alcotest.(check bool) "nothing prepared or compiled at load" true
+    (Array.for_all (fun s -> s == M.Loader.unprepared) fns);
+  let first = M.Interp.run image in
+  Alcotest.(check bool) "main and f prepared" true
+    ((not (unprepared "main")) && not (unprepared "f"));
+  Alcotest.(check bool) "callee of an untaken call still unprepared" true
+    (unprepared "rare");
+  Alcotest.(check bool) "unreferenced function still unprepared" true
+    (unprepared "unused");
+  let slots = Array.copy fns in
+  let codes = Array.map (fun s -> s.M.Loader.code) slots in
+  let second = M.Interp.run image in
+  Alcotest.(check int) "same cycles" first.M.Interp.cycles
+    second.M.Interp.cycles;
+  Array.iteri
+    (fun i s ->
+      Alcotest.(check bool) "second run reuses every slot" true
+        (fns.(i) == s && fns.(i).M.Loader.code == codes.(i)))
+    slots;
+  let fn = Prog.find_func built.P.prog "unused" in
+  Alcotest.(check bool) "layout of a function that never ran" true
+    (M.Loader.layout image "unused"
+     = M.Loader.layout_of_func built.P.prog.Prog.tenv built.P.config fn);
+  Alcotest.(check bool) "layout prepares it" false (unprepared "unused")
 
 let test_loader_aslr_slide () =
   let prog = Helpers.compile "int main() { return 0; }" in
@@ -198,7 +340,7 @@ let test_loader_frame_layouts () =
   in
   (* vanilla: everything on the regular stack, ret slot included *)
   let v = M.Loader.load prog M.Config.vanilla in
-  let lv = Hashtbl.find v.M.Loader.layouts "main" in
+  let lv = M.Loader.layout v "main" in
   Alcotest.(check bool) "vanilla ret regular" false lv.M.Loader.fl_ret_on_safe;
   Alcotest.(check bool) "vanilla frame holds everything" true
     (lv.M.Loader.fl_regular_size >= 12);
@@ -207,7 +349,7 @@ let test_loader_frame_layouts () =
   let s =
     M.Loader.load built.Levee_core.Pipeline.prog built.Levee_core.Pipeline.config
   in
-  let ls = Hashtbl.find s.M.Loader.layouts "main" in
+  let ls = M.Loader.layout s "main" in
   Alcotest.(check bool) "safestack ret safe" true ls.M.Loader.fl_ret_on_safe;
   Alcotest.(check bool) "unsafe frame present" true ls.M.Loader.fl_has_unsafe;
   Alcotest.(check bool) "buffer on regular side" true
@@ -238,6 +380,9 @@ let () =
       ("layout", [ t "regions" test_layout_regions ]);
       ("loader",
        [ t "code addressing" test_loader_code_addressing;
+         t "address map matches the per-instruction oracle"
+           test_loader_address_oracle;
+         t "functions prepared on first use" test_loader_lazy;
          t "aslr slide" test_loader_aslr_slide;
          t "frame layouts" test_loader_frame_layouts ]);
       ("mpx", [ t "hardware store organisation" test_mpx_store ]) ]
