@@ -12,7 +12,6 @@
      dune exec bench/main.exe -- fig5      design-space summary
      dune exec bench/main.exe -- memtable  memory overheads (Section 5.2)
      dune exec bench/main.exe -- ablation  design-choice ablations
-     dune exec bench/main.exe -- bechamel  wall-clock microbenchmarks
 
    Options:
      --jobs N      fan independent (workload x protection x store) cells
@@ -24,10 +23,10 @@
      --fuel-cap N  clamp every workload's instruction budget (CI smoke)
 
    Cycle counts come from the machine's deterministic cost model, so every
-   number below is exactly reproducible; the bechamel target additionally
-   measures real wall-clock time of the simulations. Each target also
-   serializes every execution to BENCH_<target>.json (schema in
-   EXPERIMENTS.md) and prints a one-line summary to stderr. *)
+   number below is exactly reproducible; host wall-clock speed is measured
+   by `python3 benchmark/run.py`, not here. Each target also serializes
+   every execution to BENCH_<target>.json (schema in EXPERIMENTS.md) and
+   prints a one-line summary to stderr. *)
 
 module P = Levee_core.Pipeline
 module Stats = Levee_core.Stats
@@ -96,7 +95,7 @@ let ripe_journal_entry (s : R.summary) =
   in
   Engine.entry ~workload:"ripe-matrix" ~protection:s.R.protection
     ~store_impl:M.Safestore.Simple_array
-    ~ok:(not (must_stop_all && s.R.hijacked > 0)) ~attempts:1 ~wall_us:0
+    ~ok:(not (must_stop_all && s.R.hijacked > 0)) ~wall_us:0
     (Engine.Not_run
        (Printf.sprintf "hijacked=%d trapped=%d crashed=%d of %d" s.R.hijacked
           s.R.trapped_count s.R.crashed s.R.total))
@@ -456,61 +455,13 @@ let bench_distro () =
   if !failures = 0 then
     print_endline "\nAll packages work under all protections, as in the paper."
 
-(* ---------- bechamel wall-clock microbenchmarks ---------- *)
-
-let bench_bechamel () =
-  header "Bechamel wall-clock benchmarks (one per table/figure)";
-  let open Bechamel in
-  let open Toolkit in
-  let exec (w : W.Workload.t) prot () =
-    let prog = W.Workload.compile w in
-    let b = P.build prot prog in
-    ignore (M.Interp.run_program ~fuel:w.W.Workload.fuel b.P.prog b.P.config)
-  in
-  let attack () = ignore (R.run_matrix ~protections:[ P.Cpi ] ()) in
-  let tests =
-    [ Test.make ~name:"ripe:cpi-matrix" (Staged.stage attack);
-      Test.make ~name:"table1:perlbench-cpi"
-        (Staged.stage (exec (W.Spec.find "400.perlbench") P.Cpi));
-      Test.make ~name:"fig3:omnetpp-cpi"
-        (Staged.stage (exec (W.Spec.find "471.omnetpp") P.Cpi));
-      Test.make ~name:"table2:stats-gcc"
-        (Staged.stage (fun () ->
-             ignore (P.build P.Cpi (W.Workload.compile (W.Spec.find "403.gcc")))));
-      Test.make ~name:"table3:sjeng-softbound"
-        (Staged.stage (exec (W.Spec.find "458.sjeng") P.Softbound));
-      Test.make ~name:"fig4:pybench-cpi"
-        (Staged.stage (exec (List.nth W.Phoronix.all 5) P.Cpi));
-      Test.make ~name:"table4:web-dynamic-cpi"
-        (Staged.stage (exec W.Webstack.dynamic_page P.Cpi));
-      Test.make ~name:"fig5:bzip2-vanilla"
-        (Staged.stage (exec (W.Spec.find "401.bzip2") P.Vanilla)) ]
-  in
-  let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 0.8) ~kde:None () in
-  let instances = Instance.[ monotonic_clock ] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let ols =
-        Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-      in
-      let est = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name v ->
-          match Analyze.OLS.estimates v with
-          | Some [ t ] -> Printf.printf "  %-28s %12.2f ms/run\n" name (t /. 1e6)
-          | _ -> Printf.printf "  %-28s (no estimate)\n" name)
-        est)
-    tests
-
 (* ---------- driver ---------- *)
 
 let all_targets =
   [ ("ripe", bench_ripe); ("table1", bench_table1); ("fig3", bench_fig3);
     ("table2", bench_table2); ("table3", bench_table3); ("fig4", bench_fig4);
     ("table4", bench_table4); ("fig5", bench_fig5); ("memtable", bench_memtable);
-    ("ablation", bench_ablation); ("distro", bench_distro);
-    ("bechamel", bench_bechamel) ]
+    ("ablation", bench_ablation); ("distro", bench_distro) ]
 
 (* Targets whose printing code raised (a harness bug, not a simulated
    trap): the run continues to the next target and the process reports

@@ -56,7 +56,7 @@
        Run the concurrent web-serving workload with N worker threads
        under the deterministic scheduler, across the protection matrix
        (CPI additionally across all three store organisations). --json
-       emits a levee-bench-journal/4 document with wall_us zeroed, so
+       emits a levee-bench-journal/5 document with wall_us zeroed, so
        the output is a pure function of (--threads, --sched-seed):
        byte-identical for any --jobs. Exits 1 if any run fails, any
        protection diverges from vanilla, or a race is reported.
@@ -391,7 +391,7 @@ let run_conc args =
     (fun (protection, store_impl, st, r) ->
       Journal.record j
         (Engine.entry ~workload:w.W.Workload.name ~protection ~store_impl
-           ~ok:(check r) ~attempts:1 ~wall_us:0 (Engine.Ran (st, r))))
+           ~ok:(check r) ~wall_us:0 (Engine.Ran (st, r))))
     runs;
   let human _ =
     String.concat ""
@@ -517,8 +517,8 @@ let run_file args =
         (fun (protection, st, r, wall_us) ->
           Journal.record j
             (Engine.entry ~workload:(Filename.basename file) ~protection
-               ~store_impl:!store_impl ~ok:(Engine.exited r) ~attempts:1
-               ~wall_us (Engine.Ran (st, r))))
+               ~store_impl:!store_impl ~ok:(Engine.exited r) ~wall_us
+               (Engine.Ran (st, r))))
         runs;
       (try
          let oc = open_out path in

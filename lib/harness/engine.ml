@@ -23,30 +23,23 @@ let cell ?(store_impl = M.Safestore.Simple_array) workload protection =
 type exec = {
   result : M.Interp.result;
   stats : Levee_core.Stats.t;  (* the build's instrumentation statistics *)
-  attempts : int; (* executions before this result (retry accounting) *)
   wall_us : int;
 }
 
 type t = {
   pool : Pool.t;
   fuel_cap : int option;
-  task_timeout : float option;               (* per-cell watchdog budget *)
-  retries : int;                             (* extra attempts on exception *)
-  quarantine_after : int;                    (* failures before quarantine *)
   m : Mutex.t;                               (* guards memo + failures *)
   memo : (string * string, exec) Hashtbl.t;
-  fail_counts : (string, int) Hashtbl.t;     (* workload -> harness failures *)
   mutable journal : Journal.t option;
   mutable rev_vanilla_failures : (string * M.Trap.outcome) list;
   mutable rev_harness_failures : (string * string) list;
 }
 
-let create ?fuel_cap ?task_timeout ?(retries = 0) ?(quarantine_after = 3)
-    ~jobs () =
-  { pool = Pool.create ~jobs; fuel_cap; task_timeout; retries;
-    quarantine_after = max 1 quarantine_after; m = Mutex.create ();
-    memo = Hashtbl.create 64; fail_counts = Hashtbl.create 8; journal = None;
-    rev_vanilla_failures = []; rev_harness_failures = [] }
+let create ?fuel_cap ~jobs () =
+  { pool = Pool.create ~jobs; fuel_cap; m = Mutex.create ();
+    memo = Hashtbl.create 64; journal = None; rev_vanilla_failures = [];
+    rev_harness_failures = [] }
 
 let jobs t = Pool.jobs t.pool
 let pool t = t.pool
@@ -71,13 +64,13 @@ let exec_cell t c =
     M.Interp.run_program ~input:w.W.Workload.input ~fuel b.P.prog b.P.config
   in
   let wall_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
-  { result; stats = b.P.stats; attempts = 1; wall_us }
+  { result; stats = b.P.stats; wall_us }
 
 type measured =
   | Ran of Levee_core.Stats.t * M.Interp.result
   | Not_run of string
 
-let entry ~workload ~protection ~store_impl ~ok ~attempts ~wall_us measured
+let entry ~workload ~protection ~store_impl ~ok ~wall_us measured
     : Journal.entry =
   let e : Journal.entry =
     { workload; protection = P.protection_name protection;
@@ -85,7 +78,7 @@ let entry ~workload ~protection ~store_impl ~ok ~attempts ~wall_us measured
       status = (if ok then 0 else 1); cycles = 0; instrs = 0; mem_ops = 0;
       instrumented_mem_ops = 0; store_accesses = 0; store_footprint = 0;
       heap_peak = 0; checksum = 0; checks_elided = 0; mem_ops_demoted = 0;
-      threads = 0; ctx_switches = 0; races = 0; attempts; wall_us }
+      threads = 0; ctx_switches = 0; races = 0; wall_us }
   in
   match measured with
   | Not_run outcome -> { e with outcome }
@@ -128,8 +121,8 @@ let note t c (e : exec) =
   | Some j ->
     Journal.record j
       (entry ~workload:c.workload.W.Workload.name ~protection:c.protection
-         ~store_impl:c.store_impl ~ok:(exited e.result) ~attempts:e.attempts
-         ~wall_us:e.wall_us (Ran (e.stats, e.result)))
+         ~store_impl:c.store_impl ~ok:(exited e.result) ~wall_us:e.wall_us
+         (Ran (e.stats, e.result)))
   | None -> ()
 
 let find_memo t k =
@@ -138,20 +131,12 @@ let find_memo t k =
   Mutex.unlock t.m;
   r
 
-let fail_count t w =
-  Mutex.lock t.m;
-  let n = Option.value ~default:0 (Hashtbl.find_opt t.fail_counts w) in
-  Mutex.unlock t.m;
-  n
-
 (* Record a cell the harness could not execute: journal a synthetic failed
-   entry, count it against the workload (quarantine accounting), remember
-   it for the end-of-run report. Runs on the submitting domain. *)
-let note_failure t c ~reason ~attempts =
+   entry and remember it for the end-of-run report. Runs on the submitting
+   domain. *)
+let note_failure t c ~reason =
   let w = c.workload.W.Workload.name in
   Mutex.lock t.m;
-  Hashtbl.replace t.fail_counts w
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.fail_counts w));
   t.rev_harness_failures <-
     (w ^ "/" ^ P.protection_name c.protection, reason)
     :: t.rev_harness_failures;
@@ -160,7 +145,7 @@ let note_failure t c ~reason ~attempts =
   | Some j ->
     Journal.record j
       (entry ~workload:w ~protection:c.protection ~store_impl:c.store_impl
-         ~ok:false ~attempts ~wall_us:0 (Not_run reason))
+         ~ok:false ~wall_us:0 (Not_run reason))
   | None -> ()
 
 let prefetch t cells =
@@ -175,39 +160,17 @@ let prefetch t cells =
         else (Hashtbl.add seen k (); true))
       cells
   in
-  (* Quarantine: a workload whose harness failures (exceptions/timeouts,
-     not simulated traps) reached the threshold in *earlier* batches is
-     not executed again — its cells are reported as quarantined. The
-     check reads counts updated in submission order, so the decision is
-     deterministic and identical for every [jobs]. *)
-  let quarantined, runnable =
-    List.partition
-      (fun c -> fail_count t c.workload.W.Workload.name >= t.quarantine_after)
-      fresh
-  in
-  List.iter
-    (fun c -> note_failure t c ~reason:"quarantined" ~attempts:0)
-    quarantined;
-  let outcomes =
-    Pool.run_guarded ?timeout:t.task_timeout ~retries:t.retries t.pool
-      (List.map (fun c () -> exec_cell t c) runnable)
-  in
   List.iter2
-    (fun c (o : _ Pool.outcome) ->
-      match o.Pool.result with
-      | Ok e -> note t c { e with attempts = o.Pool.attempts }
-      | Error (Pool.Exn exn) ->
+    (fun c -> function
+      | Ok e -> note t c e
+      | Error exn ->
         (* A crashed harness task (compile/build bug) must not take the
            whole run down: journal it as a failed cell and move on. The
            cell stays unmemoized, so a later direct lookup re-raises. *)
         note_failure t c
-          ~reason:("harness-exception(" ^ Printexc.to_string exn ^ ")")
-          ~attempts:o.Pool.attempts
-      | Error (Pool.Timed_out s) ->
-        note_failure t c
-          ~reason:(Printf.sprintf "timed-out(%.1fs)" s)
-          ~attempts:o.Pool.attempts)
-    runnable outcomes
+          ~reason:("harness-exception(" ^ Printexc.to_string exn ^ ")"))
+    fresh
+    (Pool.map t.pool (exec_cell t) fresh)
 
 let run_workload t ?(store_impl = M.Safestore.Simple_array) w protection =
   let c = { workload = w; protection; store_impl } in

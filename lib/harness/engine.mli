@@ -5,7 +5,12 @@
     {!Levee_support.Journal} that every fresh execution is recorded to.
     The cost model is deterministic, so any [jobs] setting produces the
     same results and the same journal (modulo wall-clock fields); cells
-    are journalled in canonical submission order, not completion order. *)
+    are journalled in canonical submission order, not completion order.
+
+    There is no per-cell timeout and no retry: every cell is bounded by
+    its fuel and is deterministic, so a retry would repeat the same
+    failure and a cell that never returns is a bug for the tests to
+    catch. *)
 
 module P = Levee_core.Pipeline
 module W = Levee_workloads
@@ -31,8 +36,8 @@ type measured =
     uses: status 0 iff [ok]. *)
 val entry :
   workload:string -> protection:P.protection ->
-  store_impl:M.Safestore.impl -> ok:bool -> attempts:int -> wall_us:int ->
-  measured -> Levee_support.Journal.entry
+  store_impl:M.Safestore.impl -> ok:bool -> wall_us:int -> measured ->
+  Levee_support.Journal.entry
 
 (** The run ended in [Exit 0]. *)
 val exited : M.Interp.result -> bool
@@ -41,16 +46,8 @@ type t
 
 (** [create ~jobs ()] builds an engine around a [jobs]-wide pool.
     [fuel_cap], if given, clamps every workload's instruction budget (the
-    tiny-fuel CI smoke path). [task_timeout] arms the pool's per-cell
-    watchdog (seconds; needs [jobs > 1]): a stuck cell is journalled as
-    [timed-out(..)] instead of hanging the batch. [retries] re-runs a
-    cell whose harness task raised, with deterministic backoff.
-    [quarantine_after] (default 3) stops executing a workload once that
-    many of its cells failed in the harness (exceptions or timeouts, not
-    simulated traps); further cells are journalled as [quarantined]. *)
-val create :
-  ?fuel_cap:int -> ?task_timeout:float -> ?retries:int ->
-  ?quarantine_after:int -> jobs:int -> unit -> t
+    tiny-fuel CI smoke path). *)
+val create : ?fuel_cap:int -> jobs:int -> unit -> t
 
 val jobs : t -> int
 val pool : t -> Levee_support.Pool.t
@@ -77,10 +74,11 @@ val overhead : t -> W.Workload.t -> P.protection -> float
     broken and the process should exit non-zero. *)
 val vanilla_failures : t -> (string * M.Trap.outcome) list
 
-(** Cells the harness itself failed to execute (exception, timeout or
-    quarantine), as [("workload/protection", reason)] pairs in discovery
-    order. These are also journalled with status 1, so the journal still
-    covers the full matrix. *)
+(** Cells whose harness task raised (a compile or build bug, not a
+    simulated trap), as [("workload/protection",
+    "harness-exception(<exn>)")] pairs in discovery order, one per
+    execution. These are also journalled with status 1, so the journal
+    still covers the full matrix. *)
 val harness_failures : t -> (string * string) list
 
 (** Shut the pool down (joins the worker domains). *)

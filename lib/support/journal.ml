@@ -22,7 +22,6 @@ type entry = {
   threads : int;
   ctx_switches : int;
   races : int;
-  attempts : int;
   wall_us : int;
 }
 
@@ -33,7 +32,7 @@ type t = {
   mutable rev_entries : entry list;
 }
 
-let schema_id = "levee-bench-journal/4"
+let schema_id = "levee-bench-journal/5"
 
 let create ?(jobs = 1) ~target () =
   { target_name = target; jobs_used = jobs; m = Mutex.create ();
@@ -71,7 +70,7 @@ let entry_json e =
       ("checks_elided", int e.checks_elided);
       ("mem_ops_demoted", int e.mem_ops_demoted); ("threads", int e.threads);
       ("ctx_switches", int e.ctx_switches); ("races", int e.races);
-      ("attempts", int e.attempts); ("wall_us", int e.wall_us) ]
+      ("wall_us", int e.wall_us) ]
 
 let to_json t =
   J.to_document
@@ -93,7 +92,7 @@ let entry_of_json j =
     checksum = int "checksum"; checks_elided = int "checks_elided";
     mem_ops_demoted = int "mem_ops_demoted"; threads = int "threads";
     ctx_switches = int "ctx_switches"; races = int "races";
-    attempts = int "attempts"; wall_us = int "wall_us" }
+    wall_us = int "wall_us" }
 
 let of_json s =
   try
@@ -129,8 +128,8 @@ let summary_line t =
     t.target_name (List.length es) failed cycles
     (float_of_int wall /. 1000.) t.jobs_used
 
-let write ?(dir = ".") t =
-  let path = Filename.concat dir ("BENCH_" ^ t.target_name ^ ".json") in
+let write t =
+  let path = "BENCH_" ^ t.target_name ^ ".json" in
   let oc = open_out path in
   output_string oc (to_json t);
   close_out oc;
@@ -141,12 +140,11 @@ let write ?(dir = ".") t =
 (* One aggregate record per journal: the trajectory tracks whole-target
    totals, the per-cell detail stays in BENCH_<target>.json. Metric
    order is fixed, so the record's bytes are deterministic. *)
-let to_record ?(kind = "bench") ?commit ?(seed = 0) ?(zero_wall = false) t =
+let to_record ?(kind = "bench") ?commit ?(seed = 0) t =
   let es = entries t in
   let sum f = List.fold_left (fun acc e -> acc + f e) 0 es in
-  let wall_us = if zero_wall then 0 else sum (fun e -> e.wall_us) in
   Runstore.make ~schema:schema_id ~kind ?commit ~config:t.target_name ~seed
-    ~wall_us
+    ~wall_us:(sum (fun e -> e.wall_us))
     [ ("cells", Runstore.Int (List.length es));
       ("failures", Runstore.Int (List.length (failures t)));
       ("cycles", Runstore.Int (sum (fun e -> e.cycles)));

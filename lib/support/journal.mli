@@ -25,7 +25,6 @@ type entry = {
   threads : int;               (** total threads, including main (>= 1) *)
   ctx_switches : int;          (** deterministic-scheduler context switches *)
   races : int;                 (** lockset-detector race reports *)
-  attempts : int;              (** executions before this result (>= 1) *)
   wall_us : int;               (** wall-clock microseconds for this cell *)
 }
 
@@ -57,19 +56,18 @@ val equal : ?ignore_wall:bool -> t -> t -> bool
 (** One-line human summary: entry count, failures, total cycles. *)
 val summary_line : t -> string
 
-(** Write [BENCH_<target>.json] under [dir] (default ["."]) and return
-    the path. *)
-val write : ?dir:string -> t -> string
+(** Write [BENCH_<target>.json] in the current directory and return the
+    path. *)
+val write : t -> string
 
 (** Project the journal to one aggregate {!Runstore.record} (sums over
     the entries; [config] is the journal's target) for appending to the
-    run-store. [zero_wall] drops the only nondeterministic field so the
-    record's bytes are a pure function of the run; deterministic
-    producers (e.g. `levee conc`) already record [wall_us = 0]. *)
+    run-store. [wall_us] is the only nondeterministic field; deterministic
+    producers (e.g. `levee conc`) record [wall_us = 0] in every entry, so
+    their record's bytes are a pure function of the run. *)
 val to_record :
   ?kind:string ->
   ?commit:string ->
   ?seed:int ->
-  ?zero_wall:bool ->
   t ->
   Runstore.record

@@ -20,7 +20,7 @@
 type value = Int of int | Float of float | Str of string
 
 type record = {
-  schema : string;   (** producer schema, e.g. ["levee-bench-journal/4"] *)
+  schema : string;   (** producer schema, e.g. ["levee-bench-journal/5"] *)
   kind : string;     (** producer family: ["bench"], ["conc"], ... *)
   commit : string;   (** source revision, or ["unknown"] *)
   config : string;   (** run configuration, e.g. ["table1"], ["web-conc-t4-s0"] *)

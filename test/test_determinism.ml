@@ -506,7 +506,7 @@ let test_golden_campaigns () =
    The run-store's whole value rests on records being deterministic
    bytes: the same run appended under any --jobs width must produce
    byte-identical JSONL lines (wall_us is the one nondeterministic
-   field; zero_wall drops it, and `levee conc` records it as 0), and
+   field; the test zeroes it, and `levee conc` records it as 0), and
    the `levee history` renderings are pinned so the @history-smoke
    byte-compares and any downstream tooling can rely on them. *)
 
@@ -514,9 +514,10 @@ module RS = Levee_support.Runstore
 
 let test_record_bytes_jobs () =
   let line jobs =
-    RS.to_line
-      (Journal.to_record ~kind:"bench" ~commit:"golden" ~zero_wall:true
-         (run_table1 ~jobs))
+    let r =
+      Journal.to_record ~kind:"bench" ~commit:"golden" (run_table1 ~jobs)
+    in
+    RS.to_line { r with RS.wall_us = 0 }
   in
   let l1 = line 1 in
   Alcotest.(check string) "jobs=1 vs jobs=4: byte-identical record" l1 (line 4);

@@ -1,7 +1,8 @@
 (* Tests for the fault-injection campaign layer: plan resolution is
    deterministic, the levee-faults/3 report is byte-identical across runs
    and across --jobs, the paper's invariants hold on the smoke campaign,
-   and the engine quarantines workloads that keep failing in the harness. *)
+   and the engine journals a cell whose harness task raises as a failed
+   cell without stopping the batch. *)
 
 module P = Levee_core.Pipeline
 module M = Levee_machine
@@ -9,6 +10,7 @@ module A = Levee_attacks
 module W = Levee_workloads
 module Faults = Levee_harness.Faults
 module Engine = Levee_harness.Engine
+module Journal = Levee_support.Journal
 
 (* The smoke campaign is the shared fixture; run it once per jobs
    setting and memoize (the cost model is deterministic, so reuse is
@@ -151,54 +153,49 @@ let test_resolve_deterministic () =
         true (f1 <> []))
     s.Faults.splans
 
-(* ---------- engine quarantine ---------- *)
+(* ---------- engine harness failures ---------- *)
 
 let broken_workload name : W.Workload.t =
   { W.Workload.name; lang = W.Workload.C;
     description = "deliberately unparsable";
     source = "int main( {"; input = [||]; fuel = 1000 }
 
-let test_engine_quarantine () =
-  let e = Engine.create ~quarantine_after:2 ~jobs:1 () in
+(* A cell whose harness task raises is journalled with status 1 and
+   reported once per execution; a later batch runs it again, and a direct
+   lookup re-raises the same exception. *)
+let test_engine_harness_exception jobs () =
+  let e = Engine.create ~jobs () in
   Fun.protect
     ~finally:(fun () -> Engine.shutdown e)
     (fun () ->
-      let w = broken_workload "quarantine-me" in
-      (* Two failing cells in the first batch reach the threshold... *)
-      Engine.prefetch e [ Engine.cell w P.Vanilla; Engine.cell w P.Safe_stack ];
-      (* ...so a later batch must not execute the workload again. *)
-      Engine.prefetch e [ Engine.cell w P.Cpi ];
-      match Engine.harness_failures e with
-      | [ (c1, r1); (c2, r2); (c3, r3) ] ->
-        Alcotest.(check string) "first cell" "quarantine-me/vanilla" c1;
-        Alcotest.(check string) "second cell" "quarantine-me/safestack" c2;
-        Alcotest.(check string) "third cell" "quarantine-me/cpi" c3;
-        let is_exn r =
-          String.length r >= 17
-          && String.sub r 0 17 = "harness-exception"
-        in
-        Alcotest.(check bool) "first is an exception" true (is_exn r1);
-        Alcotest.(check bool) "second is an exception" true (is_exn r2);
-        Alcotest.(check string) "third is quarantined" "quarantined" r3
-      | fs ->
-        Alcotest.failf "expected 3 harness failures, got %d" (List.length fs))
-
-let test_engine_retry_accounting () =
-  (* A failing cell under retries: the harness failure is recorded once,
-     with the attempts count visible in the journal entry. *)
-  let e = Engine.create ~retries:2 ~jobs:1 () in
-  Fun.protect
-    ~finally:(fun () -> Engine.shutdown e)
-    (fun () ->
-      let j = Levee_support.Journal.create ~jobs:1 ~target:"t" () in
+      let j = Journal.create ~jobs ~target:"t" () in
       Engine.set_journal e (Some j);
-      Engine.prefetch e [ Engine.cell (broken_workload "retry-me") P.Vanilla ];
-      match Levee_support.Journal.entries j with
-      | [ entry ] ->
-        Alcotest.(check int) "three attempts journalled" 3
-          entry.Levee_support.Journal.attempts;
-        Alcotest.(check int) "status 1" 1 entry.Levee_support.Journal.status
-      | es -> Alcotest.failf "expected 1 journal entry, got %d" (List.length es))
+      let broken = broken_workload "broken" in
+      let fine =
+        { broken with W.Workload.name = "fine";
+                      source = "int main() { return 0; }" }
+      in
+      Engine.prefetch e
+        [ Engine.cell broken P.Vanilla; Engine.cell fine P.Vanilla;
+          Engine.cell broken P.Cpi ];
+      Engine.prefetch e [ Engine.cell broken P.Vanilla ];
+      let failures = Engine.harness_failures e in
+      Alcotest.(check (list string)) "failed cells in submission order"
+        [ "broken/vanilla"; "broken/cpi"; "broken/vanilla" ]
+        (List.map fst failures);
+      List.iter
+        (fun (cell, reason) ->
+          Alcotest.(check bool) (cell ^ " reason") true
+            (String.starts_with ~prefix:"harness-exception(" reason))
+        failures;
+      Alcotest.(check (list int)) "journal statuses" [ 1; 0; 1; 1 ]
+        (List.map (fun en -> en.Journal.status) (Journal.entries j));
+      match Engine.run_workload e broken P.Vanilla with
+      | _ -> Alcotest.fail "direct lookup of a broken cell must raise"
+      | exception exn ->
+        Alcotest.(check string) "direct lookup re-raises"
+          (snd (List.hd failures))
+          ("harness-exception(" ^ Printexc.to_string exn ^ ")"))
 
 let () =
   Alcotest.run "faults"
@@ -217,6 +214,7 @@ let () =
           Alcotest.test_case "resolve deterministic" `Quick
             test_resolve_deterministic ] );
       ( "engine",
-        [ Alcotest.test_case "quarantine trips" `Quick test_engine_quarantine;
-          Alcotest.test_case "retry accounting" `Quick
-            test_engine_retry_accounting ] ) ]
+        [ Alcotest.test_case "harness exception jobs=1" `Quick
+            (test_engine_harness_exception 1);
+          Alcotest.test_case "harness exception jobs=2" `Quick
+            (test_engine_harness_exception 2) ] ) ]

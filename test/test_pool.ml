@@ -32,20 +32,26 @@ let test_order jobs () =
         (List.map (fun i -> Ok (i * i)) xs)
         got)
 
+(* Both paths: the inline jobs=1 pool and worker domains. *)
 let test_exception_isolated () =
-  with_pool 4 (fun p ->
-      let got =
-        Pool.map p
-          (fun i -> if i = 2 then raise (Boom i) else i + 100)
-          [ 0; 1; 2; 3; 4 ]
-      in
-      Alcotest.check results_testable "raising task captured in its slot"
-        [ Ok 100; Ok 101; Error (Boom 2); Ok 103; Ok 104 ]
-        got;
-      (* the pool must survive the exception and accept another batch *)
-      let again = Pool.map p (fun i -> i * 2) [ 1; 2; 3 ] in
-      Alcotest.check results_testable "pool not poisoned"
-        [ Ok 2; Ok 4; Ok 6 ] again)
+  List.iter
+    (fun jobs ->
+      let label = Printf.sprintf "jobs=%d %s" jobs in
+      with_pool jobs (fun p ->
+          let got =
+            Pool.map p
+              (fun i -> if i = 2 then raise (Boom i) else i + 100)
+              [ 0; 1; 2; 3; 4 ]
+          in
+          Alcotest.check results_testable
+            (label "raising task captured in its slot")
+            [ Ok 100; Ok 101; Error (Boom 2); Ok 103; Ok 104 ]
+            got;
+          (* the pool must survive the exception and accept another batch *)
+          let again = Pool.map p (fun i -> i * 2) [ 1; 2; 3 ] in
+          Alcotest.check results_testable (label "pool not poisoned")
+            [ Ok 2; Ok 4; Ok 6 ] again))
+    [ 1; 4 ]
 
 let test_matches_sequential () =
   let xs = List.init 57 (fun i -> (i * 7919) land 1023) in
@@ -74,8 +80,7 @@ let entry i : Journal.entry =
     mem_ops = 40 * i; instrumented_mem_ops = 7 * i; store_accesses = 3 * i;
     store_footprint = 4096 + i; heap_peak = 2 * i; checksum = -i;
     checks_elided = 5 * i; mem_ops_demoted = i; threads = 1 + (i mod 3);
-    ctx_switches = 6 * i; races = i mod 2; attempts = 1 + (i mod 2);
-    wall_us = 31337 * i }
+    ctx_switches = 6 * i; races = i mod 2; wall_us = 31337 * i }
 
 let test_journal_roundtrip () =
   let j = Journal.create ~jobs:4 ~target:"table1" () in
@@ -115,158 +120,18 @@ let test_journal_rejects_garbage () =
     (bad
        "{\"schema\":\"levee-bench-journal/1\",\"target\":\"t\",\"jobs\":1,\
         \"entries\":[]}");
-  (* /2 journals lack the attempts field; the parser must not guess. *)
-  Alcotest.(check bool) "previous schema version" true
+  (* Earlier versions have other entry fields (/2 lacks the thread
+     counters, /4 still has attempts); the parser must not guess. *)
+  Alcotest.(check bool) "schema version 2" true
     (bad
        "{\"schema\":\"levee-bench-journal/2\",\"target\":\"t\",\"jobs\":1,\
+        \"entries\":[]}");
+  Alcotest.(check bool) "previous schema version" true
+    (bad
+       "{\"schema\":\"levee-bench-journal/4\",\"target\":\"t\",\"jobs\":1,\
         \"entries\":[]}")
 
-(* ---------- resilience: timeouts, retries, re-entrancy ---------- *)
-
-let is_timed_out = function
-  | { Pool.result = Error (Pool.Timed_out _); _ } -> true
-  | _ -> false
-
-let ok_of = function
-  | { Pool.result = Ok v; _ } -> Some v
-  | _ -> None
-
-let test_timeout_keeps_siblings () =
-  with_pool 2 (fun p ->
-      let stuck () =
-        Unix.sleepf 0.5;
-        -1
-      in
-      let outs =
-        Pool.run_guarded ~timeout:0.05 p
-          [ stuck; (fun () -> 2); (fun () -> 3); (fun () -> 4) ]
-      in
-      Alcotest.(check int) "four slots" 4 (List.length outs);
-      Alcotest.(check bool) "stuck task reported Timed_out" true
-        (is_timed_out (List.nth outs 0));
-      Alcotest.(check (list (option int))) "siblings all survive"
-        [ None; Some 2; Some 3; Some 4 ]
-        (List.map ok_of outs);
-      (* capacity was replaced: the pool still runs full batches *)
-      let again = Pool.map p (fun i -> i * 10) [ 1; 2; 3; 4 ] in
-      Alcotest.check results_testable "pool usable after timeout"
-        [ Ok 10; Ok 20; Ok 30; Ok 40 ] again;
-      (* the abandoned domain drains once its sleep finishes *)
-      let deadline = Unix.gettimeofday () +. 2.0 in
-      while Pool.abandoned p > 0 && Unix.gettimeofday () < deadline do
-        Unix.sleepf 0.01
-      done;
-      Alcotest.(check int) "abandoned task drained" 0 (Pool.abandoned p))
-
-let test_timeout_at_last_task () =
-  with_pool 2 (fun p ->
-      (* The stuck task is the LAST slot: the watchdog fires while the
-         rest of the batch has already drained and the submitter is
-         polling for a single remaining slot. *)
-      let outs =
-        Pool.run_guarded ~timeout:0.05 p
-          [ (fun () -> 1); (fun () -> 2); (fun () -> 3);
-            (fun () ->
-              Unix.sleepf 0.5;
-              -1) ]
-      in
-      Alcotest.(check (list (option int))) "only the final slot times out"
-        [ Some 1; Some 2; Some 3; None ]
-        (List.map ok_of outs);
-      Alcotest.(check bool) "final slot reported Timed_out" true
-        (is_timed_out (List.nth outs 3));
-      (* the watchdog replaced the stuck worker: full-width batches run *)
-      let again = Pool.map p (fun i -> i + 1) [ 1; 2; 3; 4 ] in
-      Alcotest.check results_testable "pool usable after last-slot timeout"
-        [ Ok 2; Ok 3; Ok 4; Ok 5 ] again;
-      let deadline = Unix.gettimeofday () +. 2.0 in
-      while Pool.abandoned p > 0 && Unix.gettimeofday () < deadline do
-        Unix.sleepf 0.01
-      done;
-      Alcotest.(check int) "abandoned task drained" 0 (Pool.abandoned p))
-
-let test_all_attempts_time_out () =
-  with_pool 2 (fun p ->
-      (* Every task wedges: each slot must report Timed_out with
-         attempts = 1 — the watchdog result bypasses the retry loop, so
-         a requested retry budget must not inflate the accounting. *)
-      let outs =
-        Pool.run_guarded ~timeout:0.05 ~retries:2
-          ~backoff:(fun _ -> 0.0)
-          p
-          [ (fun () ->
-              Unix.sleepf 0.5;
-              1);
-            (fun () ->
-              Unix.sleepf 0.5;
-              2) ]
-      in
-      Alcotest.(check int) "both slots reported" 2 (List.length outs);
-      List.iter
-        (fun o ->
-          Alcotest.(check bool) "slot is Timed_out" true (is_timed_out o);
-          Alcotest.(check int) "timed-out slot counts one attempt" 1
-            o.Pool.attempts)
-        outs;
-      Alcotest.(check int) "both stuck domains tracked as abandoned" 2
-        (Pool.abandoned p);
-      let deadline = Unix.gettimeofday () +. 2.0 in
-      while Pool.abandoned p > 0 && Unix.gettimeofday () < deadline do
-        Unix.sleepf 0.01
-      done;
-      Alcotest.(check int) "abandoned tasks drained" 0 (Pool.abandoned p);
-      (* two replacement workers were spawned: capacity is intact *)
-      let again = Pool.map p (fun i -> i * 3) [ 1; 2 ] in
-      Alcotest.check results_testable "pool survives a fully-wedged batch"
-        [ Ok 3; Ok 6 ] again)
-
-let test_retry_deterministic () =
-  (* Same failing-twice thunk under jobs=1 and jobs=2: identical outcome
-     shape, identical backoff schedule. *)
-  let run_once jobs =
-    let tries = ref 0 in
-    let slept = ref [] in
-    let backoff k =
-      slept := k :: !slept;
-      0.0
-    in
-    let outs =
-      with_pool jobs (fun p ->
-          Pool.run_guarded ~retries:3 ~backoff p
-            [ (fun () ->
-                incr tries;
-                if !tries < 3 then raise (Boom !tries) else 777) ])
-    in
-    (List.hd outs, List.rev !slept)
-  in
-  List.iter
-    (fun jobs ->
-      let o, ks = run_once jobs in
-      Alcotest.(check (option int))
-        (Printf.sprintf "jobs=%d succeeds on third attempt" jobs)
-        (Some 777) (ok_of o);
-      Alcotest.(check int)
-        (Printf.sprintf "jobs=%d attempts counted" jobs)
-        3 o.Pool.attempts;
-      Alcotest.(check (list int))
-        (Printf.sprintf "jobs=%d backoff called with 1,2" jobs)
-        [ 1; 2 ] ks)
-    [ 1; 2 ]
-
-let test_retries_exhausted () =
-  with_pool 1 (fun p ->
-      let outs =
-        Pool.run_guarded ~retries:2 ~backoff:(fun _ -> 0.0) p
-          [ (fun () -> raise (Boom 9)) ]
-      in
-      match outs with
-      | [ { Pool.result = Error (Pool.Exn (Boom 9)); attempts = 3 } ] -> ()
-      | _ -> Alcotest.fail "expected Error (Boom 9) after 3 attempts")
-
-let test_default_backoff () =
-  Alcotest.(check (list (float 1e-9))) "doubling, no jitter"
-    [ 0.01; 0.02; 0.04; 0.08 ]
-    (List.map Pool.default_backoff [ 1; 2; 3; 4 ])
+(* ---------- re-entrancy ---------- *)
 
 let test_reentrant_rejected jobs () =
   with_pool jobs (fun p ->
@@ -291,20 +156,8 @@ let () =
             test_matches_sequential;
           Alcotest.test_case "empty batch & defaults" `Quick
             test_empty_and_defaults ] );
-      ( "resilience",
-        [ Alcotest.test_case "timeout keeps siblings" `Quick
-            test_timeout_keeps_siblings;
-          Alcotest.test_case "timeout at the last task" `Quick
-            test_timeout_at_last_task;
-          Alcotest.test_case "every attempt times out" `Quick
-            test_all_attempts_time_out;
-          Alcotest.test_case "deterministic retry/backoff" `Quick
-            test_retry_deterministic;
-          Alcotest.test_case "retries exhausted" `Quick
-            test_retries_exhausted;
-          Alcotest.test_case "default backoff schedule" `Quick
-            test_default_backoff;
-          Alcotest.test_case "re-entrant run rejected jobs=1" `Quick
+      ( "re-entrancy",
+        [ Alcotest.test_case "re-entrant run rejected jobs=1" `Quick
             (test_reentrant_rejected 1);
           Alcotest.test_case "re-entrant run rejected jobs=2" `Quick
             (test_reentrant_rejected 2) ] );
