@@ -82,7 +82,10 @@ let analyze ?(name = "<program>") (prog : Prog.t) : report =
   (match Levee_ir.Verify.program_result prog with
    | Ok () -> ()
    | Error e -> emit Error "invalid-ir" "" (-1) (-1) e);
-  let plan = Plan.create ~refine:true ~pinned:[] prog in
+  let plan =
+    Plan.create ~refine:true ~pinned:[]
+      ~points_to:(fun () -> Pointsto.analyze prog) prog
+  in
   let ctx = Plan.ctx plan in
   let pt = Plan.points_to plan in
   (* Functions reachable from a thread_spawn target via direct calls:

@@ -1,6 +1,8 @@
 (** The sensitive-access plan (Section 3.2.1); see plan.mli. The char*
     demotions every consumer reads are built up front; every other table
-    is lazy and kept, so each pass builds only what it reads, once. *)
+    is lazy and kept, so each pass builds only what it reads, once. The
+    lazies belong to this plan and so to one domain; only the strict
+    points-to solution it is handed may be shared. *)
 
 module I = Levee_ir.Instr
 module Prog = Levee_ir.Prog
@@ -82,9 +84,9 @@ let keep_in ~pinned pt funcs fname pos =
                      | _ -> false)
                    (Pointsto.points_to pt ~fname a)))
 
-let refine ~pinned ctx funcs pt =
+let refine ~pinned ctx funcs pt prog =
   let refined =
-    Pointsto.refine_cpi pt ~ctx
+    Pointsto.refine_cpi pt prog ~ctx
       ~usedef:(fun fname -> Lazy.force (Hashtbl.find funcs fname).usedef)
       ~keep:(keep_in ~pinned pt funcs) ~skip:(skip_in funcs)
   in
@@ -96,12 +98,12 @@ let refine ~pinned ctx funcs pt =
     refined;
   Hashtbl.length refined
 
-let create ~refine:on ~pinned (prog : Prog.t) =
+let create ~refine:on ~pinned ~points_to (prog : Prog.t) =
   let ctx = Sensitivity.create prog.Prog.tenv in
   let funcs = Hashtbl.create 16 in
-  let pt = lazy (Pointsto.analyze prog) in
+  let pt = lazy (points_to ()) in
   let refinement =
-    lazy (if on then refine ~pinned ctx funcs (Lazy.force pt) else 0)
+    lazy (if on then refine ~pinned ctx funcs (Lazy.force pt) prog else 0)
   in
   Prog.iter_funcs prog (fun fn ->
       let usedef = lazy (Usedef.build fn) in

@@ -23,14 +23,20 @@ type access =
   | Sensitive  (** a sensitive pointer *)
   | Annotated  (** non-sensitive data inside an annotated struct *)
 
-(** [create ~refine ~pinned prog]: with [refine], the points-to
-    refinement runs; it never demotes an access that may reach a global
-    named in [pinned]. *)
-val create : refine:bool -> pinned:string list -> Levee_ir.Prog.t -> t
+(** [create ~refine ~pinned ~points_to prog]: with [refine], the
+    points-to refinement runs; it never demotes an access that may reach
+    a global named in [pinned]. [points_to] yields the solve for [prog]
+    (or for the program [prog] was cloned from, before any pass rewrote
+    it); it is called at most once, and only if a consumer reads the
+    solve. A plan reads [Alloca.slot] from [prog], so it belongs to that
+    one program and is never shared. *)
+val create :
+  refine:bool -> pinned:string list -> points_to:(unit -> Pointsto.t) ->
+  Levee_ir.Prog.t -> t
 
 val ctx : t -> Sensitivity.ctx
 
-(** The {!Pointsto.analyze} result, computed at most once. *)
+(** The points-to solve, asked for at most once. *)
 val points_to : t -> Pointsto.t
 
 (** Accesses the points-to refinement demoted (0 without [refine]). *)

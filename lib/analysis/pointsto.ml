@@ -11,9 +11,28 @@
     whose contents may — through any chain of loads — yield a code
     pointer.
 
+    The solver numbers its nodes densely. Each function owns a block of
+    nodes: one per register, then one for its return value, so a
+    register's node is its function's base plus the register number.
+    Each object gets a node for its contents and, when a [Glob] or [Fun]
+    operand names it, one seeded node for its constant address. An
+    indirect call links to the address-taken functions of its signature
+    class through a hub, one node per parameter and one for the return
+    value, shared by every call of that type and arity, instead of to
+    every member directly; the least solution at every register, return
+    value and object is the same. The constraints are then re-applied
+    round-robin until a round changes nothing, skipping each constraint
+    none of whose inputs grew since it last ran. The lattice is finite,
+    so this terminates; there is no iteration cap.
+
+    [analyze] reads its input and never writes it, and the solution it
+    returns is immutable, with no lazy parts: one solve may be read from
+    several domains at once.
+
     Consumers: the sensitivity refinement ([refine_cpi]/[refine_cps])
     demotes accesses the type rule over-approximates as sensitive but
-    whose points-to sets provably never reach a code pointer, and the
+    whose points-to sets provably never reach a code pointer, the
+    cfi-type pass reads the signature classes and callee sets, and the
     [Diag] lint front end reports the classification. Everything here is
     deliberately monotone and conservative: imprecision only leaves extra
     instrumentation in place, never removes protection from a pointer
@@ -36,112 +55,142 @@ type obj =
 
 module ISet = Set.Make (Int)
 
-(* Points-to graph nodes: virtual registers, object contents (one cell
-   per object — field-insensitive), function return values, and one
-   synthetic node per distinct non-register operand so that [Glob]/[Fun]
-   operands can seed base sets uniformly. *)
-type node =
-  | N_reg of string * int
-  | N_obj of int
-  | N_ret of string
-  | N_op of I.operand
+(* The first two objects, in discovery order. *)
+let code_id = 0
+let unknown_id = 1
 
-(* Inclusion constraints. [C_load]/[C_store]/[C_contents]/[C_store_obj]
-   are the "complex" constraints re-expanded every round against the
-   current solution. *)
-type constr =
-  | C_copy of int * int (* pts(src) ⊆ pts(dst) *)
-  | C_load of int * int (* addr node, dst node *)
-  | C_store of int * int (* value node, addr node *)
-  | C_contents of int * int (* memcpy-style: dst addr node, src addr node *)
-  | C_store_obj of int * int (* object id, addr node *)
+(* A function's nodes: registers [base, base + nregs), then its return
+   value at [base + nregs]. *)
+type slots = { base : int; nregs : int; nparams : int }
+
+(* The address-taken functions an indirect call may enter, and the hub
+   that links the calls of one type and arity to them: parameter [k] at
+   node [hub + k], the return value at [hub + nparams]. *)
+type sig_class = { members : string list; nparams : int; hub : int }
+
+type target = { tname : string; tty : Ty.t; tslots : slots }
 
 type t = {
-  prog : Prog.t;
+  source : Prog.t;
   objs : obj array;
-  obj_ids : (obj, int) Hashtbl.t;
-  node_ids : (node, int) Hashtbl.t;
+  globals : (string, int) Hashtbl.t;  (* [O_global] objects by name *)
+  funs : (string, int) Hashtbl.t;     (* [O_fun] objects by name *)
+  sites : (obj, int) Hashtbl.t;       (* [O_alloca] and [O_malloc] objects *)
+  slots : (string, slots) Hashtbl.t;
   obj_node : int array; (* object id -> node id of its contents *)
   pts : ISet.t array; (* node id -> points-to set (object ids) *)
   reaches : bool array; (* object id -> contents may reach a code pointer *)
   hazard : bool array; (* object id -> moved by memcpy/strcpy/setjmp *)
-  code_id : int;
-  unknown_id : int;
+  targets : target list; (* address-taken functions, in program order *)
+  classes : (Ty.t * int, sig_class) Hashtbl.t; (* by call type and arity *)
 }
+
+(* A growable buffer of ints: seed facts and constraints, as pairs. *)
+module Vec = struct
+  type t = { mutable a : int array; mutable n : int }
+
+  let create () = { a = Array.make 256 0; n = 0 }
+
+  let push v x =
+    if v.n = Array.length v.a then begin
+      let a = Array.make (2 * v.n) 0 in
+      Array.blit v.a 0 a 0 v.n;
+      v.a <- a
+    end;
+    v.a.(v.n) <- x;
+    v.n <- v.n + 1
+
+  let push2 v x y = push v x; push v y
+end
 
 let fn_ty (g : Prog.func) =
   Ty.Fn (List.map snd g.Prog.params, g.Prog.ret_ty)
 
+(* The signature class of an indirect call: the address-taken functions
+   of exactly its type or, when there are none, those of its arity. *)
+let class_members targets fty arity =
+  match List.filter (fun tg -> Ty.equal fty tg.tty) targets with
+  | [] -> List.filter (fun tg -> tg.tslots.nparams = arity) targets
+  | typed -> typed
+
 let analyze (prog : Prog.t) : t =
-  ignore (Prog.compute_address_taken prog);
-  let obj_ids : (obj, int) Hashtbl.t = Hashtbl.create 64 in
-  let objs_rev = ref [] in
-  let nobjs = ref 0 in
-  let obj_id o =
-    match Hashtbl.find_opt obj_ids o with
+  let slots = Hashtbl.create 64 in
+  let nn = ref 0 in
+  Prog.iter_funcs prog (fun fn ->
+      Hashtbl.replace slots fn.Prog.fname
+        { base = !nn; nregs = fn.Prog.nregs;
+          nparams = List.length fn.Prog.params };
+      nn := !nn + fn.Prog.nregs + 1);
+  let fresh_nodes k =
+    let n = !nn in
+    nn := n + k;
+    n
+  in
+  (* Objects are numbered in first-discovery order, so [points_to]'s
+     order is part of the contract. *)
+  let objs = ref [] and nobjs = ref 0 in
+  let obj_node = Vec.create () and addr_node = Vec.create () in
+  let new_obj o =
+    let i = !nobjs in
+    incr nobjs;
+    objs := o :: !objs;
+    Vec.push obj_node (fresh_nodes 1);
+    Vec.push addr_node (-1);
+    i
+  in
+  ignore (new_obj O_code);
+  ignore (new_obj O_unknown);
+  let globals = Hashtbl.create 64 and funs = Hashtbl.create 64 in
+  let sites = Hashtbl.create 256 in
+  let find_or_add tbl key mk =
+    match Hashtbl.find_opt tbl key with
     | Some i -> i
     | None ->
-      let i = !nobjs in
-      incr nobjs;
-      Hashtbl.replace obj_ids o i;
-      objs_rev := o :: !objs_rev;
+      let i = new_obj (mk key) in
+      Hashtbl.replace tbl key i;
       i
   in
-  let code_id = obj_id O_code in
-  let unknown_id = obj_id O_unknown in
-  let node_ids : (node, int) Hashtbl.t = Hashtbl.create 256 in
-  let nnodes = ref 0 in
-  let node_id n =
-    match Hashtbl.find_opt node_ids n with
-    | Some i -> i
-    | None ->
-      let i = !nnodes in
-      incr nnodes;
-      Hashtbl.replace node_ids n i;
-      i
+  let global_obj g = find_or_add globals g (fun g -> O_global g) in
+  let fun_obj f = find_or_add funs f (fun f -> O_fun f) in
+  let site_obj o = find_or_add sites o Fun.id in
+  let node_of o = obj_node.Vec.a.(o) in
+  let seeds = Vec.create () in (* node, object *)
+  let copies = Vec.create () in (* pts(src) ⊆ pts(dst): src, dst *)
+  let loads = Vec.create () in (* addr, dst *)
+  let stores = Vec.create () in (* value, addr *)
+  let contents = Vec.create () in (* memcpy-style: dst addr, src addr *)
+  let store_objs = Vec.create () in (* object, addr *)
+  let seed n o = Vec.push2 seeds n o in
+  (* An operand's node; [none] for an immediate or null, whose set is
+     empty. A constant address ([Glob], [Fun]) gets one node per object,
+     seeded once; a [Fun]'s also holds [O_code]. *)
+  let none = -1 in
+  let const ?(code = false) o =
+    if addr_node.Vec.a.(o) < 0 then begin
+      let n = fresh_nodes 1 in
+      if code then seed n code_id;
+      seed n o;
+      addr_node.Vec.a.(o) <- n
+    end;
+    addr_node.Vec.a.(o)
   in
-  let base : (int, ISet.t ref) Hashtbl.t = Hashtbl.create 256 in
-  let add_base n o =
-    let r =
-      match Hashtbl.find_opt base n with
-      | Some r -> r
-      | None ->
-        let r = ref ISet.empty in
-        Hashtbl.replace base n r;
-        r
-    in
-    r := ISet.add o !r
-  in
-  let constrs = ref [] in
-  let add_c c = constrs := c :: !constrs in
-  let op_node fname (o : I.operand) =
-    match o with
-    | I.Reg r -> node_id (N_reg (fname, r))
-    | I.Glob g ->
-      let n = node_id (N_op o) in
-      add_base n (obj_id (O_global g));
-      n
-    | I.Fun f ->
-      let n = node_id (N_op o) in
-      add_base n code_id;
-      add_base n (obj_id (O_fun f));
-      n
-    | I.Imm _ | I.Nullp -> node_id (N_op o)
-  in
+  let edge v x y = if x <> none && y <> none then Vec.push2 v x y in
+  let copy = edge copies and load = edge loads and store = edge stores in
+  let move_contents = edge contents in
+  let store_obj = edge store_objs in
   (* Global initializers: code addresses and global addresses stored in
      static data are contents facts. *)
   List.iter
     (fun (g : Prog.global) ->
-      let oid = obj_id (O_global g.Prog.gname) in
+      let oid = global_obj g.Prog.gname in
       Array.iter
         (fun cell ->
           match cell with
           | Prog.Cint _ -> ()
           | Prog.Cfun f ->
-            add_base (node_id (N_obj oid)) code_id;
-            add_base (node_id (N_obj oid)) (obj_id (O_fun f))
-          | Prog.Cglob (g2, _) ->
-            add_base (node_id (N_obj oid)) (obj_id (O_global g2)))
+            seed (node_of oid) code_id;
+            seed (node_of oid) (fun_obj f)
+          | Prog.Cglob (g2, _) -> seed (node_of oid) (global_obj g2))
         g.Prog.init)
     prog.Prog.globals;
   (* Address-taken functions may be entered from call sites the call
@@ -149,164 +198,202 @@ let analyze (prog : Prog.t) : t =
   let targets = ref [] in
   Prog.iter_funcs prog (fun fn ->
       if fn.Prog.address_taken then begin
-        targets := fn :: !targets;
-        List.iteri
-          (fun i (_ : string * Ty.t) ->
-            add_base (node_id (N_reg (fn.Prog.fname, i))) unknown_id)
-          fn.Prog.params
+        let s = Hashtbl.find slots fn.Prog.fname in
+        targets :=
+          { tname = fn.Prog.fname; tty = fn_ty fn; tslots = s } :: !targets;
+        for k = 0 to s.nparams - 1 do
+          seed (s.base + k) unknown_id
+        done
       end);
   let targets = List.rev !targets in
-  let hazard_args = ref [] in
+  (* One hub per call type and arity: parameter k flows to every
+     member's register k, every member's return value to the hub's. *)
+  let classes = Hashtbl.create 16 in
+  let class_of fty arity =
+    match Hashtbl.find_opt classes (fty, arity) with
+    | Some c -> c
+    | None ->
+      let members = class_members targets fty arity in
+      let c =
+        match members with
+        | [] -> { members = []; nparams = 0; hub = none }
+        | first :: _ ->
+          let nparams = first.tslots.nparams in
+          let hub = fresh_nodes (nparams + 1) in
+          List.iter
+            (fun tg ->
+              let s = tg.tslots in
+              for k = 0 to nparams - 1 do
+                Vec.push2 copies (hub + k) (s.base + k)
+              done;
+              Vec.push2 copies (s.base + s.nregs) (hub + nparams))
+            members;
+          { members = List.map (fun tg -> tg.tname) members; nparams; hub }
+      in
+      Hashtbl.replace classes (fty, arity) c;
+      c
+  in
+  let hazard_nodes = Vec.create () and hazard_globals = ref [] in
   Prog.iter_funcs prog (fun fn ->
       let fname = fn.Prog.fname in
+      let { base; nregs; _ } = Hashtbl.find slots fname in
+      let src (o : I.operand) =
+        match o with
+        | I.Reg r -> base + r
+        | I.Glob g -> const (global_obj g)
+        | I.Fun f -> const ~code:true (fun_obj f)
+        | I.Imm _ | I.Nullp -> none
+      in
+      let hazard (o : I.operand) =
+        match o with
+        | I.Reg r -> Vec.push hazard_nodes (base + r)
+        | I.Glob g -> hazard_globals := g :: !hazard_globals
+        | I.Imm _ | I.Fun _ | I.Nullp -> ()
+      in
       Array.iter
         (fun (b : Prog.block) ->
           Array.iteri
             (fun idx (i : I.instr) ->
               match i with
               | I.Alloca { dst; _ } ->
-                add_base
-                  (node_id (N_reg (fname, dst)))
-                  (obj_id (O_alloca (fname, dst)))
+                seed (base + dst) (site_obj (O_alloca (fname, dst)))
               | I.Bin { dst; l; r; _ } ->
-                let d = node_id (N_reg (fname, dst)) in
-                add_c (C_copy (op_node fname l, d));
-                add_c (C_copy (op_node fname r, d))
+                copy (src l) (base + dst);
+                copy (src r) (base + dst)
               | I.Cmp _ -> ()
-              | I.Load { dst; addr; _ } ->
-                add_c (C_load (op_node fname addr, node_id (N_reg (fname, dst))))
-              | I.Store { v; addr; _ } ->
-                add_c (C_store (op_node fname v, op_node fname addr))
-              | I.Gep { dst; base = bs; _ } ->
-                add_c (C_copy (op_node fname bs, node_id (N_reg (fname, dst))))
+              | I.Load { dst; addr; _ } -> load (src addr) (base + dst)
+              | I.Store { v; addr; _ } -> store (src v) (src addr)
+              | I.Gep { dst; base = bs; _ } -> copy (src bs) (base + dst)
               | I.Cast { dst; kind; v; _ } ->
-                let d = node_id (N_reg (fname, dst)) in
-                add_c (C_copy (op_node fname v, d));
+                copy (src v) (base + dst);
                 (match kind with
-                 | I.IntToPtr -> add_base d unknown_id
+                 | I.IntToPtr -> seed (base + dst) unknown_id
                  | I.Bitcast | I.PtrToInt -> ())
               | I.Call { dst; callee; args; fty; _ } ->
-                let link (g : Prog.func) =
-                  let nparams = List.length g.Prog.params in
+                let link ~params ~ret nparams =
                   List.iteri
-                    (fun k a ->
-                      if k < nparams then
-                        add_c
-                          (C_copy
-                             (op_node fname a, node_id (N_reg (g.Prog.fname, k)))))
+                    (fun k a -> if k < nparams then copy (src a) (params + k))
                     args;
-                  match dst with
-                  | Some d ->
-                    add_c
-                      (C_copy
-                         (node_id (N_ret g.Prog.fname), node_id (N_reg (fname, d))))
-                  | None -> ()
+                  Option.iter (fun d -> copy ret (base + d)) dst
                 in
                 let unresolved () =
-                  match dst with
-                  | Some d -> add_base (node_id (N_reg (fname, d))) unknown_id
-                  | None -> ()
+                  Option.iter (fun d -> seed (base + d) unknown_id) dst
                 in
                 (match callee with
                  | I.Direct f ->
-                   if Prog.has_func prog f then link (Prog.find_func prog f)
-                   else unresolved ()
+                   (match Hashtbl.find_opt slots f with
+                    | Some s ->
+                      link ~params:s.base ~ret:(s.base + s.nregs) s.nparams
+                    | None -> unresolved ())
                  | I.Indirect _ ->
-                   let compat =
-                     List.filter (fun g -> Ty.equal fty (fn_ty g)) targets
-                   in
-                   let compat =
-                     if compat = [] then
-                       List.filter
-                         (fun (g : Prog.func) ->
-                           List.length g.Prog.params = List.length args)
-                         targets
-                     else compat
-                   in
-                   if compat = [] then unresolved ()
-                   else List.iter link compat)
+                   let c = class_of fty (List.length args) in
+                   if c.members = [] then unresolved ()
+                   else link ~params:c.hub ~ret:(c.hub + c.nparams) c.nparams)
               | I.Intrin { dst; op; args } ->
                 (match op, args with
                  | I.I_malloc, _ ->
-                   (match dst with
-                    | Some d ->
-                      add_base
-                        (node_id (N_reg (fname, d)))
-                        (obj_id (O_malloc (fname, b.Prog.bid, idx)))
-                    | None -> ())
+                   Option.iter
+                     (fun d ->
+                       seed (base + d)
+                         (site_obj (O_malloc (fname, b.Prog.bid, idx))))
+                     dst
                  | (I.I_memcpy | I.I_cpi_memcpy | I.I_strcpy), d :: s :: _ ->
-                   add_c (C_contents (op_node fname d, op_node fname s));
-                   hazard_args := (fname, d) :: (fname, s) :: !hazard_args
+                   move_contents (src d) (src s);
+                   hazard d;
+                   hazard s
                  | (I.I_setjmp | I.I_longjmp), bufp :: _ ->
                    (* a jmp_buf stores a code (return) address *)
-                   add_c (C_store_obj (code_id, op_node fname bufp));
-                   hazard_args := (fname, bufp) :: !hazard_args
+                   store_obj code_id (src bufp);
+                   hazard bufp
                  | I.I_thread_spawn, fp :: arg :: _ ->
                    (* the spawned function is an indirect-call target and
                       receives [arg] as its first parameter *)
-                   hazard_args := (fname, fp) :: (fname, arg) :: !hazard_args;
+                   hazard fp;
+                   hazard arg;
                    (match fp with
-                    | I.Fun f when Prog.has_func prog f ->
-                      let g = Prog.find_func prog f in
-                      if g.Prog.params <> [] then
-                        add_c
-                          (C_copy
-                             (op_node fname arg,
-                              node_id (N_reg (g.Prog.fname, 0))))
+                    | I.Fun f ->
+                      (match Hashtbl.find_opt slots f with
+                       | Some s when s.nparams > 0 -> copy (src arg) s.base
+                       | Some _ | None -> ())
                     | _ -> ())
-                 | I.I_atomic_add, p :: _ ->
-                   hazard_args := (fname, p) :: !hazard_args
+                 | I.I_atomic_add, p :: _ -> hazard p
                  | _ -> ()))
             b.Prog.instrs;
           match b.Prog.term with
-          | I.Ret (Some o) ->
-            add_c (C_copy (op_node fname o, node_id (N_ret fname)))
+          | I.Ret (Some o) -> copy (src o) (base + nregs)
           | I.Ret None | I.Br _ | I.Jmp _ | I.Switch _ | I.Unreachable -> ())
         fn.Prog.blocks);
-  let objs = Array.of_list (List.rev !objs_rev) in
-  let obj_node = Array.init (Array.length objs) (fun i -> node_id (N_obj i)) in
+  let objs = Array.of_list (List.rev !objs) in
+  let nobj = Array.length objs in
+  let obj_node = Array.sub obj_node.Vec.a 0 nobj in
   (* loading through unmodelled memory yields unmodelled pointers *)
-  add_base obj_node.(unknown_id) unknown_id;
-  let n = !nnodes in
-  let pts = Array.make (max n 1) ISet.empty in
-  Hashtbl.iter (fun nid r -> pts.(nid) <- !r) base;
-  let constrs = Array.of_list (List.rev !constrs) in
-  let changed = ref true in
-  let union src dst =
-    if not (ISet.subset pts.(src) pts.(dst)) then begin
-      pts.(dst) <- ISet.union pts.(dst) pts.(src);
-      changed := true
-    end
+  seed obj_node.(unknown_id) unknown_id;
+  let pts = Array.make (max !nn 1) ISet.empty in
+  for i = 0 to (seeds.Vec.n / 2) - 1 do
+    let n = seeds.Vec.a.(2 * i) in
+    pts.(n) <- ISet.add seeds.Vec.a.((2 * i) + 1) pts.(n)
+  done;
+  (* Round-robin, skipping a constraint none of whose inputs grew since
+     it was last applied: [stamp] holds the clock at each node's last
+     growth, [seen] the clock when each constraint last read its inputs. *)
+  let clock = ref 0 in
+  let stamp = Array.make (Array.length pts) 0 in
+  let grow n s =
+    pts.(n) <- s;
+    incr clock;
+    stamp.(n) <- !clock
   in
-  let iters = ref 0 in
-  while !changed && !iters < 10_000 do
-    changed := false;
-    incr iters;
-    Array.iter
-      (fun c ->
-        match c with
-        | C_copy (s, d) -> union s d
-        | C_load (a, d) -> ISet.iter (fun o -> union obj_node.(o) d) pts.(a)
-        | C_store (v, a) -> ISet.iter (fun o -> union v obj_node.(o)) pts.(a)
-        | C_contents (da, sa) ->
-          ISet.iter
-            (fun od ->
-              ISet.iter (fun os -> union obj_node.(os) obj_node.(od)) pts.(sa))
-            pts.(da)
-        | C_store_obj (o, a) ->
-          ISet.iter
-            (fun od ->
-              if not (ISet.mem o pts.(obj_node.(od))) then begin
-                pts.(obj_node.(od)) <- ISet.add o pts.(obj_node.(od));
-                changed := true
-              end)
-            pts.(a))
-      constrs
+  let union src dst =
+    if not (ISet.subset pts.(src) pts.(dst)) then
+      grow dst (ISet.union pts.(dst) pts.(src))
+  in
+  let grew t n = stamp.(n) > t in
+  let any_grew t s = ISet.exists (fun o -> grew t obj_node.(o)) s in
+  let sweep (v : Vec.t) =
+    let seen = Array.make (v.Vec.n / 2) (-1) in
+    fun stale apply ->
+      let a = v.Vec.a in
+      for i = 0 to Array.length seen - 1 do
+        let x = a.(2 * i) and y = a.((2 * i) + 1) in
+        let t = seen.(i) in
+        if stale t x y then begin
+          seen.(i) <- !clock;
+          apply x y
+        end
+      done
+  in
+  let copies = sweep copies and loads = sweep loads and stores = sweep stores
+  and contents = sweep contents and store_objs = sweep store_objs in
+  let changed = ref true in
+  while !changed do
+    let before = !clock in
+    copies (fun t s _ -> grew t s) union;
+    loads
+      (fun t a _ -> grew t a || any_grew t pts.(a))
+      (fun a d -> ISet.iter (fun o -> union obj_node.(o) d) pts.(a));
+    stores
+      (fun t v a -> grew t v || grew t a)
+      (fun v a -> ISet.iter (fun o -> union v obj_node.(o)) pts.(a));
+    contents
+      (fun t da sa -> grew t da || grew t sa || any_grew t pts.(sa))
+      (fun da sa ->
+        ISet.iter
+          (fun od ->
+            ISet.iter (fun os -> union obj_node.(os) obj_node.(od)) pts.(sa))
+          pts.(da));
+    store_objs
+      (fun t _ a -> grew t a)
+      (fun o a ->
+        ISet.iter
+          (fun od ->
+            let n = obj_node.(od) in
+            if not (ISet.mem o pts.(n)) then grow n (ISet.add o pts.(n)))
+          pts.(a));
+    changed := !clock > before
   done;
   (* Transitive closure: an object reaches code when its contents can,
      through any chain of loads, yield a code pointer (or unmodelled
      memory, which must be assumed to). *)
-  let nobj = Array.length objs in
   let reaches = Array.make nobj false in
   reaches.(code_id) <- true;
   reaches.(unknown_id) <- true;
@@ -330,45 +417,46 @@ let analyze (prog : Prog.t) : t =
      friends, jmp_bufs): never demote these — the type-aware intrinsic
      variants must keep seeing consistent routing. *)
   let hazard = Array.make nobj false in
-  let t =
-    { prog; objs; obj_ids; node_ids; obj_node; pts; reaches; hazard; code_id;
-      unknown_id }
-  in
+  for i = 0 to hazard_nodes.Vec.n - 1 do
+    ISet.iter (fun o -> hazard.(o) <- true) pts.(hazard_nodes.Vec.a.(i))
+  done;
   List.iter
-    (fun (fname, arg) ->
-      match arg with
-      | I.Reg r ->
-        (match Hashtbl.find_opt node_ids (N_reg (fname, r)) with
-         | Some nid -> ISet.iter (fun o -> hazard.(o) <- true) pts.(nid)
-         | None -> ())
-      | I.Glob g ->
-        (match Hashtbl.find_opt obj_ids (O_global g) with
-         | Some o -> hazard.(o) <- true
-         | None -> ())
-      | I.Imm _ | I.Fun _ | I.Nullp -> ())
-    !hazard_args;
-  t
+    (fun g ->
+      Option.iter (fun o -> hazard.(o) <- true) (Hashtbl.find_opt globals g))
+    !hazard_globals;
+  { source = prog; objs; globals; funs; sites; slots; obj_node; pts; reaches;
+    hazard; targets; classes }
 
 (* ---------- queries ---------- *)
+
+let source t = t.source
 
 let pts_ids t ~fname (o : I.operand) : ISet.t =
   match o with
   | I.Reg r ->
-    (match Hashtbl.find_opt t.node_ids (N_reg (fname, r)) with
-     | Some nid -> t.pts.(nid)
-     | None -> ISet.empty)
+    (match Hashtbl.find_opt t.slots fname with
+     | Some s when r >= 0 && r < s.nregs -> t.pts.(s.base + r)
+     | Some _ | None -> ISet.empty)
   | I.Glob g ->
-    (match Hashtbl.find_opt t.obj_ids (O_global g) with
+    (match Hashtbl.find_opt t.globals g with
      | Some i -> ISet.singleton i
      | None -> ISet.empty)
-  | I.Fun _ -> ISet.singleton t.code_id
+  | I.Fun _ -> ISet.singleton code_id
   | I.Imm _ | I.Nullp -> ISet.empty
 
 let points_to t ~fname o : obj list =
   List.map (fun i -> t.objs.(i)) (ISet.elements (pts_ids t ~fname o))
 
+let obj_id t (o : obj) =
+  match o with
+  | O_code -> Some code_id
+  | O_unknown -> Some unknown_id
+  | O_global g -> Hashtbl.find_opt t.globals g
+  | O_fun f -> Hashtbl.find_opt t.funs f
+  | O_alloca _ | O_malloc _ -> Hashtbl.find_opt t.sites o
+
 let reaches_code t o =
-  match Hashtbl.find_opt t.obj_ids o with
+  match obj_id t o with
   | Some i -> t.reaches.(i)
   | None -> true
 
@@ -384,7 +472,7 @@ let value_may_be_code t ~fname o =
   | I.Fun _ -> true
   | _ ->
     ISet.exists
-      (fun i -> i = t.code_id || i = t.unknown_id)
+      (fun i -> i = code_id || i = unknown_id)
       (pts_ids t ~fname o)
 
 let obj_to_string = function
@@ -402,7 +490,7 @@ let obj_to_string = function
     provenance with no name (e.g. a setjmp-saved resume address). *)
 let callee_targets t ~fname o : string list option =
   let s = pts_ids t ~fname o in
-  if ISet.is_empty s || ISet.mem t.unknown_id s then None
+  if ISet.is_empty s || ISet.mem unknown_id s then None
   else
     let names =
       ISet.fold
@@ -410,6 +498,11 @@ let callee_targets t ~fname o : string list option =
         s []
     in
     if names = [] then None else Some (List.sort_uniq compare names)
+
+let signature_class t ~fty ~arity =
+  match Hashtbl.find_opt t.classes (fty, arity) with
+  | Some c -> c.members
+  | None -> List.map (fun tg -> tg.tname) (class_members t.targets fty arity)
 
 (* ---------- sensitivity refinement ---------- *)
 
@@ -459,9 +552,9 @@ let audit_ok_intrin (op : I.intrin) =
   | I.I_system | I.I_thread_spawn | I.I_thread_join | I.I_mutex_lock
   | I.I_mutex_unlock | I.I_atomic_add -> false
 
-let refine_cpi t ~ctx ~usedef ~keep ~skip :
+let refine_cpi t prog ~ctx ~usedef ~keep ~skip :
     (string * int * int, unit) Hashtbl.t =
-  let accs = collect_accesses t.prog in
+  let accs = collect_accesses prog in
   let nobj = Array.length t.objs in
   let in_c = Array.make nobj false in
   Array.iteri
@@ -558,8 +651,9 @@ let refine_cpi t ~ctx ~usedef ~keep ~skip :
     accs;
   result
 
-let refine_cps t ~instrumented ~skip : (string * int * int, unit) Hashtbl.t =
-  let accs = collect_accesses t.prog in
+let refine_cps t prog ~instrumented ~skip :
+    (string * int * int, unit) Hashtbl.t =
+  let accs = collect_accesses prog in
   let never_code s =
     (not (ISet.is_empty s)) && ISet.for_all (fun o -> not t.reaches.(o)) s
   in

@@ -1,9 +1,17 @@
 (** Flow-insensitive Andersen-style points-to analysis over Levee IR,
     interprocedural via direct calls and type-compatible indirect-call
     targets. Feeds the sensitivity refinement (demoting accesses whose
-    points-to sets provably never reach a code pointer) and the
-    [levee analyze] diagnostics. Conservative by construction:
-    imprecision only leaves extra instrumentation in place. *)
+    points-to sets provably never reach a code pointer), the cfi-type
+    target sets and the [levee analyze] diagnostics. Conservative by
+    construction: imprecision only leaves extra instrumentation in place.
+
+    The solver numbers each function's registers densely, links the
+    indirect calls of one type and arity to their signature class through
+    one hub, and re-applies its constraints round-robin until nothing
+    changes (no iteration cap).
+    [analyze] never writes its input, and a solution is immutable with no
+    lazy parts, so one solve may be read from several domains at once and
+    shared by every build of the same program. *)
 
 module I = Levee_ir.Instr
 module Ty = Levee_ir.Ty
@@ -24,10 +32,18 @@ type t
 (** Solve the inclusion constraints for a whole program. Also computes
     per-object [reaches_code] (contents may transitively yield a code
     pointer) and hazard flags (objects moved wholesale by memcpy-style
-    intrinsics or aliased by jmp_bufs). *)
+    intrinsics or aliased by jmp_bufs). Reads the functions'
+    [address_taken] flags as they stand ([Lower.compile] sets them;
+    [Prog.compute_address_taken] recomputes them) and writes nothing. *)
 val analyze : Prog.t -> t
 
-(** Objects an operand may point to, in a deterministic order. *)
+(** The program the solution was computed for (physically). *)
+val source : t -> Prog.t
+
+(** Objects an operand may point to, in the order the objects were first
+    discovered: the first two are [O_code] and [O_unknown], then globals
+    in declaration order, then the objects the functions mention, in
+    program order. *)
 val points_to : t -> fname:string -> I.operand -> obj list
 
 (** May the contents of [obj] transitively hold a code pointer? Unknown
@@ -49,6 +65,12 @@ val obj_to_string : obj -> string
     provenance. Feeds the cfi-type per-call-site target sets. *)
 val callee_targets : t -> fname:string -> I.operand -> string list option
 
+(** The signature class of an indirect call of type [fty] with [arity]
+    arguments, as the solver links it: the address-taken functions of
+    exactly that type or, when there are none, those with [arity]
+    parameters, in program order. The cfi-type per-signature sets. *)
+val signature_class : t -> fty:Ty.t -> arity:int -> string list
+
 (** Positions (function, block, index) of type-rule-sensitive accesses
     that are provably data-only and safe to demote to plain accesses.
     [keep] marks positions that must stay instrumented (Castflow-forced,
@@ -57,9 +79,12 @@ val callee_targets : t -> fname:string -> I.operand -> string list option
     demoted by the char* heuristic). Demotion is consistent per object:
     either every access that may touch an object is demoted, or none is,
     and loads are demoted only when every transitive use of the loaded
-    value is metadata-blind, judged on [usedef fname]'s use-def chains. *)
+    value is metadata-blind, judged on [usedef fname]'s use-def chains.
+    The accesses are read from the program given, the one being
+    instrumented: a clone of the solved program, not yet rewritten. *)
 val refine_cpi :
   t ->
+  Prog.t ->
   ctx:Sensitivity.ctx ->
   usedef:(string -> Usedef.t) ->
   keep:(string -> int * int -> bool) ->
@@ -68,9 +93,11 @@ val refine_cpi :
 
 (** CPS variant: demote accesses of [instrumented] types whose points-to
     sets never reach code. No use audit is needed — [SafeValue] routing
-    of never-code values is observationally identical to plain access. *)
+    of never-code values is observationally identical to plain access.
+    Accesses are read from the program given, as for [refine_cpi]. *)
 val refine_cps :
   t ->
+  Prog.t ->
   instrumented:(Ty.t -> bool) ->
   skip:(string -> int * int -> bool) ->
   (string * int * int, unit) Hashtbl.t

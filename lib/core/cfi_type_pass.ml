@@ -4,14 +4,14 @@
     Coarse CFI ([Cfi_pass]) admits any function entry as an indirect-call
     target; the precise end (CPI) admits only pointers with genuine
     provenance. This pass computes, for each indirect call site, a static
-    set of *allowed named functions*: the signature class (address-taken
-    functions whose type equals the call's function type, with the same
-    arity fallback the points-to analysis uses for call-graph linking),
-    widened by the Andersen callee set when the analysis can name the
-    operand's code sources. The union keeps the check transparent for
-    well-typed programs — a legitimate target is either
-    signature-compatible or visible to the points-to analysis — while
-    still refusing any function outside both, which is how cfi-type
+    set of *allowed named functions*: the signature class the points-to
+    solve links the call through ([Pointsto.signature_class]:
+    address-taken functions of exactly the call's type or, when there are
+    none, of its arity), widened by the Andersen callee set when the
+    analysis can name the operand's code sources. The union keeps the
+    check transparent for well-typed programs — a legitimate target is
+    either signature-compatible or visible to the points-to analysis —
+    while still refusing any function outside both, which is how cfi-type
     blocks the cross-signature hijacks coarse CFI admits.
 
     The machine enforces membership on top of the coarse entry check when
@@ -19,51 +19,31 @@
     [cfi_set = None] and degrade to coarse behaviour. *)
 
 module I = Levee_ir.Instr
-module Ty = Levee_ir.Ty
 module Prog = Levee_ir.Prog
 module An = Levee_analysis
 
-let fn_ty (g : Prog.func) = Ty.Fn (List.map snd g.Prog.params, g.Prog.ret_ty)
-
 (** Mark indirect calls as CFI-checked and attach per-signature target
-    sets. Returns the number of call sites that received a set. *)
-let run (prog : Prog.t) : int =
+    sets read from [pt], the points-to solve of [prog] or of its source.
+    Returns the number of call sites that received a set. *)
+let run pt (prog : Prog.t) : int =
   Cfi_pass.run prog;
-  ignore (Prog.compute_address_taken prog);
-  let targets = ref [] in
-  Prog.iter_funcs prog (fun fn ->
-      if fn.Prog.address_taken then targets := fn :: !targets);
-  let targets = List.rev !targets in
-  let pt = An.Pointsto.analyze prog in
   let count = ref 0 in
   Prog.iter_funcs prog (fun fn ->
       Prog.iter_instrs fn (fun i ->
           match i with
           | I.Call ({ callee = I.Indirect o; fty; args; _ } as c) ->
             let sig_class =
-              let compat =
-                List.filter (fun g -> Ty.equal fty (fn_ty g)) targets
-              in
-              let compat =
-                if compat = [] then
-                  List.filter
-                    (fun (g : Prog.func) ->
-                      List.length g.Prog.params = List.length args)
-                    targets
-                else compat
-              in
-              List.map (fun (g : Prog.func) -> g.Prog.fname) compat
+              An.Pointsto.signature_class pt ~fty ~arity:(List.length args)
             in
             let names =
               match An.Pointsto.callee_targets pt ~fname:fn.Prog.fname o with
               | None -> sig_class
-              | Some andersen -> List.sort_uniq compare (sig_class @ andersen)
+              | Some andersen -> sig_class @ andersen
             in
-            (match names with
+            (match List.sort_uniq compare names with
              | [] -> () (* no information: coarse check only *)
-             | _ ->
-               c.cfi_set <- Some (List.sort_uniq compare names);
+             | names ->
+               c.cfi_set <- Some names;
                incr count)
-          | _ -> ()))
-  ;
+          | _ -> ()));
   !count

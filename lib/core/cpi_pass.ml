@@ -93,8 +93,8 @@ let char_deref_needs_check f fn addr =
      | _ -> false)
   | _ -> false
 
-let run ?(debug = false) ?(refine = true) (prog : Prog.t) : int =
-  let plan = An.Plan.create ~refine ~pinned:[] prog in
+let run ?(debug = false) ?(refine = true) ~points_to (prog : Prog.t) : int =
+  let plan = An.Plan.create ~refine ~pinned:[] ~points_to prog in
   let ctx = An.Plan.ctx plan in
   let safe_where = if debug then I.SafeDebug else I.SafeFull in
   let summaries = param_summaries ctx plan prog in

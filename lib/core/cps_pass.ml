@@ -23,14 +23,15 @@ module An = Levee_analysis
 
 (** Returns the number of accesses demoted by the points-to refinement
     ([Pointsto.refine_cps]): instrumented-type accesses whose values
-    provably never hold a code pointer stay on the regular path. *)
-let run ?(refine = true) (prog : Prog.t) : int =
-  let plan = An.Plan.create ~refine ~pinned:[] prog in
+    provably never hold a code pointer stay on the regular path.
+    [points_to] yields the solve of [prog] or of its source. *)
+let run ?(refine = true) ~points_to (prog : Prog.t) : int =
+  let plan = An.Plan.create ~refine ~pinned:[] ~points_to prog in
   let instrumented = An.Sensitivity.is_cps_sensitive (An.Plan.ctx plan) in
   let skip = An.Plan.skip plan in
   let pt = An.Plan.points_to plan in
   let refined =
-    if refine then An.Pointsto.refine_cps pt ~instrumented ~skip
+    if refine then An.Pointsto.refine_cps pt prog ~instrumented ~skip
     else Hashtbl.create 1
   in
   Prog.iter_funcs prog (fun fn ->

@@ -83,9 +83,12 @@ let crypt_globals ctx (prog : Prog.t) : (string * bool array) list =
     masks. Returns [(demoted, crypt_cells)]: the number of accesses the
     points-to refinement demoted, and the per-global masks for
     [Config.crypt_cells]. *)
-let run ?(refine = true) (prog : Prog.t) : int * (string * bool array) list =
+let run ?(refine = true) ~points_to (prog : Prog.t) :
+    int * (string * bool array) list =
   let cells = crypt_globals (An.Sensitivity.create prog.Prog.tenv) prog in
-  let plan = An.Plan.create ~refine ~pinned:(List.map fst cells) prog in
+  let plan =
+    An.Plan.create ~refine ~pinned:(List.map fst cells) ~points_to prog
+  in
   let demoted = An.Plan.demoted_count plan in
   Prog.iter_funcs prog (fun fn ->
       let f = An.Plan.func plan fn.Prog.fname in

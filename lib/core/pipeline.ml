@@ -8,6 +8,7 @@
 module Prog = Levee_ir.Prog
 module Config = Levee_machine.Config
 module Safestore = Levee_machine.Safestore
+module Pointsto = Levee_analysis.Pointsto
 
 type protection =
   | Vanilla           (* no protection, DEP and ASLR off *)
@@ -56,11 +57,24 @@ type built = {
     refinement inside the CPS, CPI and cpi-crypt passes; [elide] (default
     on) runs the redundant-check elision pass over cpi and cpi-debug
     programs, with every elision independently re-justified by
-    [Verify.check_elision]. *)
+    [Verify.check_elision]. [points_to] hands in a shared points-to solve
+    of [src]; it is called only by the protections that read the solve. *)
 let build ?(store_impl = Safestore.Simple_array)
     ?(isolation = Config.Info_hiding) ?(refine = true) ?(elide = true)
-    protection (src : Prog.t) : built =
+    ?points_to protection (src : Prog.t) : built =
   let prog = Prog.clone src in
+  (* The passes before the solve is read only set [Alloca.slot] and
+     [cfi_checked], which the analysis never reads, so a solve of [src]
+     answers for [prog]. *)
+  let points_to () =
+    match points_to with
+    | None -> Pointsto.analyze src
+    | Some solve ->
+      let pt = solve () in
+      if Pointsto.source pt != src then
+        invalid_arg "Pipeline.build: points-to solve of another program";
+      pt
+  in
   let demoted = ref 0 in
   let config =
     match protection with
@@ -78,23 +92,23 @@ let build ?(store_impl = Safestore.Simple_array)
       Cfi_pass.run prog;
       Config.cfi
     | Cfi_type ->
-      ignore (Cfi_type_pass.run prog);
+      ignore (Cfi_type_pass.run (points_to ()) prog);
       Config.cfi_type
     | Cpi_crypt ->
-      let d, crypt_cells = Crypt_pass.run ~refine prog in
+      let d, crypt_cells = Crypt_pass.run ~refine ~points_to prog in
       demoted := d;
       { Config.cpi_crypt with Config.crypt_cells }
     | Cps ->
       Safestack_pass.run prog;
-      demoted := Cps_pass.run ~refine prog;
+      demoted := Cps_pass.run ~refine ~points_to prog;
       Config.cps ~store_impl ()
     | Cpi ->
       Safestack_pass.run prog;
-      demoted := Cpi_pass.run ~refine prog;
+      demoted := Cpi_pass.run ~refine ~points_to prog;
       Config.cpi ~store_impl ()
     | Cpi_debug ->
       Safestack_pass.run prog;
-      demoted := Cpi_pass.run ~debug:true ~refine prog;
+      demoted := Cpi_pass.run ~debug:true ~refine ~points_to prog;
       { (Config.cpi ~store_impl ()) with Config.name = "cpi-debug" }
     | Softbound ->
       Softbound_pass.run prog;

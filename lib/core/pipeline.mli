@@ -43,10 +43,19 @@ type built = {
            programs (default [true]); every elision is independently
            re-justified by [Verify.check_elision] and counted in
            [stats.checks_elided]
+    @param points_to a points-to solve of [prog] to share between builds
+           (default: solve [prog] here). It is called only by the
+           protections that read the solve — cps, cfi-type, and cpi,
+           cpi-debug and cpi-crypt with [refine] — and at most once per
+           build. Pass the strict solution only: a build never shares
+           its plan or anything lazy.
+    @raise Invalid_argument if [points_to] is called and returns the
+           solve of another program (checked physically against [prog])
     @raise Failure if the instrumented IR fails verification (a pass bug) *)
 val build :
   ?store_impl:Safestore.impl ->
   ?isolation:Config.isolation ->
   ?refine:bool ->
   ?elide:bool ->
+  ?points_to:(unit -> Levee_analysis.Pointsto.t) ->
   protection -> Prog.t -> built

@@ -10,6 +10,7 @@ module W = Levee_workloads
 module M = Levee_machine
 module Pool = Levee_support.Pool
 module Journal = Levee_support.Journal
+module Pointsto = Levee_analysis.Pointsto
 
 type cell = {
   workload : W.Workload.t;
@@ -29,7 +30,7 @@ type exec = {
 type t = {
   pool : Pool.t;
   fuel_cap : int option;
-  m : Mutex.t;                               (* guards memo + failures *)
+  m : Mutex.t;                     (* guards memo + failures + shares *)
   memo : (string * string, exec) Hashtbl.t;
   mutable journal : Journal.t option;
   mutable rev_vanilla_failures : (string * M.Trap.outcome) list;
@@ -50,7 +51,36 @@ let key c =
   ( c.workload.W.Workload.name,
     P.protection_name c.protection ^ M.Safestore.impl_name c.store_impl )
 
-let exec_cell t c =
+(* One workload's points-to solve, shared by its cells in one prefetch:
+   [pending] counts the cells not yet finished, and the solve is dropped
+   when the last one finishes, so a batch keeps only the solves of the
+   workloads it is still running. Both fields are guarded by [t.m]. *)
+type share = { mutable pending : int; mutable solve : Pointsto.t option }
+
+(* The first cell that reads the solve computes it, outside the lock. Two
+   domains may both compute it: the duplicate is wasted work, never
+   wrong, and the share keeps the first. *)
+let shared_solve t s prog () =
+  Mutex.lock t.m;
+  let solve = s.solve in
+  Mutex.unlock t.m;
+  match solve with
+  | Some pt -> pt
+  | None ->
+    let pt = Pointsto.analyze prog in
+    Mutex.lock t.m;
+    let pt = Option.value s.solve ~default:pt in
+    s.solve <- Some pt;
+    Mutex.unlock t.m;
+    pt
+
+let release t s =
+  Mutex.lock t.m;
+  s.pending <- s.pending - 1;
+  if s.pending = 0 then s.solve <- None;
+  Mutex.unlock t.m
+
+let exec_cell ?share t c =
   let w = c.workload in
   let fuel =
     match t.fuel_cap with
@@ -59,7 +89,8 @@ let exec_cell t c =
   in
   let t0 = Unix.gettimeofday () in
   let prog = W.Workload.compile w in
-  let b = P.build ~store_impl:c.store_impl c.protection prog in
+  let points_to = Option.map (fun s -> shared_solve t s prog) share in
+  let b = P.build ~store_impl:c.store_impl ?points_to c.protection prog in
   let result =
     M.Interp.run_program ~input:w.W.Workload.input ~fuel b.P.prog b.P.config
   in
@@ -160,6 +191,21 @@ let prefetch t cells =
         else (Hashtbl.add seen k (); true))
       cells
   in
+  let shares = Hashtbl.create 16 in
+  List.iter
+    (fun c ->
+      let name = c.workload.W.Workload.name in
+      match Hashtbl.find_opt shares name with
+      | Some s -> s.pending <- s.pending + 1
+      | None -> Hashtbl.add shares name { pending = 1; solve = None })
+    fresh;
+  (* [shares] is only read from here on, so the pool's domains may look
+     it up without a lock. *)
+  let exec c =
+    let s = Hashtbl.find shares c.workload.W.Workload.name in
+    Fun.protect ~finally:(fun () -> release t s) (fun () ->
+        exec_cell ~share:s t c)
+  in
   List.iter2
     (fun c -> function
       | Ok e -> note t c e
@@ -170,7 +216,7 @@ let prefetch t cells =
         note_failure t c
           ~reason:("harness-exception(" ^ Printexc.to_string exn ^ ")"))
     fresh
-    (Pool.map t.pool (exec_cell t) fresh)
+    (Pool.map t.pool exec fresh)
 
 let run_workload t ?(store_impl = M.Safestore.Simple_array) w protection =
   let c = { workload = w; protection; store_impl } in

@@ -10,7 +10,15 @@
     There is no per-cell timeout and no retry: every cell is bounded by
     its fuel and is deterministic, so a retry would repeat the same
     failure and a cell that never returns is a bug for the tests to
-    catch. *)
+    catch.
+
+    Within one {!prefetch}, the cells of a workload share one points-to
+    solve ({!Levee_core.Pipeline.build}'s [points_to]): the first cell
+    whose protection reads it computes it, and it is dropped when the
+    workload's last pending cell of the batch finishes, whether that cell
+    ran or raised. A solve lives inside one engine's batch only: nothing
+    carries it to a later batch or another engine, so every benchmark
+    round pays for its own solves. *)
 
 module P = Levee_core.Pipeline
 module W = Levee_workloads
@@ -58,10 +66,13 @@ val set_journal : t -> Levee_support.Journal.t option -> unit
 
 (** [prefetch t cells] executes every not-yet-memoized cell through the
     pool and memoizes + journals the results in submission order. With
-    [jobs = 1] the cells run inline, in order, in the calling domain. *)
+    [jobs = 1] the cells run inline, in order, in the calling domain. The
+    cells of one workload share one points-to solve (see above); a build
+    from a shared solve equals one from its own. *)
 val prefetch : t -> cell list -> unit
 
-(** Memoized lookup; computes (and journals) inline on a miss. *)
+(** Memoized lookup; computes (and journals) inline on a miss, with a
+    solve of its own. *)
 val run_workload :
   t -> ?store_impl:M.Safestore.impl -> W.Workload.t -> P.protection ->
   M.Interp.result

@@ -24,7 +24,10 @@ let lang_name = function C -> "C" | Cpp -> "C++"
 (* Compilation is deterministic and pure; cache per workload. The bench
    harness compiles from several domains at once, so the table is guarded
    by a mutex (compilation itself runs outside the lock — a duplicate
-   compile of the same workload is wasted work, never wrong work). *)
+   compile of the same workload is wasted work, never wrong work). The
+   first program stored is the one every caller gets, so builds of one
+   workload can share a points-to solve, which is checked physically
+   against the program. *)
 let cache : (string, Prog.t) Hashtbl.t = Hashtbl.create 32
 let cache_m = Mutex.create ()
 
@@ -40,7 +43,13 @@ let compile (w : t) : Prog.t =
   | None ->
     let p = Levee_minic.Lower.compile ~name:w.name w.source in
     Mutex.lock cache_m;
-    Hashtbl.replace cache w.name p;
+    let p =
+      match Hashtbl.find_opt cache w.name with
+      | Some first -> first
+      | None ->
+        Hashtbl.replace cache w.name p;
+        p
+    in
     Mutex.unlock cache_m;
     p
 

@@ -18,7 +18,8 @@ type t = {
 
 val lang_name : lang -> string
 
-(** Compile (memoized per workload name). *)
+(** Compile (memoized per workload name: every call for one name returns
+    the same program, physically). *)
 val compile : t -> Levee_ir.Prog.t
 
 (** Compile, protect and run under [protection] (default vanilla). *)

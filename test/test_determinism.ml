@@ -397,24 +397,34 @@ let golden_instrumentation =
     ("cfi-type", "723e227f077ae017fe1ae92382f23290");
     ("cpi-crypt", "af86e276447ff0376288a89be575ff29") ]
 
+let check_digests what expected actual =
+  if Sys.getenv_opt "LEVEE_GOLDEN_DUMP" <> None then begin
+    Printf.printf "(* %s *)\n" what;
+    List.iter (fun (k, d) -> Printf.printf "    (%S, %S);\n" k d) actual
+  end
+  else Alcotest.(check (list (pair string string))) what expected actual
+
+let instrumentation_digests build corpus =
+  List.map
+    (fun prot ->
+      let buf = Buffer.create (1 lsl 20) in
+      List.iter (fun prog -> add_build buf (build prot prog)) corpus;
+      ( P.protection_name prot,
+        Digest.to_hex (Digest.string (Buffer.contents buf)) ))
+    P.all_protections
+
+(* Once with a solve per build, and once the Engine's way: one points-to
+   solve per program, handed to all eleven builds. *)
 let test_golden_instrumentation () =
   let corpus = digest_corpus () in
-  let actual =
-    List.map
-      (fun prot ->
-        let buf = Buffer.create (1 lsl 20) in
-        List.iter (fun prog -> add_build buf (P.build prot prog)) corpus;
-        ( P.protection_name prot,
-          Digest.to_hex (Digest.string (Buffer.contents buf)) ))
-      P.all_protections
-  in
-  if Sys.getenv_opt "LEVEE_GOLDEN_DUMP" <> None then begin
-    print_endline "(* instrumentation digests *)";
-    List.iter (fun (p, d) -> Printf.printf "    (%S, %S);\n" p d) actual
-  end
-  else
-    Alcotest.(check (list (pair string string)))
-      "instrumentation digests" golden_instrumentation actual
+  check_digests "instrumentation digests" golden_instrumentation
+    (instrumentation_digests (fun prot prog -> P.build prot prog) corpus);
+  check_digests "instrumentation digests, shared solve" golden_instrumentation
+    (instrumentation_digests
+       (fun prot (prog, pt) -> P.build ~points_to:(fun () -> pt) prot prog)
+       (List.map
+          (fun prog -> (prog, Levee_analysis.Pointsto.analyze prog))
+          corpus))
 
 (* ---------- Simulation digests ----------
 
@@ -457,13 +467,6 @@ let golden_results =
 
 let golden_faults = "a4314f7efbaae7537f16caf6a662d2aa"
 let golden_ripe = "861b1707afd1f260a2170f154c17fde3"
-
-let check_digests what expected actual =
-  if Sys.getenv_opt "LEVEE_GOLDEN_DUMP" <> None then begin
-    Printf.printf "(* %s *)\n" what;
-    List.iter (fun (k, d) -> Printf.printf "    (%S, %S);\n" k d) actual
-  end
-  else Alcotest.(check (list (pair string string))) what expected actual
 
 let test_golden_results () =
   Alcotest.(check int) "bundled workloads" 41 (List.length bundled);

@@ -162,7 +162,10 @@ let broken_workload name : W.Workload.t =
 
 (* A cell whose harness task raises is journalled with status 1 and
    reported once per execution; a later batch runs it again, and a direct
-   lookup re-raises the same exception. *)
+   lookup re-raises the same exception. The pointer-rich [fine] program's
+   cells that read the points-to solve run around the broken cell and
+   share one solve: each must journal and return exactly what a fresh
+   build and run gives. *)
 let test_engine_harness_exception jobs () =
   let e = Engine.create ~jobs () in
   Fun.protect
@@ -173,12 +176,17 @@ let test_engine_harness_exception jobs () =
       let broken = broken_workload "broken" in
       let fine =
         { broken with W.Workload.name = "fine";
-                      source = "int main() { return 0; }" }
+                      source =
+                        In_channel.with_open_bin "../examples/minic/fptr_zoo.c"
+                          In_channel.input_all;
+                      fuel = 100_000 }
       in
+      let cell = Engine.cell in
       Engine.prefetch e
-        [ Engine.cell broken P.Vanilla; Engine.cell fine P.Vanilla;
-          Engine.cell broken P.Cpi ];
-      Engine.prefetch e [ Engine.cell broken P.Vanilla ];
+        [ cell broken P.Vanilla; cell fine P.Vanilla; cell fine P.Cps;
+          cell fine P.Cpi; cell broken P.Cpi; cell fine P.Cfi_type;
+          cell fine P.Cpi_crypt ];
+      Engine.prefetch e [ cell broken P.Vanilla ];
       let failures = Engine.harness_failures e in
       Alcotest.(check (list string)) "failed cells in submission order"
         [ "broken/vanilla"; "broken/cpi"; "broken/vanilla" ]
@@ -188,8 +196,25 @@ let test_engine_harness_exception jobs () =
           Alcotest.(check bool) (cell ^ " reason") true
             (String.starts_with ~prefix:"harness-exception(" reason))
         failures;
-      Alcotest.(check (list int)) "journal statuses" [ 1; 0; 1; 1 ]
+      Alcotest.(check (list int)) "journal statuses" [ 1; 0; 0; 0; 1; 0; 0; 1 ]
         (List.map (fun en -> en.Journal.status) (Journal.entries j));
+      let journalled = Array.of_list (Journal.entries j) in
+      List.iter
+        (fun (i, prot) ->
+          let b = P.build prot (W.Workload.compile fine) in
+          let r =
+            M.Interp.run_program ~input:fine.W.Workload.input
+              ~fuel:fine.W.Workload.fuel b.P.prog b.P.config
+          in
+          let name = P.protection_name prot in
+          Alcotest.(check bool) ("fine/" ^ name ^ " result") true
+            (Engine.run_workload e fine prot = r);
+          Alcotest.(check bool) ("fine/" ^ name ^ " journal entry") true
+            ({ journalled.(i) with Journal.wall_us = 0 }
+             = Engine.entry ~workload:"fine" ~protection:prot
+                 ~store_impl:M.Safestore.Simple_array ~ok:true ~wall_us:0
+                 (Engine.Ran (b.P.stats, r))))
+        [ (2, P.Cps); (3, P.Cpi); (5, P.Cfi_type); (6, P.Cpi_crypt) ];
       match Engine.run_workload e broken P.Vanilla with
       | _ -> Alcotest.fail "direct lookup of a broken cell must raise"
       | exception exn ->

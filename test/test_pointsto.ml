@@ -209,6 +209,127 @@ let test_refine_soundness () =
           return 0;
         }|} ]
 
+(* ---------- one solve shared between builds ---------- *)
+
+let zoo () =
+  Levee_minic.Lower.compile ~name:"fptr_zoo.c"
+    (In_channel.with_open_bin "../examples/minic/fptr_zoo.c"
+       In_channel.input_all)
+
+(* The solve must not write its input: builds of one program share it,
+   possibly from several domains. Clearing the flags first makes the
+   check bite: a solver that recomputed them would set some. *)
+let test_analyze_leaves_input () =
+  let prog = zoo () in
+  let before = Levee_ir.Printer.program prog in
+  Prog.iter_funcs prog (fun fn -> fn.Prog.address_taken <- false);
+  ignore (Pt.analyze prog);
+  Alcotest.(check string) "printed IR" before (Levee_ir.Printer.program prog);
+  Prog.iter_funcs prog (fun fn ->
+      Alcotest.(check bool) (fn.Prog.fname ^ " address_taken") false
+        fn.Prog.address_taken)
+
+let test_solve_of_another_program () =
+  let prog = zoo () and other = zoo () in
+  let pt = Pt.analyze other in
+  List.iter
+    (fun prot ->
+      Alcotest.check_raises (P.protection_name prot)
+        (Invalid_argument "Pipeline.build: points-to solve of another program")
+        (fun () -> ignore (P.build ~points_to:(fun () -> pt) prot prog)))
+    [ P.Cps; P.Cpi; P.Cpi_debug; P.Cpi_crypt; P.Cfi_type ]
+
+(* Only the protections that read the solve ask for it, and each at most
+   once; without the refinement, cpi and cpi-crypt never do. *)
+let test_solve_asked_for () =
+  let prog = zoo () in
+  let pt = Pt.analyze prog in
+  let asks ?refine prot =
+    let n = ref 0 in
+    ignore
+      (P.build ?refine ~points_to:(fun () -> incr n; pt) prot prog);
+    !n
+  in
+  Alcotest.(check (list (pair string int))) "solves asked for"
+    [ ("vanilla", 0); ("dep+aslr+cookies", 0); ("cookies", 0);
+      ("safestack", 0); ("cfi", 0); ("cps", 1); ("cpi", 1);
+      ("cpi-debug", 1); ("softbound", 0); ("cfi-type", 1);
+      ("cpi-crypt", 1) ]
+    (List.map (fun p -> (P.protection_name p, asks p)) P.all_protections);
+  Alcotest.(check (list int)) "without refinement" [ 1; 0; 0; 0 ]
+    (List.map (asks ~refine:false) [ P.Cps; P.Cpi; P.Cpi_debug; P.Cpi_crypt ])
+
+(* ---------- golden solution digest ----------
+
+   One MD5 over the solution for the 41 bundled workloads and every
+   examples/minic program: each register's points-to list in the order
+   [points_to] returns it (which pins object numbering), whether each
+   listed object reaches code, and the callee targets of every indirect
+   call. A change to the solver must leave it unchanged.
+   LEVEE_GOLDEN_DUMP=1 prints the fresh digest instead of checking it. *)
+
+module W = Levee_workloads
+
+let golden_solution = "2943fd553660700af41bc6939041f596"
+
+let solution_corpus () =
+  let bundled =
+    W.Spec.all @ W.Phoronix.all @ W.Webstack.all @ W.Base_system.all
+  in
+  let examples =
+    List.sort compare
+      (List.filter
+         (fun f -> Filename.check_suffix f ".c")
+         (Array.to_list (Sys.readdir "../examples/minic")))
+  in
+  Alcotest.(check int) "bundled workloads" 41 (List.length bundled);
+  List.map
+    (fun (w : W.Workload.t) ->
+      (w.W.Workload.name, Levee_minic.Lower.compile ~name:w.W.Workload.name
+                            w.W.Workload.source))
+    bundled
+  @ List.map
+      (fun f ->
+        ( f,
+          Levee_minic.Lower.compile ~name:f
+            (In_channel.with_open_bin ("../examples/minic/" ^ f)
+               In_channel.input_all) ))
+      examples
+
+let add_solution buf name (prog : Prog.t) =
+  let pt = Pt.analyze prog in
+  Printf.bprintf buf "program %s\n" name;
+  Prog.iter_funcs prog (fun fn ->
+      let fname = fn.Prog.fname in
+      for r = 0 to fn.Prog.nregs - 1 do
+        match Pt.points_to pt ~fname (I.Reg r) with
+        | [] -> ()
+        | objs ->
+          Printf.bprintf buf "%s r%d:" fname r;
+          List.iter
+            (fun o ->
+              Printf.bprintf buf " %s%s" (Pt.obj_to_string o)
+                (if Pt.reaches_code pt o then "!" else ""))
+            objs;
+          Buffer.add_char buf '\n'
+      done;
+      Prog.iter_instrs fn (function
+        | I.Call { callee = I.Indirect o; _ } ->
+          Printf.bprintf buf "icall %s %s\n" fname
+            (match Pt.callee_targets pt ~fname o with
+             | None -> "-"
+             | Some names -> "[" ^ String.concat "," names ^ "]")
+        | _ -> ()))
+
+let test_golden_solution () =
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter (fun (name, prog) -> add_solution buf name prog)
+    (solution_corpus ());
+  let actual = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+  if Sys.getenv_opt "LEVEE_GOLDEN_DUMP" <> None then
+    Printf.printf "(* points-to solution digest *)\n%S\n" actual
+  else Alcotest.(check string) "points-to solution digest" golden_solution actual
+
 let () =
   Alcotest.run "pointsto"
     [ ("facts",
@@ -222,4 +343,9 @@ let () =
          t "keeps function pointers" test_refine_keeps_function_pointers;
          t "keeps laundered void*" test_refine_keeps_laundered_void ]);
       ("soundness",
-       [ t "refine on/off behaviourally identical" test_refine_soundness ]) ]
+       [ t "refine on/off behaviourally identical" test_refine_soundness ]);
+      ("sharing",
+       [ t "analyze leaves its input unchanged" test_analyze_leaves_input;
+         t "solve of another program raises" test_solve_of_another_program;
+         t "only readers ask for the solve" test_solve_asked_for ]);
+      ("golden", [ t "solution digest" test_golden_solution ]) ]

@@ -5,7 +5,9 @@
 
    Every (workload, protection) cell runs once: one [Engine.prefetch]
    over the whole matrix fills the engine's memo through a pool as wide
-   as the machine, and both kinds of case read their results from it. *)
+   as the machine, and both kinds of case read their results from it. A
+   cell whose harness task raised in the prefetch fails every case: a
+   later lookup would quietly run it again, outside the batch. *)
 
 module P = Levee_core.Pipeline
 module W = Levee_workloads
@@ -31,6 +33,9 @@ let engine =
           workloads
        @ [ Engine.cell ~store_impl:M.Safestore.Hashtable
              (W.Spec.find "471.omnetpp") P.Cpi ]);
+     (match Engine.harness_failures e with
+      | [] -> ()
+      | (cell, reason) :: _ -> Alcotest.failf "prefetch: %s: %s" cell reason);
      e)
 
 let result ?store_impl w p =
