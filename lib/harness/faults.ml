@@ -1,9 +1,12 @@
 (* Fault-injection campaign driver (see faults.mli).
 
-   Parallel structure mirrors Engine: each (subject, config) pair is one
-   pool task that builds the images once, runs the un-faulted baseline
-   and then every plan; the submitting domain integrates results in
-   submission order, so the report is independent of [jobs]. *)
+   Parallel structure mirrors Engine: the submitting domain compiles each
+   subject once, and each (subject, config) pair is one pool task that
+   builds the images from that shared program ([P.build] clones it, so
+   the tasks only read it), runs the un-faulted baseline and then every
+   plan; the submitting domain integrates results in submission order,
+   so the report is independent of [jobs]. Images are built per task:
+   they prepare functions on first use, so they are never shared. *)
 
 module P = Levee_core.Pipeline
 module M = Levee_machine
@@ -309,11 +312,10 @@ let images ~store prot prog =
   in
   (reference, deployed)
 
-(* One pool task: everything for one (subject, protection, store). *)
-let exec_config (s, (prot, store)) =
-  let reference, deployed =
-    images ~store prot (Levee_minic.Lower.compile ~name:s.sname s.source)
-  in
+(* One pool task: everything for one (subject, protection, store), given
+   the subject's compiled program. *)
+let exec_config (s, prog, (prot, store)) =
+  let reference, deployed = images ~store prot prog in
   List.concat_map
     (fun sched_seed ->
       let baseline =
@@ -352,7 +354,9 @@ let exec_config (s, (prot, store)) =
 let run ?(jobs = 1) campaign =
   let cells =
     List.concat_map
-      (fun s -> List.map (fun cfg -> (s, cfg)) campaign.configs)
+      (fun s ->
+        let prog = Levee_minic.Lower.compile ~name:s.sname s.source in
+        List.map (fun cfg -> (s, prog, cfg)) campaign.configs)
       campaign.subjects
   in
   { rep_campaign = campaign;

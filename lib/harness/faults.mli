@@ -22,7 +22,8 @@
     Everything — plan generation, the scheduler, the cost model, the
     report — is deterministic, so the [levee-faults/3] JSON report is
     byte-identical across runs and across [jobs] settings (it carries
-    no wall-clock or parallelism fields). *)
+    no wall-clock or parallelism fields). A campaign compiles each
+    subject once and shares the program, read-only, across the pool. *)
 
 module P = Levee_core.Pipeline
 module M = Levee_machine
@@ -94,8 +95,11 @@ type report
 
 val runs : report -> run list
 
-(** Execute the campaign on a [jobs]-wide pool. Results are integrated
-    in submission order, so any [jobs] yields the same report. *)
+(** Execute the campaign on a [jobs]-wide pool. Each subject is compiled
+    once, on the calling domain, and its program is shared read-only by
+    the pool tasks of its configurations (each builds and loads its own
+    images from it). Results are integrated in submission order, so any
+    [jobs] yields the same report. *)
 val run : ?jobs:int -> campaign -> report
 
 (** The nine invariants, in order: CPI-never-hijacked (attacker-model

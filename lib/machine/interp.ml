@@ -1643,20 +1643,28 @@ let result_of st outcome =
     race_reports = List.map Race.describe (Race.reports st.race);
     race_details = Race.reports st.race }
 
-(** Run [main] to completion. *)
+(** Run [main] to completion, then return the machine's memory and
+    safe-store pages to the domain's pools ([Mem.clear],
+    [Safestore.reset]) once the result has read their footprints. *)
 let run ?input ?fuel ?faults ?sched_seed (image : Loader.image) : result =
-  let st = create ?input ?fuel ?faults ?sched_seed image in
-  if not (Prog.has_func st.image.Loader.prog "main") then
+  if not (Prog.has_func image.Loader.prog "main") then
     invalid_arg "Interp.run: program has no main";
+  let st = create ?input ?fuel ?faults ?sched_seed image in
   let main = Loader.prepared st.image "main" in
   (* A synthetic outermost frame is not needed: push main with the exit
      sentinel as its return address. *)
-  try
-    push_frame st st.running main.Pr.findex
-      ~args:(Array.make main.Pr.nparams (0, None))
-      ~ret_dst:None ~pushed_ret:exit_sentinel ~entry:(0, 0);
-    run_loop st
-  with Machine_stop outcome -> result_of st outcome
+  let outcome =
+    try
+      push_frame st st.running main.Pr.findex
+        ~args:(Array.make main.Pr.nparams (0, None))
+        ~ret_dst:None ~pushed_ret:exit_sentinel ~entry:(0, 0);
+      run_loop st
+    with Machine_stop outcome -> outcome
+  in
+  let r = result_of st outcome in
+  Mem.clear st.mem;
+  Safestore.reset st.store;
+  r
 
 (** Compile-free convenience used everywhere in tests and benches. *)
 let run_program ?input ?fuel ?faults ?sched_seed (prog : Prog.t)

@@ -87,7 +87,16 @@ type result = {
            (default 0). Single-threaded programs never consult the
            scheduler, so the seed does not affect them; for multithreaded
            programs, the run is a pure function of (program, input,
-           config, faults, sched_seed). *)
+           config, faults, sched_seed).
+
+    When the run ends, after the result has read the footprints, the
+    machine's memory and safe-store pages go back to the current
+    domain's pools ({!Mem.clear}, {!Safestore.reset}) for the next run
+    there; recycled pages are zeroed, so no field of the result depends
+    on what ran before. A run that escapes with an exception other than
+    a machine stop leaves its pages to the GC.
+    @raise Invalid_argument if the program has no [main], before any
+           machine state is built. *)
 val run :
   ?input:int array -> ?fuel:int -> ?faults:(int * fault) list ->
   ?sched_seed:int -> Loader.image -> result

@@ -1,8 +1,19 @@
 (** Paged word-granular memory.
 
-    Pages are allocated lazily and zero-filled, which both matches OS
-    behaviour and lets the evaluation measure the memory footprint of each
-    configuration (pages touched x page size).
+    Pages are mapped lazily, on the first write to them, and read as
+    zeros until written, which both matches OS behaviour and lets the
+    evaluation measure the memory footprint of each configuration (pages
+    touched x page size). A page comes from the current domain's pool of
+    zeroed spare pages ([Spare]) when it has one, and is allocated
+    otherwise; either way it counts in [footprint_words] from the write
+    that maps it. [clear] is the release: it zero-fills the memory's
+    pages, hands up to [Spare.cap] of them back to the current domain's
+    pool, drops the rest and empties the table. The pool is domain-local
+    ([Domain.DLS]), so it needs no lock: parallelism in this project is
+    domains only. A page is too large for the minor heap, so without the
+    pool every page of every run would be a fresh major-heap allocation
+    for the major GC to mark and sweep; recycling never changes what a
+    read returns.
 
     A 64-entry direct-mapped page cache fronts the page table. A page's
     cache slot is a Fibonacci hash of its index, so the pages a program
@@ -45,6 +56,30 @@ type t = {
    int with the same 63 bits). *)
 let[@inline] slot idx = (idx * -0x30E44323405AC1F5) lsr (63 - cache_bits)
 
+module Spare = struct
+  type 'a t = 'a array Stack.t Domain.DLS.key
+
+  (* Per pool and domain: a short attack run maps at most 4 memory pages,
+     and a SPEC-like cell at 1M instructions at most 6 memory pages and
+     16 safe-store pages. *)
+  let cap = 16
+
+  let create () : 'a t = Domain.DLS.new_key Stack.create
+  let take t = Stack.pop_opt (Domain.DLS.get t)
+
+  let give t ~zero pages =
+    let spare = Domain.DLS.get t in
+    Tbl.iter
+      (fun _ p ->
+        if Stack.length spare < cap then begin
+          Array.fill p 0 (Array.length p) zero;
+          Stack.push p spare
+        end)
+      pages
+end
+
+let spare : int Spare.t = Spare.create ()
+
 let create () =
   { pages = Tbl.create 64; pages_allocated = 0;
     tags = Array.make cache_size no_page_idx;
@@ -74,7 +109,11 @@ let[@inline never] write_miss t idx addr v =
     match Tbl.find_opt t.pages idx with
     | Some p -> p
     | None ->
-      let p = Array.make page_words 0 in
+      let p =
+        match Spare.take spare with
+        | Some p -> p
+        | None -> Array.make page_words 0
+      in
       Tbl.replace t.pages idx p;
       t.pages_allocated <- t.pages_allocated + 1;
       p
@@ -95,6 +134,7 @@ let[@inline] write t addr v =
 let footprint_words t = t.pages_allocated * page_words
 
 let clear t =
+  Spare.give spare ~zero:0 t.pages;
   Tbl.reset t.pages;
   t.pages_allocated <- 0;
   Array.fill t.tags 0 cache_size no_page_idx;

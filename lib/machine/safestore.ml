@@ -42,11 +42,19 @@ let impl_name = function
    hashtable fronted by a one-entry cache of the last page touched, so the
    common access is an integer compare and an array index. Misses on
    [get] and [clear_at] never allocate and never populate the cache with
-   a phantom page. *)
+   a phantom page.
+
+   The store's two instances also recycle pages the way [Mem] does: a
+   new page comes from the current domain's pool of emptied pages of its
+   size when it has one, and [reset] empties the table's pages and keeps
+   up to [Mem.Spare]'s cap of them there. Both sizes are too large for
+   the minor heap. The shadow's 256-slot pages fit it, and it has no
+   pool. *)
 module Paged = struct
   type 'a t = {
     bits : int;
     pages : 'a option array Mem.Tbl.t;
+    spare : 'a option Mem.Spare.t option;
     mutable last_idx : int;
     mutable last_page : 'a option array;
   }
@@ -55,9 +63,11 @@ module Paged = struct
      non-negative). *)
   let no_page_idx = min_int
 
-  let create ~page_bits =
-    { bits = page_bits; pages = Mem.Tbl.create 64; last_idx = no_page_idx;
-      last_page = [||] }
+  let make spare ~page_bits =
+    { bits = page_bits; pages = Mem.Tbl.create 64; spare;
+      last_idx = no_page_idx; last_page = [||] }
+
+  let create ~page_bits = make None ~page_bits
 
   let page_words t = 1 lsl t.bits
   let pages t = Mem.Tbl.length t.pages
@@ -83,7 +93,11 @@ module Paged = struct
         match Mem.Tbl.find_opt t.pages idx with
         | Some p -> p
         | None ->
-          let p = Array.make (1 lsl t.bits) None in
+          let p =
+            match Option.bind t.spare Mem.Spare.take with
+            | Some p -> p
+            | None -> Array.make (1 lsl t.bits) None
+          in
           Mem.Tbl.replace t.pages idx p;
           p
       in
@@ -120,6 +134,7 @@ module Paged = struct
       t.pages 0
 
   let reset t =
+    Option.iter (fun spare -> Mem.Spare.give spare ~zero:None t.pages) t.spare;
     Mem.Tbl.reset t.pages;
     t.last_idx <- no_page_idx;
     t.last_page <- [||]
@@ -137,6 +152,11 @@ type t = {
   mutable accesses : int;
 }
 
+(* The current domain's emptied pages of the array organisation (4096
+   slots) and of the two-level and MPX leaves (512 slots). *)
+let array_pages : entry option Mem.Spare.t = Mem.Spare.create ()
+let leaf_pages : entry option Mem.Spare.t = Mem.Spare.create ()
+
 (* The array organisation is one flat, lazily-paged table indexed by
    address (models the sparse-mmap-backed array; large footprint,
    cheapest lookup). The two-level organisation pays a directory probe
@@ -148,8 +168,8 @@ type t = {
 let create impl =
   let backend =
     match impl with
-    | Simple_array -> Pages (Paged.create ~page_bits:12)
-    | Two_level | Mpx -> Pages (Paged.create ~page_bits:9)
+    | Simple_array -> Pages (Paged.make (Some array_pages) ~page_bits:12)
+    | Two_level | Mpx -> Pages (Paged.make (Some leaf_pages) ~page_bits:9)
     | Hashtable -> Hsh (Mem.Tbl.create 1024)
   in
   { impl; backend; accesses = 0 }
@@ -177,7 +197,8 @@ let clear_at t addr =
   | Hsh h -> Mem.Tbl.remove h addr
 
 (** Drop every entry and return the store to its freshly-created state
-    (including the access counter and the backend page caches). *)
+    (including the access counter and the backend page caches); the
+    paged organisations' emptied pages go to the current domain's pool. *)
 let reset t =
   t.accesses <- 0;
   match t.backend with

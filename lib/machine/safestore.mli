@@ -37,7 +37,13 @@ val impl_name : impl -> string
     page touched. The array and two-level organisations are instances
     (4096-word pages, 512-word leaves), and so is the interpreter's
     metadata shadow of the safe stack. Any int is a valid address,
-    negative ones included. *)
+    negative ones included.
+
+    The store's own instances recycle their pages: a page they map comes
+    from the current domain's pool of emptied pages of that size when it
+    has one, and their [reset] returns pages there. A table made by
+    {!create} (the shadow's 256-slot pages fit the minor heap) has no
+    pool: its [reset] just drops its pages. *)
 module Paged : sig
   type 'a t
 
@@ -60,6 +66,7 @@ module Paged : sig
   (** Slots holding a value. *)
   val count : 'a t -> int
 
+  (** Drop every page (a store instance's go to its pool, emptied). *)
   val reset : 'a t -> unit
 end
 
@@ -78,7 +85,12 @@ val clear_at : t -> int -> unit
 
 (** Drop every entry and return the store to its freshly-created state,
     resetting the access counter and invalidating the backends' internal
-    last-page caches. *)
+    last-page caches. This is the release: the array and two-level/MPX
+    organisations empty their pages and keep up to a fixed number per
+    page size in the current domain's pool, where the next store of that
+    domain takes them before allocating; the rest are left to the GC.
+    A page taken from the pool counts in {!footprint_words} exactly like
+    a fresh one. *)
 val reset : t -> unit
 
 (** Lookup cost in model cycles; the array organisation is cheapest and the

@@ -14,8 +14,9 @@
 # baseline the next CI run gates against, which is also how a deliberate
 # schema bump re-baselines without tripping the gate on shape changes.
 # Host wall-clock speed is measured by `python3 benchmark/run.py`, not
-# here; the script only prints the wall time of its `dune runtest` step
-# and of the benchmark's `--self-test`, which it runs after the tests.
+# here; the script only prints the wall time of its `dune runtest` step,
+# of the benchmark's `--self-test`, which it runs after the tests, and of
+# its `levee faults --record` step.
 #
 # Usage: scripts/ci.sh
 
@@ -54,7 +55,9 @@ echo "== append: serve smoke matrix =="
 $LEVEE serve --requests 12000 --record "$STORE" > /dev/null
 
 echo "== append: fault campaign (protection spectrum) =="
+faults_start=$(date +%s)
 $LEVEE faults --record "$STORE" > /dev/null
+echo "== fault campaign: $(( $(date +%s) - faults_start )) s wall =="
 
 # Gate every appended record against the most recent pre-existing
 # record with the same (schema, config, seed) — serve appends one record

@@ -173,6 +173,96 @@ let test_output_capture () =
   in
   Alcotest.(check string) "stdout" "42\ndone\n-1\n" out
 
+(* ---- runs: each run gets a machine of its own ---- *)
+
+let test_no_main () =
+  let b = P.build P.Vanilla (Helpers.compile "int helper() { return 1; }") in
+  Alcotest.check_raises "no main"
+    (Invalid_argument "Interp.run: program has no main")
+    (fun () -> ignore (M.Interp.run_program b.P.prog b.P.config))
+
+(* The writer leaves a non-zero pattern in nearly every word of the
+   pages it maps: whole pages of a global array and of heap blocks, deep
+   stack frames, and under cpi a global array of code pointers (whole
+   pages of safe-store entries). *)
+let stale_writer_src =
+  {|int f(int x) { return x + 1; }
+    int g[16384];
+    int (*gf[16384])(int);
+    int deep(int n) {
+      int buf[1000];
+      int i;
+      for (i = 0; i < 1000; i = i + 1) { buf[i] = n * 1000 + i + 1; }
+      if (n > 0) { return deep(n - 1) + buf[n]; }
+      return buf[0];
+    }
+    int main() {
+      int i; int k; int *p;
+      for (i = 0; i < 16384; i = i + 1) { g[i] = i * 7 + 3; gf[i] = f; }
+      for (k = 0; k < 3; k = k + 1) {
+        p = (int*) malloc(4095);
+        for (i = 0; i < 4095; i = i + 1) { p[i] = i + 5; }
+      }
+      checksum(deep(12));
+      return 0;
+    }|}
+
+(* The reader reads only memory it never wrote: a fresh heap block,
+   three pages of uninitialised locals, and unwritten global slots and
+   code pointers. Every such word reads 0 on a fresh machine. Which of
+   the writer's pages the reader's pages reuse is up to the pool, so
+   both programs cover many pages. *)
+let stale_reader_src =
+  {|int f(int x) { return x + 1; }
+    int h[4096];
+    int (*hf[8192])(int) = { f };
+    int peek(int n) {
+      int loc[1024];
+      int s = 0; int i;
+      for (i = 0; i < 1024; i = i + 1) { s = s + loc[i]; }
+      if (n > 0) { s = s + peek(n - 1); }
+      return s;
+    }
+    int main() {
+      int *q = (int*) malloc(1024);
+      int s = 0; int i;
+      h[0] = 1;
+      hf[4000] = f; hf[8000] = f;
+      for (i = 0; i < 1024; i = i + 1) { s = s + q[i]; }
+      for (i = 1; i < 4096; i = i + 1) { s = s + h[i]; }
+      for (i = 1; i < 8192; i = i + 1) {
+        if (i != 4000 && i != 8000) { s = s + (int) hf[i]; }
+      }
+      s = s + peek(11);
+      checksum(s);
+      print_int(s);
+      return 0;
+    }|}
+
+let test_no_stale_memory () =
+  List.iter
+    (fun (protection, store_impl) ->
+      let what =
+        P.protection_name protection ^ "/" ^ M.Safestore.impl_name store_impl
+      in
+      let run src =
+        let b = P.build ~store_impl protection (Helpers.compile src) in
+        M.Interp.run_program b.P.prog b.P.config
+      in
+      Alcotest.(check int) (what ^ ": writer exits") 0
+        (exit_code (run stale_writer_src));
+      let after = run stale_reader_src in
+      let fresh = Domain.join (Domain.spawn (fun () -> run stale_reader_src)) in
+      Alcotest.(check int) (what ^ ": unwritten memory reads 0") 0
+        fresh.M.Interp.checksum;
+      Alcotest.(check int) (what ^ ": same checksum as a fresh domain")
+        fresh.M.Interp.checksum after.M.Interp.checksum;
+      Alcotest.(check bool) (what ^ ": same result as a fresh domain") true
+        (after = fresh))
+    [ (P.Vanilla, M.Safestore.Simple_array);
+      (P.Cpi, M.Safestore.Simple_array);
+      (P.Cpi, M.Safestore.Two_level) ]
+
 (* ---- concurrency: the deterministic multithreaded machine ---- *)
 
 (** Like [Helpers.run] but with a scheduler seed. *)
@@ -502,6 +592,9 @@ let () =
          t "store organisations" test_store_impl_costs;
          t "memory accounting" test_memory_accounting ]);
       ("io", [ t "output capture" test_output_capture ]);
+      ("runs",
+       [ t "program without main" test_no_main;
+         t "no memory from an earlier run" test_no_stale_memory ]);
       ("threads",
        [ t "locked counter" test_locked_counter;
          t "unlocked counter races" test_unlocked_counter_races;

@@ -9,7 +9,14 @@
    patterns a cache could get wrong: hit-after-miss, interleaving across
    page boundaries, more live pages than the cache has slots (so pages
    that share a slot evict each other), addresses an attacker may choose
-   (negative, or 2^31 and above), and reuse of a cleared store. *)
+   (negative, or 2^31 and above), and reuse of a cleared store.
+
+   [clear] / [reset] also hand the pages to the current domain's pool of
+   spare pages, which the next page mapped in that domain comes from: a
+   page filled to the last word before the release must come back
+   reading 0 (or [None]) everywhere but the word written after it, in
+   the same memory or store and in a second one, and must count in the
+   footprint like a fresh page. *)
 
 module M = Levee_machine
 
@@ -113,17 +120,40 @@ let test_mem_unmapped_many () =
   Alcotest.(check int) "reads never allocate" before (M.Mem.footprint_words m);
   Alcotest.(check int) "mapped page still reads" 5 (M.Mem.read m 0x0100_0000)
 
+(* Write one word at [a] into memory whose pool holds a page released
+   dirty, then require the rest of [a]'s page to read 0 and the page to
+   count in the footprint. *)
+let check_retaken_page what m a =
+  M.Mem.write m a 9;
+  Alcotest.(check int) (what ^ ": written word") 9 (M.Mem.read m a);
+  let base = a land lnot (page_words - 1) in
+  for i = 0 to page_words - 1 do
+    if base + i <> a && M.Mem.read m (base + i) <> 0 then
+      Alcotest.failf "%s: word %d of the re-taken page reads %d" what i
+        (M.Mem.read m (base + i))
+  done;
+  Alcotest.(check int) (what ^ ": re-taken page counts") page_words
+    (M.Mem.footprint_words m)
+
+let fill_page m base =
+  for i = 0 to page_words - 1 do M.Mem.write m (base + i) (i + 1) done
+
 let test_mem_clear_invalidates () =
   let m = M.Mem.create () in
   let a = 0x0100_0000 in
   M.Mem.write m a 42;
   Alcotest.(check int) "cached read" 42 (M.Mem.read m a);
+  fill_page m a;
   M.Mem.clear m;
-  (* A stale cache line here would return 42 from the dropped page. *)
+  (* A stale cache line here would return 1 from the dropped page. *)
   Alcotest.(check int) "cleared memory reads 0" 0 (M.Mem.read m a);
   Alcotest.(check int) "clear drops the footprint" 0 (M.Mem.footprint_words m);
-  M.Mem.write m a 9;
-  Alcotest.(check int) "memory is reusable after clear" 9 (M.Mem.read m a)
+  check_retaken_page "same memory" m (a + 5);
+  fill_page m a;
+  M.Mem.clear m;
+  (* A second memory of this domain takes the page [m] released, whatever
+     page index it maps it at. *)
+  check_retaken_page "second memory" (M.Mem.create ()) (0x0700_0000 + 77)
 
 (* ---------- Safestore ---------- *)
 
@@ -173,12 +203,33 @@ let test_store_cross_page_interleaving () =
           (M.Safestore.get s (b + i))
       done)
 
+(* Set one slot at [a] in a store whose pool holds pages released full,
+   then require every other slot of the [page_words]-slot window around
+   [a] (one array page, eight two-level leaves) to read [None] and the
+   footprint to be [one_entry], a fresh store's after one [set]. *)
+let check_retaken_pages what s a ~one_entry =
+  M.Safestore.set s a (entry 21);
+  check_entry (what ^ ": written slot") (Some 21) (M.Safestore.get s a);
+  let base = a land lnot (page_words - 1) in
+  for i = 0 to page_words - 1 do
+    if base + i <> a then
+      check_entry (Printf.sprintf "%s: slot %d" what i) None
+        (M.Safestore.get s (base + i))
+  done;
+  Alcotest.(check int) (what ^ ": re-taken page counts") one_entry
+    (M.Safestore.footprint_words s)
+
+let fill_store s base =
+  for i = 0 to page_words - 1 do M.Safestore.set s (base + i) (entry (i + 1)) done
+
 let test_store_reset_invalidates () =
   each_impl (fun name impl ->
       let s = M.Safestore.create impl in
       let a = 0x0100_0000 in
       M.Safestore.set s a (entry 11);
       check_entry (name ^ ": populated") (Some 11) (M.Safestore.get s a);
+      let one_entry = M.Safestore.footprint_words s in
+      fill_store s a;
       M.Safestore.reset s;
       Alcotest.(check int)
         (name ^ ": reset zeroes the access counter")
@@ -189,9 +240,11 @@ let test_store_reset_invalidates () =
         0 (M.Safestore.entry_count s);
       (* A stale backend page cache after reset would resurrect the old
          entry or write through to a dropped leaf. *)
-      M.Safestore.set s a (entry 21);
-      check_entry (name ^ ": store is reusable after reset") (Some 21)
-        (M.Safestore.get s a))
+      check_retaken_pages (name ^ ": same store") s (a + 5) ~one_entry;
+      fill_store s a;
+      M.Safestore.reset s;
+      check_retaken_pages (name ^ ": second store") (M.Safestore.create impl)
+        (0x0700_0000 + 77) ~one_entry)
 
 let test_store_many_pages_and_odd_addresses () =
   each_impl (fun name impl ->
