@@ -259,6 +259,62 @@ let test_usedef_origin () =
   Alcotest.(check bool) "malloc origin" true (has An.Usedef.From_malloc);
   Alcotest.(check bool) "global origin" true (has (An.Usedef.From_global "g"))
 
+(* Use-def maps by hand: parameters have no defining instruction, a
+   register's uses come latest first (terminators after their block's
+   instructions), and registers outside the function answer nothing. *)
+let test_usedef_defs_uses () =
+  let module B = Levee_ir.Builder in
+  let b =
+    B.create ~name:"f" ~params:[ ("p", Ty.Ptr Ty.Int); ("n", Ty.Int) ]
+      ~ret_ty:Ty.Int
+  in
+  let x = B.load b Ty.Int (I.Reg 0) in
+  let y = B.bin b I.Add (I.Reg x) (I.Reg 1) in
+  B.store b Ty.Int (I.Reg y) (I.Reg 0);
+  let c = B.cmp b I.Lt (I.Reg 1) (I.Reg y) in
+  let exit = B.new_block b in
+  B.position_at b 0;
+  B.set_term b (I.Br (I.Reg c, exit, exit));
+  B.position_at b exit;
+  B.set_term b (I.Ret (Some (I.Reg y)));
+  let fn = B.finish b in
+  let ud = An.Usedef.build fn in
+  let at idx = { An.Usedef.block = 0; idx } in
+  let def_at r =
+    match An.Usedef.def ud r with
+    | Some (pos, i) ->
+      Alcotest.(check bool) "the instruction itself" true
+        (i == fn.Prog.blocks.(pos.An.Usedef.block).Prog.instrs.(pos.An.Usedef.idx));
+      Some pos
+    | None -> None
+  in
+  let pos = Alcotest.testable (fun ppf (p : An.Usedef.pos) ->
+      Format.fprintf ppf "b%d.%d" p.An.Usedef.block p.An.Usedef.idx) ( = )
+  in
+  Alcotest.(check (option pos)) "param p" None (def_at 0);
+  Alcotest.(check (option pos)) "param n" None (def_at 1);
+  Alcotest.(check (option pos)) "load" (Some (at 0)) (def_at x);
+  Alcotest.(check (option pos)) "add" (Some (at 1)) (def_at y);
+  Alcotest.(check (option pos)) "cmp" (Some (at 3)) (def_at c);
+  let uses r = An.Usedef.uses_of ud r in
+  Alcotest.(check bool) "p: store address, then load address" true
+    (uses 0
+     = [ An.Usedef.Store_addr (at 2, Ty.Int); An.Usedef.Load_addr (at 0, Ty.Int) ]);
+  Alcotest.(check bool) "n: compared, then added" true
+    (uses 1 = [ An.Usedef.Cmp_op (at 3); An.Usedef.Bin_op (at 1, y) ]);
+  Alcotest.(check bool) "sum: returned, compared, stored" true
+    (uses y
+     = [ An.Usedef.Ret_val; An.Usedef.Cmp_op (at 3);
+         An.Usedef.Store_val (at 2, Ty.Int) ]);
+  Alcotest.(check bool) "condition" true (uses c = [ An.Usedef.Branch_cond ]);
+  Alcotest.(check bool) "loaded value feeds the add" true
+    (uses x = [ An.Usedef.Bin_op (at 1, y) ]);
+  List.iter
+    (fun r ->
+      Alcotest.(check (option pos)) "no def out of range" None (def_at r);
+      Alcotest.(check int) "no uses out of range" 0 (List.length (uses r)))
+    [ -1; fn.Prog.nregs; fn.Prog.nregs + 100 ]
+
 (* ---------- diag: thread-unsafe-intrinsic ---------- *)
 
 let conc_diag_src =
@@ -344,7 +400,9 @@ let () =
          t "escapes unsafe" test_stack_escape_unsafe;
          t "const fields safe" test_stack_const_index_safe;
          t "dynamic index unsafe" test_stack_dynamic_index_unsafe ]);
-      ("usedef", [ t "origin tracing" test_usedef_origin ]);
+      ("usedef",
+       [ t "origin tracing" test_usedef_origin;
+         t "defs and uses" test_usedef_defs_uses ]);
       ("diag",
        [ t "thread-unsafe-intrinsic flags unlocked accesses"
            test_thread_unsafe_intrinsic;

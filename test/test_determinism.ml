@@ -426,6 +426,35 @@ let test_golden_instrumentation () =
           (fun prog -> (prog, Levee_analysis.Pointsto.analyze prog))
           corpus))
 
+(* The same 11 digests over one generated program, larger and more
+   pointer-rich than any bundled one: test/gen_seed1.c is benchmark/gen.ml's
+   [Gen.source ~seed:1 ~funcs:120], saved verbatim. *)
+let golden_generated =
+  [ ("vanilla", "c260fd365f79d9f0c108bf3da46fe78b");
+    ("dep+aslr+cookies", "0fff82e973f664295d05725617b6c593");
+    ("cookies", "0fff82e973f664295d05725617b6c593");
+    ("safestack", "d3e07d7a679dd719aeaffca1f087bb07");
+    ("cfi", "3d35c4af5a70b90c6c6497cac61e7b40");
+    ("cps", "281df502cf9108877753aaed1d79d38f");
+    ("cpi", "43dae12816d30ebe991d52d7cad8f8a0");
+    ("cpi-debug", "fad068ecbc436fb2dbe5938334487f5e");
+    ("softbound", "c53752f5ad3ea519a20d59b11daafab4");
+    ("cfi-type", "7f2b5beb3113bf7fa33f1131e914705c");
+    ("cpi-crypt", "a15b165172f3840da95714a0d1a3f380") ]
+
+let test_golden_generated () =
+  let prog =
+    Levee_minic.Lower.compile ~name:"gen_seed1.c"
+      (In_channel.with_open_bin "gen_seed1.c" In_channel.input_all)
+  in
+  check_digests "generated program digests" golden_generated
+    (instrumentation_digests (fun prot prog -> P.build prot prog) [ prog ]);
+  let pt = Levee_analysis.Pointsto.analyze prog in
+  check_digests "generated program digests, shared solve" golden_generated
+    (instrumentation_digests
+       (fun prot prog -> P.build ~points_to:(fun () -> pt) prot prog)
+       [ prog ])
+
 (* ---------- Simulation digests ----------
 
    The golden rows pin cycles but leave footprints, heap peak, thread
@@ -587,6 +616,8 @@ let () =
             test_golden_concurrent;
           Alcotest.test_case "instrumentation digests" `Quick
             test_golden_instrumentation;
+          Alcotest.test_case "generated program digests" `Quick
+            test_golden_generated;
           Alcotest.test_case "result digests" `Quick test_golden_results;
           Alcotest.test_case "campaign digests" `Quick
             test_golden_campaigns ] );

@@ -115,6 +115,55 @@ int main() {
   Alcotest.(check string) "benign run agrees with vanilla" "cleared\n42\n"
     r.M.Interp.output
 
+(* A struct holding a code pointer, copied at the bottom of a six-deep
+   chain of direct calls: the front end spills every parameter, so the
+   copy's arguments are loaded pointers, and CPI must keep the safe-store
+   entry moving with the struct. *)
+let deep_copy_prog = {|
+struct S { int (*f)(int); int x; };
+int inc(int v) { return v + 1; }
+int copy6(struct S *d, struct S *s) { memcpy(d, s, 2); return d->x; }
+int copy5(struct S *d, struct S *s) { return copy6(d, s); }
+int copy4(struct S *d, struct S *s) { return copy5(d, s); }
+int copy3(struct S *d, struct S *s) { return copy4(d, s); }
+int copy2(struct S *d, struct S *s) { return copy3(d, s); }
+int copy1(struct S *d, struct S *s) { return copy2(d, s); }
+int main() {
+  struct S a;
+  struct S b;
+  a.f = inc;
+  a.x = 7;
+  print_int(copy1(&b, &a));
+  print_int(b.f(41));
+  return 0;
+}
+|}
+
+let test_cpi_deep_copy () =
+  let prog = Levee_minic.Lower.compile deep_copy_prog in
+  let b = P.build P.Cpi prog in
+  let copy6 = Prog.find_func b.P.prog "copy6" in
+  let ops = ref [] in
+  Prog.iter_instrs copy6 (function
+    | I.Intrin { op = (I.I_memcpy | I.I_cpi_memcpy) as op; _ } ->
+      ops := op :: !ops
+    | _ -> ());
+  Alcotest.(check bool) "copy goes through cpi_memcpy" true
+    (!ops = [ I.I_cpi_memcpy ]);
+  let run prot =
+    let b = P.build prot prog in
+    let r = M.Interp.run_program ~fuel:100_000 b.P.prog b.P.config in
+    (M.Trap.outcome_to_string r.M.Interp.outcome, r.M.Interp.output)
+  in
+  let vanilla = run P.Vanilla in
+  Alcotest.(check (pair string string)) "vanilla copies the handler"
+    ("exit(0)", "7\n42\n") vanilla;
+  List.iter
+    (fun prot ->
+      Alcotest.(check (pair string string))
+        (P.protection_name prot ^ " agrees with vanilla") vanilla (run prot))
+    P.all_protections
+
 let test_softbound_marks () =
   let b = build P.Softbound fptr_prog in
   let stats = Stats.collect b.P.prog in
@@ -318,6 +367,7 @@ let () =
   Alcotest.run "passes"
     [ ("cpi",
        [ t "marks sensitive ops" test_cpi_marks;
+         t "deep-chain struct copy" test_cpi_deep_copy;
          t "annotated data protection" test_annotated_data_protection;
          t "annotation travels in the IR" test_annotation_in_ir ]);
       ("cps",
