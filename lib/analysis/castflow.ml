@@ -19,29 +19,34 @@ module Prog = Levee_ir.Prog
     intermediate [Bin]/[Gep] copy (e.g. [w = 0 + v; (fnptr) w]) still forces
     the load that produced the value. Over-approximating here only adds
     instrumentation; it never loses protection. *)
-let forced_load_positions sens_ctx (ud : Usedef.t) :
-    (int * int, unit) Hashtbl.t =
-  let forced = Hashtbl.create 8 in
-  let rec mark ~depth visited (o : I.operand) =
+let forced_load_positions sens_ctx (ud : Usedef.t) : Usedef.marks =
+  let fn = Usedef.func ud in
+  let forced = Usedef.marks fn in
+  (* [seen.(r) = walk]: [r] was visited by the walk from cast [walk] *)
+  let seen = Array.make fn.Prog.nregs (-1) in
+  let rec mark walk ~depth (o : I.operand) =
     match o with
-    | I.Reg r when depth > 0 && not (Hashtbl.mem visited r) ->
-      Hashtbl.add visited r ();
+    | I.Reg r when depth > 0 && r >= 0 && r < Array.length seen && seen.(r) <> walk
+      ->
+      seen.(r) <- walk;
       (match Usedef.def ud r with
        | Some (pos, I.Load _) ->
-         Hashtbl.replace forced (pos.Usedef.block, pos.Usedef.idx) ()
-       | Some (_, I.Cast { v; _ }) -> mark ~depth:(depth - 1) visited v
-       | Some (_, I.Gep { base; _ }) -> mark ~depth:(depth - 1) visited base
+         Usedef.mark forced (pos.Usedef.block, pos.Usedef.idx)
+       | Some (_, I.Cast { v; _ }) -> mark walk ~depth:(depth - 1) v
+       | Some (_, I.Gep { base; _ }) -> mark walk ~depth:(depth - 1) base
        | Some (_, I.Bin { l; r = rr; _ }) ->
-         mark ~depth:(depth - 1) visited l;
-         mark ~depth:(depth - 1) visited rr
+         mark walk ~depth:(depth - 1) l;
+         mark walk ~depth:(depth - 1) rr
        | Some (_, (I.Alloca _ | I.Cmp _ | I.Store _ | I.Call _ | I.Intrin _))
        | None -> ())
     | I.Reg _ | I.Imm _ | I.Glob _ | I.Fun _ | I.Nullp -> ()
   in
-  Prog.iter_instrs ud.Usedef.fn (fun (i : I.instr) ->
+  let walks = ref 0 in
+  Prog.iter_instrs fn (fun (i : I.instr) ->
       match i with
       | I.Cast { ty; v; _ } when Sensitivity.is_sensitive sens_ctx ty ->
-        mark ~depth:16 (Hashtbl.create 8) v
+        mark !walks ~depth:16 v;
+        incr walks
       | I.Cast _ | I.Alloca _ | I.Bin _ | I.Cmp _ | I.Load _ | I.Store _
       | I.Gep _ | I.Call _ | I.Intrin _ -> ());
   forced
@@ -50,16 +55,15 @@ let forced_load_positions sens_ctx (ud : Usedef.t) :
     sensitive pointer type is an unsafe cast in the paper's sense — the
     source value's provenance must be recovered for the result to carry
     valid metadata. Reported by [levee analyze]. *)
-let unsafe_cast_positions sens_ctx (fn : Prog.func) : (int * int, unit) Hashtbl.t
-    =
-  let t = Hashtbl.create 8 in
+let unsafe_cast_positions sens_ctx (fn : Prog.func) : Usedef.marks =
+  let t = Usedef.marks fn in
   Array.iter
     (fun (b : Prog.block) ->
       Array.iteri
         (fun idx (i : I.instr) ->
           match i with
           | I.Cast { ty; _ } when Sensitivity.is_sensitive sens_ctx ty ->
-            Hashtbl.replace t (b.Prog.bid, idx) ()
+            Usedef.mark t (b.Prog.bid, idx)
           | I.Cast _ | I.Alloca _ | I.Bin _ | I.Cmp _ | I.Load _ | I.Store _
           | I.Gep _ | I.Call _ | I.Intrin _ -> ())
         b.Prog.instrs)

@@ -6,12 +6,11 @@
     analysis this is intra-procedural and may miss flows it cannot recover,
     which can cause false violation reports but no loss of protection. *)
 
-(** Positions (block, index) of loads to force-instrument in the function
-    of the given use-def chains. *)
-val forced_load_positions :
-  Sensitivity.ctx -> Usedef.t -> (int * int, unit) Hashtbl.t
+(** Positions of loads to force-instrument in the function of the given
+    use-def chains. *)
+val forced_load_positions : Sensitivity.ctx -> Usedef.t -> Usedef.marks
 
-(** Positions (block, index) of casts producing a sensitive pointer type:
-    the unsafe casts whose source provenance the dataflow recovers. *)
+(** Positions of casts producing a sensitive pointer type: the unsafe
+    casts whose source provenance the dataflow recovers. *)
 val unsafe_cast_positions :
-  Sensitivity.ctx -> Levee_ir.Prog.func -> (int * int, unit) Hashtbl.t
+  Sensitivity.ctx -> Levee_ir.Prog.func -> Usedef.marks

@@ -84,7 +84,8 @@ let analyze ?(name = "<program>") (prog : Prog.t) : report =
    | Error e -> emit Error "invalid-ir" "" (-1) (-1) e);
   let plan =
     Plan.create ~refine:true ~pinned:[]
-      ~points_to:(fun () -> Pointsto.analyze prog) prog
+      ~points_to:(fun () -> Pointsto.analyze prog)
+      ~usedef:(Usedef.of_prog prog) prog
   in
   let ctx = Plan.ctx plan in
   let pt = Plan.points_to plan in
@@ -138,7 +139,7 @@ let analyze ?(name = "<program>") (prog : Prog.t) : report =
               | I.Load { ty; _ } | I.Store { ty; _ } ->
                 incr mem_ops;
                 if Sensitivity.is_sensitive ctx ty then incr sensitive;
-                if Hashtbl.mem demotable (b.Prog.bid, idx) then
+                if Usedef.marked demotable (b.Prog.bid, idx) then
                   emit Info "dead-instrumentation" fname b.Prog.bid idx
                     "sensitive access is provably data-only; CPI demotes it \
                      to a plain access"
@@ -210,35 +211,35 @@ let analyze ?(name = "<program>") (prog : Prog.t) : report =
                 b.Prog.instrs)
           fn.Prog.blocks
       end;
-      Hashtbl.iter
-        (fun (blk, idx) () ->
+      List.iter
+        (fun (blk, idx) ->
           emit Warning "unsafe-cast" fname blk idx
             "cast produces a sensitive pointer type; the source value's \
              provenance must be recovered")
-        casts;
-      Hashtbl.iter
-        (fun (blk, idx) () ->
+        (Usedef.positions casts);
+      List.iter
+        (fun (blk, idx) ->
           emit Warning "castflow-forced-load" fname blk idx
             "load forced through the safe store: its value flows into a \
              cast to a sensitive pointer type")
-        forced;
+        (Usedef.positions forced);
       (* Internal consistency: the refinement must never demote a position
          the other analyses exclude. *)
-      Hashtbl.iter
-        (fun (blk, idx) () ->
-          if Hashtbl.mem forced (blk, idx) || Hashtbl.mem demoted (blk, idx)
-          then
-            emit Error "inconsistent-demotion" fname blk idx
+      List.iter
+        (fun pos ->
+          if Usedef.marked forced pos || Usedef.marked demoted pos then
+            emit Error "inconsistent-demotion" fname (fst pos) (snd pos)
               "points-to refinement demoted a position that must stay \
                instrumented (analysis bug)")
-        demotable;
+        (Usedef.positions demotable);
+      let count m = List.length (Usedef.positions m) in
       funcs :=
         { fs_name = fname;
           fs_mem_ops = !mem_ops;
           fs_sensitive = !sensitive;
-          fs_forced = Hashtbl.length forced;
-          fs_char_demoted = Hashtbl.length demoted;
-          fs_demotable = Hashtbl.length demotable;
+          fs_forced = count forced;
+          fs_char_demoted = count demoted;
+          fs_demotable = count demotable;
           fs_indirect_calls = !indirect }
         :: !funcs);
   { source = name;

@@ -1,8 +1,10 @@
 (** The sensitive-access plan (Section 3.2.1); see plan.mli. The char*
-    demotions every consumer reads are built up front; every other table
-    is lazy and kept, so each pass builds only what it reads, once. The
-    lazies belong to this plan and so to one domain; only the strict
-    points-to solution it is handed may be shared. *)
+    demotions and safe slots every consumer reads are built up front;
+    the Castflow, annotation and refinement tables are lazy and kept, so
+    each pass builds only what it reads, once. Position tables are dense
+    per-function marks. The use-defs come from the build, and the plan
+    and its lazies belong to that one build and so to one domain; only
+    the strict points-to solution it is handed may be shared. *)
 
 module I = Levee_ir.Instr
 module Prog = Levee_ir.Prog
@@ -12,32 +14,27 @@ type access = Plain | Sensitive | Annotated
 type func = {
   fn : Prog.func;
   ctx : Sensitivity.ctx;
-  char_demoted : (int * int, unit) Hashtbl.t;
-  safe_slots : (int, unit) Hashtbl.t Lazy.t;
-  usedef : Usedef.t Lazy.t;
-  forced : (int * int, unit) Hashtbl.t Lazy.t;
+  usedef : Usedef.t;
+  char_demoted : Usedef.marks;
+  safe_slots : bool array;                 (* by register *)
+  forced : Usedef.marks Lazy.t;
   annotated : (int, unit) Hashtbl.t Lazy.t;
-  refined : (int * int, unit) Hashtbl.t;  (* filled by [refinement] *)
-  refinement : int Lazy.t;                (* shared by every slice *)
+  refined : Usedef.marks Lazy.t;           (* forces the refinement *)
 }
 
 type t = {
   ctx : Sensitivity.ctx;
   funcs : (string, func) Hashtbl.t;
   pt : Pointsto.t Lazy.t;
-  refinement : int Lazy.t;
+  refinement : (string, Usedef.marks) Hashtbl.t Lazy.t;
 }
-
-let reg_in tbl = function
-  | I.Reg r -> Hashtbl.mem (Lazy.force tbl) r
-  | I.Imm _ | I.Glob _ | I.Fun _ | I.Nullp -> false
 
 (* Registers holding the address of a proven-safe stack slot. *)
 let safe_slot_regs (fn : Prog.func) =
-  let t = Hashtbl.create 16 in
+  let t = Array.make fn.Prog.nregs false in
   Prog.iter_instrs fn (fun i ->
       match i with
-      | I.Alloca { dst; slot = I.SafeSlot; _ } -> Hashtbl.replace t dst ()
+      | I.Alloca { dst; slot = I.SafeSlot; _ } -> t.(dst) <- true
       | _ -> ());
   t
 
@@ -53,98 +50,87 @@ let access_addr f pos =
   | Some (I.Load { addr; _ } | I.Store { addr; _ }) -> Some addr
   | Some _ | None -> None
 
-let on_safe_slot f o = reg_in f.safe_slots o
-let annotated f o = reg_in f.annotated o
+let on_safe_slot f = function
+  | I.Reg r -> r >= 0 && r < Array.length f.safe_slots && f.safe_slots.(r)
+  | I.Imm _ | I.Glob _ | I.Fun _ | I.Nullp -> false
 
-(* The keep/skip protocol of [Pointsto.refine_cpi]. Skipped: outside the
-   instrumented set to begin with. Kept: Castflow-forced loads,
-   annotated-struct paths, and accesses that may reach a pinned global. *)
-let skip_in funcs fname pos =
+let annotated f = function
+  | I.Reg r -> Hashtbl.mem (Lazy.force f.annotated) r
+  | I.Imm _ | I.Glob _ | I.Fun _ | I.Nullp -> false
+
+(* The keep/skip protocol of [Pointsto.refine_cpi], one function at a
+   time. Skipped: outside the instrumented set to begin with. Kept:
+   Castflow-forced loads and annotated-struct paths. *)
+let skip_in funcs fname =
   match Hashtbl.find_opt funcs fname with
-  | None -> false
+  | None -> fun _ -> false
   | Some f ->
-    Hashtbl.mem f.char_demoted pos
-    || (match access_addr f pos with
-        | Some a -> on_safe_slot f a
-        | None -> false)
+    fun pos ->
+      Usedef.marked f.char_demoted pos
+      || (match access_addr f pos with
+          | Some a -> on_safe_slot f a
+          | None -> false)
 
-let keep_in ~pinned pt funcs fname pos =
+let keep_in funcs fname =
   match Hashtbl.find_opt funcs fname with
-  | None -> true
+  | None -> fun _ -> true
   | Some f ->
-    Hashtbl.mem (Lazy.force f.forced) pos
-    || (match access_addr f pos with
-        | None -> true
-        | Some a ->
-          annotated f a
-          || (pinned <> []
-              && List.exists
-                   (function
-                     | Pointsto.O_global g -> List.mem g pinned
-                     | _ -> false)
-                   (Pointsto.points_to pt ~fname a)))
+    fun pos ->
+      Usedef.marked (Lazy.force f.forced) pos
+      || (match access_addr f pos with
+          | None -> true
+          | Some a -> annotated f a)
 
-let refine ~pinned ctx funcs pt prog =
-  let refined =
-    Pointsto.refine_cpi pt prog ~ctx
-      ~usedef:(fun fname -> Lazy.force (Hashtbl.find funcs fname).usedef)
-      ~keep:(keep_in ~pinned pt funcs) ~skip:(skip_in funcs)
-  in
-  Hashtbl.iter
-    (fun (fname, blk, idx) () ->
-      Option.iter
-        (fun f -> Hashtbl.replace f.refined (blk, idx) ())
-        (Hashtbl.find_opt funcs fname))
-    refined;
-  Hashtbl.length refined
-
-let create ~refine:on ~pinned ~points_to (prog : Prog.t) =
+let create ~refine:on ~pinned ~points_to ~usedef (prog : Prog.t) =
   let ctx = Sensitivity.create prog.Prog.tenv in
-  let funcs = Hashtbl.create 16 in
+  let funcs = Hashtbl.create 64 in
   let pt = lazy (points_to ()) in
   let refinement =
-    lazy (if on then refine ~pinned ctx funcs (Lazy.force pt) prog else 0)
+    lazy
+      (if on then
+         Pointsto.refine_cpi (Lazy.force pt) prog ~ctx ~usedef ~pinned
+           ~keep:(keep_in funcs) ~skip:(skip_in funcs)
+       else Hashtbl.create 1)
   in
+  let char_demoted = Strheur.demoted ~usedef prog in
   Prog.iter_funcs prog (fun fn ->
-      let usedef = lazy (Usedef.build fn) in
-      Hashtbl.replace funcs fn.Prog.fname
-        { fn; ctx; char_demoted = Hashtbl.create 16;
-          safe_slots = lazy (safe_slot_regs fn);
-          usedef;
-          forced =
-            lazy (Castflow.forced_load_positions ctx (Lazy.force usedef));
+      let fname = fn.Prog.fname in
+      let ud = usedef fname in
+      Hashtbl.replace funcs fname
+        { fn; ctx; usedef = ud; char_demoted = char_demoted fname;
+          safe_slots = safe_slot_regs fn;
+          forced = lazy (Castflow.forced_load_positions ctx ud);
           annotated = lazy (Sensitivity.annotated_addr_regs ctx fn);
-          refined = Hashtbl.create 16; refinement });
-  Hashtbl.iter
-    (fun (fname, blk, idx) () ->
-      Option.iter
-        (fun f -> Hashtbl.replace f.char_demoted (blk, idx) ())
-        (Hashtbl.find_opt funcs fname))
-    (Strheur.demoted prog);
+          refined =
+            lazy
+              (Option.value ~default:[||]
+                 (Hashtbl.find_opt (Lazy.force refinement) fname)) });
   { ctx; funcs; pt; refinement }
 
 let ctx (t : t) = t.ctx
 let points_to t = Lazy.force t.pt
-let demoted_count (t : t) = Lazy.force t.refinement
+
+let demoted_count (t : t) =
+  Hashtbl.fold
+    (fun _ m n -> n + List.length (Usedef.positions m))
+    (Lazy.force t.refinement) 0
+
 let skip t = skip_in t.funcs
 let func t fname = Hashtbl.find t.funcs fname
-let usedef f = Lazy.force f.usedef
+let usedef f = f.usedef
 let forced f = Lazy.force f.forced
 let char_demoted f = f.char_demoted
-
-let refined (f : func) =
-  ignore (Lazy.force f.refinement);
-  f.refined
+let refined f = Lazy.force f.refined
 
 let demoted f pos =
-  Hashtbl.mem f.char_demoted pos || Hashtbl.mem (refined f) pos
+  Usedef.marked f.char_demoted pos || Usedef.marked (refined f) pos
 
 let access (f : func) pos =
   match instr_at f pos with
   | Some (I.Load { ty; addr; _ } | I.Store { ty; addr; _ })
     when not (on_safe_slot f addr) ->
     if (Sensitivity.is_sensitive f.ctx ty && not (demoted f pos))
-       || Hashtbl.mem (forced f) pos
+       || Usedef.marked (forced f) pos
     then Sensitive
     else if annotated f addr then Annotated
     else Plain

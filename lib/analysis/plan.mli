@@ -8,10 +8,12 @@
     unsafe-cast data flow ({!Castflow}) forces. CPI enforces the answer
     with its safe region, cpi-crypt with an in-place cipher.
 
-    Tables are built on first use and shared: one set of use-def chains
-    per function serves Castflow, the refinement and the CPI pass. CPS,
-    which reads only the char* demotions, the safe-slot skip and the
-    points-to result, never builds the rest. *)
+    The plan reads the build's use-defs (one per function, also read by
+    the safe-stack analysis) for the char* heuristic, Castflow, the
+    refinement and the passes. Position tables are dense per-function
+    marks. The Castflow, annotation and refinement tables are built on
+    first use and kept: CPS, which reads only the char* demotions, the
+    safe-slot skip and the points-to result, never builds them. *)
 
 type t
 
@@ -23,16 +25,17 @@ type access =
   | Sensitive  (** a sensitive pointer *)
   | Annotated  (** non-sensitive data inside an annotated struct *)
 
-(** [create ~refine ~pinned ~points_to prog]: with [refine], the
+(** [create ~refine ~pinned ~points_to ~usedef prog]: with [refine], the
     points-to refinement runs; it never demotes an access that may reach
     a global named in [pinned]. [points_to] yields the solve for [prog]
     (or for the program [prog] was cloned from, before any pass rewrote
     it); it is called at most once, and only if a consumer reads the
-    solve. A plan reads [Alloca.slot] from [prog], so it belongs to that
-    one program and is never shared. *)
+    solve. [usedef] hands out the use-def of each function of [prog]; the
+    plan keeps exactly those. A plan reads [Alloca.slot] from [prog], so
+    it belongs to that one program and is never shared. *)
 val create :
   refine:bool -> pinned:string list -> points_to:(unit -> Pointsto.t) ->
-  Levee_ir.Prog.t -> t
+  usedef:(string -> Usedef.t) -> Levee_ir.Prog.t -> t
 
 val ctx : t -> Sensitivity.ctx
 
@@ -62,6 +65,6 @@ val access : func -> int * int -> access
 
 (** Positions of Castflow-forced loads, char*-heuristic demotions and
     points-to demotions. *)
-val forced : func -> (int * int, unit) Hashtbl.t
-val char_demoted : func -> (int * int, unit) Hashtbl.t
-val refined : func -> (int * int, unit) Hashtbl.t
+val forced : func -> Usedef.marks
+val char_demoted : func -> Usedef.marks
+val refined : func -> Usedef.marks

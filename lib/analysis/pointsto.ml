@@ -431,10 +431,11 @@ let analyze (prog : Prog.t) : t =
 
 let source t = t.source
 
-let pts_ids t ~fname (o : I.operand) : ISet.t =
+(* An operand's points-to set, in the function whose nodes are [slots]. *)
+let pts_in t (slots : slots option) (o : I.operand) : ISet.t =
   match o with
   | I.Reg r ->
-    (match Hashtbl.find_opt t.slots fname with
+    (match slots with
      | Some s when r >= 0 && r < s.nregs -> t.pts.(s.base + r)
      | Some _ | None -> ISet.empty)
   | I.Glob g ->
@@ -443,6 +444,8 @@ let pts_ids t ~fname (o : I.operand) : ISet.t =
      | None -> ISet.empty)
   | I.Fun _ -> ISet.singleton code_id
   | I.Imm _ | I.Nullp -> ISet.empty
+
+let pts_ids t ~fname o = pts_in t (Hashtbl.find_opt t.slots fname) o
 
 let points_to t ~fname o : obj list =
   List.map (fun i -> t.objs.(i)) (ISet.elements (pts_ids t ~fname o))
@@ -506,40 +509,6 @@ let signature_class t ~fty ~arity =
 
 (* ---------- sensitivity refinement ---------- *)
 
-(* One memory access, as the consistency fixpoint sees it. *)
-type acc = {
-  ac_fname : string;
-  ac_pos : int * int;
-  ac_load : bool;
-  ac_ty : Ty.t;
-  ac_addr : I.operand;
-  ac_dst : int; (* load destination register, -1 for stores *)
-}
-
-let collect_accesses prog =
-  let accs = ref [] in
-  Prog.iter_funcs prog (fun fn ->
-      Array.iter
-        (fun (b : Prog.block) ->
-          Array.iteri
-            (fun idx (i : I.instr) ->
-              match i with
-              | I.Load { dst; ty; addr; _ } ->
-                accs :=
-                  { ac_fname = fn.Prog.fname; ac_pos = (b.Prog.bid, idx);
-                    ac_load = true; ac_ty = ty; ac_addr = addr; ac_dst = dst }
-                  :: !accs
-              | I.Store { ty; addr; _ } ->
-                accs :=
-                  { ac_fname = fn.Prog.fname; ac_pos = (b.Prog.bid, idx);
-                    ac_load = false; ac_ty = ty; ac_addr = addr; ac_dst = -1 }
-                  :: !accs
-              | I.Alloca _ | I.Bin _ | I.Cmp _ | I.Gep _ | I.Cast _ | I.Call _
-              | I.Intrin _ -> ())
-            b.Prog.instrs)
-        fn.Prog.blocks);
-  List.rev !accs
-
 (* Intrinsics through which a value loaded from a demoted (plain) object
    may flow without observable difference: they consume the value as
    data/string/size and never interact with per-pointer metadata. *)
@@ -552,9 +521,46 @@ let audit_ok_intrin (op : I.intrin) =
   | I.I_system | I.I_thread_spawn | I.I_thread_join | I.I_mutex_lock
   | I.I_mutex_unlock | I.I_atomic_add -> false
 
-let refine_cpi t prog ~ctx ~usedef ~keep ~skip :
-    (string * int * int, unit) Hashtbl.t =
-  let accs = collect_accesses prog in
+(* Every load and store of [prog] whose type [select] accepts and that
+   [skip] does not exclude, per function: [visit fname slots marks pos
+   load dst addr] (dst is -1 for a store). Each function's [marks] is the
+   empty set the result table holds for it. *)
+let iter_accesses t prog ~select ~skip visit =
+  let out = Hashtbl.create 64 in
+  Prog.iter_funcs prog (fun fn ->
+      let fname = fn.Prog.fname in
+      let slots = Hashtbl.find_opt t.slots fname in
+      let skip = skip fname in
+      let marks = Usedef.marks fn in
+      Hashtbl.replace out fname marks;
+      Array.iter
+        (fun (b : Prog.block) ->
+          Array.iteri
+            (fun idx (i : I.instr) ->
+              match i with
+              | I.Load { ty; dst; addr; _ } when select ty ->
+                let pos = (b.Prog.bid, idx) in
+                if not (skip pos) then visit fname slots marks pos true dst addr
+              | I.Store { ty; addr; _ } when select ty ->
+                let pos = (b.Prog.bid, idx) in
+                if not (skip pos) then visit fname slots marks pos false (-1) addr
+              | I.Load _ | I.Store _ | I.Alloca _ | I.Bin _ | I.Cmp _ | I.Gep _
+              | I.Cast _ | I.Call _ | I.Intrin _ -> ())
+            b.Prog.instrs)
+        fn.Prog.blocks);
+  out
+
+(* A candidate for CPI demotion, with the facts no round changes. *)
+type cand = {
+  c_marks : Usedef.marks;
+  c_pos : int * int;
+  c_pts : ISet.t;
+  c_audit : (int * Usedef.t * slots option) option;
+      (* a load: its destination, whose uses are audited, and its function *)
+}
+
+let refine_cpi t prog ~ctx ~usedef ~pinned ~keep ~skip :
+    (string, Usedef.marks) Hashtbl.t =
   let nobj = Array.length t.objs in
   let in_c = Array.make nobj false in
   Array.iteri
@@ -566,18 +572,50 @@ let refine_cpi t prog ~ctx ~usedef ~keep ~skip :
            (not t.reaches.(o)) && not t.hazard.(o)))
     t.objs;
   let sub_c s = (not (ISet.is_empty s)) && ISet.for_all (fun o -> in_c.(o)) s in
-  let acc_pts a = pts_ids t ~fname:a.ac_fname a.ac_addr in
-  let sensitive a = Sensitivity.is_sensitive ctx a.ac_ty in
+  let changed = ref false in
+  let drop s =
+    ISet.iter
+      (fun o ->
+        if in_c.(o) then begin
+          in_c.(o) <- false;
+          changed := true
+        end)
+      s
+  in
+  let pinned =
+    List.fold_left
+      (fun acc g ->
+        match Hashtbl.find_opt t.globals g with
+        | Some o -> ISet.add o acc
+        | None -> acc)
+      ISet.empty pinned
+  in
+  (* An access that stays instrumented (kept, or touching a pinned
+     global) drops its objects once: they must keep their safe-store
+     routing everywhere. The rest are the candidates. *)
+  let cands = ref [] in
+  let out =
+    iter_accesses t prog ~select:(Sensitivity.is_sensitive ctx) ~skip
+      (fun fname slots marks pos load dst addr ->
+        let s = pts_in t slots addr in
+        if keep fname pos || not (ISet.disjoint s pinned) then drop s
+        else
+          cands :=
+            { c_marks = marks; c_pos = pos; c_pts = s;
+              c_audit = (if load then Some (dst, usedef fname, slots) else None) }
+            :: !cands)
+  in
+  let cands = List.rev !cands in
   (* Demoting a load means the loaded register carries no metadata; that
      is only invisible when every (transitive) use is metadata-blind or
      itself part of the demoted family. *)
-  let rec audit_uses ud fname ~depth reg =
+  let rec audit_uses (ud : Usedef.t) slots ~depth reg =
     depth > 0
     && List.for_all
          (fun (u : Usedef.use) ->
            let pos_addr (p : Usedef.pos) =
-             let fn = (ud : Usedef.t).Usedef.fn in
-             match fn.Prog.blocks.(p.Usedef.block).Prog.instrs.(p.Usedef.idx)
+             match
+               (Usedef.func ud).Prog.blocks.(p.Usedef.block).Prog.instrs.(p.Usedef.idx)
              with
              | I.Load { ty; addr; _ } | I.Store { ty; addr; _ } -> Some (ty, addr)
              | I.Alloca _ | I.Bin _ | I.Cmp _ | I.Gep _ | I.Cast _ | I.Call _
@@ -588,83 +626,53 @@ let refine_cpi t prog ~ctx ~usedef ~keep ~skip :
              | None -> false
              | Some (ty, addr) ->
                (match ty with
-                | Ty.Char -> sub_c (pts_ids t ~fname addr)
+                | Ty.Char -> sub_c (pts_in t slots addr)
                 | _ when Sensitivity.is_sensitive ctx ty ->
-                  sub_c (pts_ids t ~fname addr)
+                  sub_c (pts_in t slots addr)
                 | _ -> not (Sensitivity.deref_needs_check ctx ty))
            in
            match u with
            | Usedef.Cmp_op _ | Usedef.Branch_cond | Usedef.Gep_index _ -> true
            | Usedef.Bin_op (_, d) | Usedef.Gep_base (_, d)
            | Usedef.Cast_src (_, d, _) ->
-             audit_uses ud fname ~depth:(depth - 1) d
+             audit_uses ud slots ~depth:(depth - 1) d
            | Usedef.Load_addr (p, _) | Usedef.Store_addr (p, _) -> deref_ok p
            | Usedef.Store_val (p, _) ->
              (match pos_addr p with
-              | Some (_, addr) -> sub_c (pts_ids t ~fname addr)
+              | Some (_, addr) -> sub_c (pts_in t slots addr)
               | None -> false)
            | Usedef.Intrin_arg (_, op, _) -> audit_ok_intrin op
            | Usedef.Callee _ | Usedef.Call_arg _ | Usedef.Ret_val -> false)
          (Usedef.uses_of ud reg)
   in
-  let changed = ref true in
-  let iters = ref 0 in
-  while !changed && !iters < 100 do
+  (* [in_c] only flips from true to false, so this ends within (number of
+     objects + 1) rounds; a candidate whose set has left [in_c] for good
+     needs no further look. *)
+  let rec fixpoint cands =
     changed := false;
-    incr iters;
-    List.iter
-      (fun a ->
-        if sensitive a && not (skip a.ac_fname a.ac_pos) then begin
-          let s = acc_pts a in
-          let demotable = (not (keep a.ac_fname a.ac_pos)) && sub_c s in
-          let drop () =
-            ISet.iter
-              (fun o ->
-                if in_c.(o) then begin
-                  in_c.(o) <- false;
-                  changed := true
-                end)
-              s
-          in
-          if not demotable then
-            (* stays instrumented: the objects it touches must keep their
-               safe-store routing everywhere *)
-            drop ()
-          else if a.ac_load
-                  && not
-                       (audit_uses (usedef a.ac_fname) a.ac_fname ~depth:8
-                          a.ac_dst)
-          then drop ()
-        end)
-      accs
-  done;
-  let result = Hashtbl.create 32 in
-  List.iter
-    (fun a ->
-      if sensitive a
-         && (not (skip a.ac_fname a.ac_pos))
-         && (not (keep a.ac_fname a.ac_pos))
-         && sub_c (acc_pts a)
-      then
-        let b, i = a.ac_pos in
-        Hashtbl.replace result (a.ac_fname, b, i) ())
-    accs;
-  result
+    let live =
+      List.filter
+        (fun c ->
+          if not (sub_c c.c_pts) then (drop c.c_pts; false)
+          else begin
+            (match c.c_audit with
+             | Some (dst, ud, slots) when not (audit_uses ud slots ~depth:8 dst) ->
+               drop c.c_pts
+             | Some _ | None -> ());
+            true
+          end)
+        cands
+    in
+    if !changed then fixpoint live else live
+  in
+  (* the survivors of a round that dropped nothing all lie in [in_c] *)
+  List.iter (fun c -> Usedef.mark c.c_marks c.c_pos) (fixpoint cands);
+  out
 
-let refine_cps t prog ~instrumented ~skip :
-    (string * int * int, unit) Hashtbl.t =
-  let accs = collect_accesses prog in
+let refine_cps t prog ~instrumented ~skip : (string, Usedef.marks) Hashtbl.t =
   let never_code s =
     (not (ISet.is_empty s)) && ISet.for_all (fun o -> not t.reaches.(o)) s
   in
-  let result = Hashtbl.create 32 in
-  List.iter
-    (fun a ->
-      if instrumented a.ac_ty
-         && (not (skip a.ac_fname a.ac_pos))
-         && never_code (pts_ids t ~fname:a.ac_fname a.ac_addr)
-      then
-        let b, i = a.ac_pos in
-        Hashtbl.replace result (a.ac_fname, b, i) ())
-    accs;
-  result
+  iter_accesses t prog ~select:instrumented ~skip
+    (fun _ slots marks pos _ _ addr ->
+      if never_code (pts_in t slots addr) then Usedef.mark marks pos)

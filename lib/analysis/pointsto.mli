@@ -71,25 +71,29 @@ val callee_targets : t -> fname:string -> I.operand -> string list option
     parameters, in program order. The cfi-type per-signature sets. *)
 val signature_class : t -> fty:Ty.t -> arity:int -> string list
 
-(** Positions (function, block, index) of type-rule-sensitive accesses
-    that are provably data-only and safe to demote to plain accesses.
-    [keep] marks positions that must stay instrumented (Castflow-forced,
-    annotated-struct paths); [skip] marks positions that are not
-    instrumented in the first place (safe-slot accesses, accesses already
-    demoted by the char* heuristic). Demotion is consistent per object:
-    either every access that may touch an object is demoted, or none is,
-    and loads are demoted only when every transitive use of the loaded
-    value is metadata-blind, judged on [usedef fname]'s use-def chains.
-    The accesses are read from the program given, the one being
-    instrumented: a clone of the solved program, not yet rewritten. *)
+(** Per function (by name, every function of the program), the positions
+    of type-rule-sensitive accesses that are provably data-only and safe
+    to demote to plain accesses. [keep fname] marks positions that must
+    stay instrumented (Castflow-forced, annotated-struct paths), as does
+    any access that may reach a global named in [pinned]; [skip fname]
+    marks positions that are not instrumented in the first place
+    (safe-slot accesses, accesses already demoted by the char*
+    heuristic). Demotion is consistent per object: either every access
+    that may touch an object is demoted, or none is, and loads are
+    demoted only when every transitive use of the loaded value is
+    metadata-blind, judged on [usedef fname]'s use-def chains. The
+    accesses are read from the program given, the one being instrumented:
+    a clone of the solved program, not yet rewritten. The fixpoint has no
+    round cap: it only ever removes objects from the demotable set. *)
 val refine_cpi :
   t ->
   Prog.t ->
   ctx:Sensitivity.ctx ->
   usedef:(string -> Usedef.t) ->
+  pinned:string list ->
   keep:(string -> int * int -> bool) ->
   skip:(string -> int * int -> bool) ->
-  (string * int * int, unit) Hashtbl.t
+  (string, Usedef.marks) Hashtbl.t
 
 (** CPS variant: demote accesses of [instrumented] types whose points-to
     sets never reach code. No use audit is needed — [SafeValue] routing
@@ -100,4 +104,4 @@ val refine_cps :
   Prog.t ->
   instrumented:(Ty.t -> bool) ->
   skip:(string -> int * int -> bool) ->
-  (string * int * int, unit) Hashtbl.t
+  (string, Usedef.marks) Hashtbl.t

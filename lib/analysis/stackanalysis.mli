@@ -9,8 +9,8 @@
 
 type verdict = Safe | Unsafe
 
-(** Classify every alloca of a function: the per-register verdicts plus
-    whether the function needs an unsafe frame at all (the FNUStack
-    numerator). *)
+(** Classify every alloca of the function a use-def describes: the
+    per-register verdicts plus whether the function needs an unsafe frame
+    at all (the FNUStack numerator). *)
 val classify :
-  Levee_ir.Ty.env -> Levee_ir.Prog.func -> (int, verdict) Hashtbl.t * bool
+  Levee_ir.Ty.env -> Usedef.t -> (int, verdict) Hashtbl.t * bool

@@ -48,7 +48,7 @@ let stringy_value prog ud v =
   | Usedef.From_param i ->
     (* a char* parameter spilled into its slot: string-like iff declared
        char* (the store type already guarantees that here) *)
-    (match List.nth_opt ud.Usedef.fn.Prog.params i with
+    (match List.nth_opt (Usedef.func ud).Prog.params i with
      | Some (_, Ty.Ptr Ty.Char) -> true
      | Some _ | None -> false)
   | Usedef.From_fun _ | Usedef.From_load _ | Usedef.From_call | Usedef.Unknown ->
@@ -72,48 +72,40 @@ let rec stringy_uses ud ~depth reg =
          | Usedef.Ret_val | Usedef.Gep_index _ -> false)
        (Usedef.uses_of ud reg)
 
-(* Site keys must be program-global: allocas are function-local, globals
-   are shared across functions. *)
-type site = Local of string * int | Global of string
+(* Per-site evidence: are all stores stringy and all loads
+   string-consumed? Allocas are function-local, so their flags live in an
+   array by register; globals are shared across functions. *)
+type site = Local of int | Global of bool ref
 
-type access = {
-  a_fname : string;
-  a_pos : int * int;      (* block, idx *)
-}
-
-(** Program-level demotion map: [(fname, block, idx)] positions of char*
+(** Program-level demotion map: per function, the positions of char*
     loads/stores that the heuristic treats as non-sensitive. *)
-let demoted (prog : Prog.t) : (string * int * int, unit) Hashtbl.t =
-  (* Per-site evidence: all stores stringy? all loads string-consumed? *)
-  let ok : (site, bool ref) Hashtbl.t = Hashtbl.create 32 in
-  let accesses : (site, access list ref) Hashtbl.t = Hashtbl.create 32 in
-  let record site fname pos good =
-    let flag =
-      match Hashtbl.find_opt ok site with
-      | Some f -> f
-      | None ->
-        let f = ref true in
-        Hashtbl.replace ok site f;
-        f
-    in
-    flag := !flag && good;
-    let l =
-      match Hashtbl.find_opt accesses site with
-      | Some l -> l
-      | None ->
-        let l = ref [] in
-        Hashtbl.replace accesses site l;
-        l
-    in
-    l := { a_fname = fname; a_pos = pos } :: !l
+let demoted ~(usedef : string -> Usedef.t) (prog : Prog.t) :
+    string -> Usedef.marks =
+  let globals = Hashtbl.create 32 in
+  let global g =
+    match Hashtbl.find_opt globals g with
+    | Some f -> f
+    | None ->
+      let f = ref true in
+      Hashtbl.replace globals g f;
+      f
   in
+  let out = Hashtbl.create 64 in
+  let pending = ref [] in
   Prog.iter_funcs prog (fun fn ->
-      let ud = Usedef.build fn in
-      let site_of addr =
+      let ud = usedef fn.Prog.fname in
+      let local = Array.make fn.Prog.nregs true in
+      let accesses = ref [] in
+      let record addr pos good =
         match Usedef.root_site ud addr with
-        | Usedef.Site_alloca r -> Some (Local (fn.Prog.fname, r))
-        | Usedef.Site_global g -> Some (Global g)
-        | Usedef.Site_unknown -> None
+        | Usedef.Site_alloca r ->
+          local.(r) <- local.(r) && good ();
+          accesses := (Local r, pos) :: !accesses
+        | Usedef.Site_global g ->
+          let f = global g in
+          f := !f && good ();
+          accesses := (Global f, pos) :: !accesses
+        | Usedef.Site_unknown -> ()
       in
       Array.iter
         (fun (b : Prog.block) ->
@@ -121,30 +113,24 @@ let demoted (prog : Prog.t) : (string * int * int, unit) Hashtbl.t =
             (fun idx (i : I.instr) ->
               match i with
               | I.Store { ty = Ty.Ptr Ty.Char; v; addr; _ } ->
-                (match site_of addr with
-                 | Some s ->
-                   record s fn.Prog.fname (b.Prog.bid, idx) (stringy_value prog ud v)
-                 | None -> ())
+                record addr (b.Prog.bid, idx) (fun () ->
+                    stringy_value prog ud v)
               | I.Load { ty = Ty.Ptr Ty.Char; dst; addr; _ } ->
-                (match site_of addr with
-                 | Some s ->
-                   record s fn.Prog.fname (b.Prog.bid, idx)
-                     (stringy_uses ud ~depth:6 dst)
-                 | None -> ())
+                record addr (b.Prog.bid, idx) (fun () ->
+                    stringy_uses ud ~depth:6 dst)
               | _ -> ())
             b.Prog.instrs)
-        fn.Prog.blocks);
-  let result = Hashtbl.create 32 in
-  Hashtbl.iter
-    (fun site flag ->
-      if !flag then
-        match Hashtbl.find_opt accesses site with
-        | Some l ->
-          List.iter
-            (fun a ->
-              let b, i = a.a_pos in
-              Hashtbl.replace result (a.a_fname, b, i) ())
-            !l
-        | None -> ())
-    ok;
-  result
+        fn.Prog.blocks;
+      let m = Usedef.marks fn in
+      Hashtbl.replace out fn.Prog.fname m;
+      pending := (m, local, !accesses) :: !pending);
+  (* Every site's evidence is complete only once every function is seen. *)
+  List.iter
+    (fun (m, local, accesses) ->
+      List.iter
+        (fun (site, pos) ->
+          let ok = match site with Local r -> local.(r) | Global f -> !f in
+          if ok then Usedef.mark m pos)
+        accesses)
+    !pending;
+  Hashtbl.find out

@@ -10,6 +10,8 @@
     misses only leave extra instrumentation (or cause false violation
     reports, as the paper notes); they never expose a code pointer. *)
 
-(** Program-level demotion map: [(function, block, index)] positions of
-    char* loads/stores treated as non-sensitive. *)
-val demoted : Levee_ir.Prog.t -> (string * int * int, unit) Hashtbl.t
+(** Program-level demotion map: per function (by name), the positions of
+    char* loads/stores treated as non-sensitive, judged on the use-defs
+    [usedef] hands out. *)
+val demoted :
+  usedef:(string -> Usedef.t) -> Levee_ir.Prog.t -> string -> Usedef.marks

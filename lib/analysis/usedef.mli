@@ -1,6 +1,7 @@
-(** Per-function use-def maps over the IR, shared by the char* heuristic,
+(** Per-function use-def maps over the IR, read by the char* heuristic,
     the unsafe-cast data-flow augmentation, the points-to refinement and
-    the safe stack analysis. *)
+    the safe stack analysis. A build makes one per function ({!of_prog})
+    and hands that one to every reader. *)
 
 module I = Levee_ir.Instr
 module Prog = Levee_ir.Prog
@@ -23,20 +24,36 @@ type use =
   | Ret_val
   | Branch_cond
 
-type t = {
-  fn : Prog.func;
-  defs : (int, pos * I.instr) Hashtbl.t; (* reg -> defining instruction *)
-  uses : (int, use list ref) Hashtbl.t;
-}
+(** Arrays indexed by register: where each register is last defined and
+    where it is used. Instructions are read from the function when asked
+    for, so replacing one in place by another with the same operands
+    (the CPI pass's [memcpy] to [cpi_memcpy]) keeps the use-def valid. *)
+type t
 
 val build : Prog.func -> t
+val func : t -> Prog.func
+
+(** [of_prog prog] builds every function's use-def now, looked up by name. *)
+val of_prog : Prog.t -> string -> t
 
 (** The defining instruction of a virtual register, if any. Parameters
-    are bound to registers without a defining instruction. *)
+    have none; registers outside the function have neither defs nor uses. *)
 val def : t -> int -> (pos * I.instr) option
 
-(** Every recorded use of a register (order unspecified). *)
+(** Every use of a register, latest first (a block's terminator after its
+    instructions). *)
 val uses_of : t -> int -> use list
+
+(** A dense set of one function's positions, [m.(block).(idx)]; [marks fn]
+    is the empty one, and [marked] answers [false] outside it. *)
+type marks = bool array array
+
+val marks : Prog.func -> marks
+val marked : marks -> int * int -> bool
+val mark : marks -> int * int -> unit
+
+(** The members, in program order. *)
+val positions : marks -> (int * int) list
 
 (** Local origin of an operand, traced through copies, casts, geps and
     the left operand of pointer arithmetic. *)

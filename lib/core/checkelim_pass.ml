@@ -227,7 +227,6 @@ let fresh_at (fn : Prog.func) (si : syminfo) ~block ~idx =
 module ISet = Set.Make (Int)
 
 type check_site = {
-  cs_idx : int; (* instruction index in its block *)
   cs_is_store : bool;
   cs_id : int; (* interned sym id *)
   cs_fresh : bool; (* supporting loads fresh at this site *)
@@ -276,32 +275,27 @@ let run (prog : Prog.t) : Verify.elision_cert list =
               si.s_allocas;
             id
         in
-        (* per block: the checked accesses with a usable sym *)
-        let sites = Array.make (Array.length fn.Prog.blocks) [] in
-        Array.iter
-          (fun (b : Prog.block) ->
-            let here = ref [] in
-            Array.iteri
-              (fun idx (i : I.instr) ->
-                match i with
-                | I.Load { addr; checked = true; _ }
-                | I.Store { addr; checked = true; _ } ->
-                  (match sym_of addr with
-                   | Some si ->
-                     let is_store =
-                       match i with I.Store _ -> true | _ -> false
-                     in
-                     here :=
-                       { cs_idx = idx; cs_is_store = is_store;
-                         cs_id = intern si;
-                         cs_fresh = fresh_at fn si ~block:b.Prog.bid ~idx }
-                       :: !here
-                   | None -> ())
-                | I.Load _ | I.Store _ | I.Alloca _ | I.Bin _ | I.Cmp _
-                | I.Gep _ | I.Cast _ | I.Call _ | I.Intrin _ -> ())
-              b.Prog.instrs;
-            sites.(b.Prog.bid) <- List.rev !here)
-          fn.Prog.blocks;
+        (* per block and index: the checked accesses with a usable sym *)
+        let sites =
+          Array.map
+            (fun (b : Prog.block) ->
+              Array.mapi
+                (fun idx (i : I.instr) ->
+                  match i with
+                  | I.Load { addr; checked = true; _ }
+                  | I.Store { addr; checked = true; _ } ->
+                    Option.map
+                      (fun si ->
+                        { cs_is_store =
+                            (match i with I.Store _ -> true | _ -> false);
+                          cs_id = intern si;
+                          cs_fresh = fresh_at fn si ~block:b.Prog.bid ~idx })
+                      (sym_of addr)
+                  | I.Load _ | I.Store _ | I.Alloca _ | I.Bin _ | I.Cmp _
+                  | I.Gep _ | I.Cast _ | I.Call _ | I.Intrin _ -> None)
+                b.Prog.instrs)
+            fn.Prog.blocks
+        in
         if !nids > 0 then begin
           let universe = ref ISet.empty in
           for k = 0 to !nids - 1 do
@@ -337,14 +331,11 @@ let run (prog : Prog.t) : Verify.elision_cert list =
                          | None -> state)
             | None -> state
           in
-          let site_at b idx =
-            List.find_opt (fun c -> c.cs_idx = idx) sites.(b)
-          in
           let transfer bid state =
             let b = fn.Prog.blocks.(bid) in
             let s = ref state in
             Array.iteri
-              (fun idx _ -> s := step b idx !s (site_at b.Prog.bid idx))
+              (fun idx _ -> s := step b idx !s sites.(bid).(idx))
               b.Prog.instrs;
             !s
           in
@@ -363,7 +354,7 @@ let run (prog : Prog.t) : Verify.elision_cert list =
                 let s = ref avail_in.(bid) in
                 Array.iteri
                   (fun idx (i : I.instr) ->
-                    let site = site_at bid idx in
+                    let site = sites.(bid).(idx) in
                     (match site, i with
                      | Some c, I.Load l when c.cs_fresh && ISet.mem c.cs_id !s ->
                        l.checked <- false;

@@ -18,9 +18,10 @@ module Prog = Levee_ir.Prog
 module An = Levee_analysis
 
 (* Can we prove that the memory reachable from operand [o] holds no
-   sensitive values? Used to keep plain memcpy/memset where possible.
-   [summaries] holds the interprocedural parameter facts below. *)
-let provably_non_sensitive ctx ud ~summaries (prog : Prog.t) o =
+   sensitive values? Used to keep plain memcpy/memset where possible. A
+   parameter's memory is unknown: the front end spills every parameter,
+   so a copy's arguments reach here as loaded pointers anyway. *)
+let provably_non_sensitive ctx ud (prog : Prog.t) o =
   match An.Usedef.origin ud o with
   | An.Usedef.From_alloca ty -> not (An.Sensitivity.is_sensitive ctx ty)
   | An.Usedef.From_global g ->
@@ -28,56 +29,8 @@ let provably_non_sensitive ctx ud ~summaries (prog : Prog.t) o =
      | Some { Prog.gty; _ } -> not (An.Sensitivity.is_sensitive ctx gty)
      | None -> false)
   | An.Usedef.From_const -> true
-  | An.Usedef.From_param i ->
-    (match Hashtbl.find_opt summaries ud.An.Usedef.fn.Prog.fname with
-     | Some flags when i < Array.length flags -> flags.(i)
-     | Some _ | None -> false)
-  | An.Usedef.From_fun _ | An.Usedef.From_malloc | An.Usedef.From_load _
-  | An.Usedef.From_call | An.Usedef.Unknown -> false
-
-(* Interprocedural refinement of Section 3.2.2's memset/memcpy handling:
-   clang-style "real type of the argument before the cast to void*". A
-   pointer parameter is non-sensitive when every direct call site passes a
-   provably non-sensitive pointer; address-taken functions may be called
-   from anywhere, so their parameters stay unknown. Iterated to a (downward)
-   fixpoint. *)
-let param_summaries ctx plan (prog : Prog.t) =
-  let summaries : (string, bool array) Hashtbl.t = Hashtbl.create 16 in
-  Prog.iter_funcs prog (fun fn ->
-      let flags =
-        Array.of_list
-          (List.map
-             (fun (_, ty) ->
-               (match ty with Ty.Ptr _ -> true | _ -> false)
-               && not fn.Prog.address_taken)
-             fn.Prog.params)
-      in
-      Hashtbl.replace summaries fn.Prog.fname flags);
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < 4 do
-    changed := false;
-    incr rounds;
-    Prog.iter_funcs prog (fun fn ->
-        Prog.iter_instrs fn (fun i ->
-            match i with
-            | I.Call { callee = I.Direct f; args; _ } ->
-              (match Hashtbl.find_opt summaries f with
-               | Some flags ->
-                 let ud = An.Plan.usedef (An.Plan.func plan fn.Prog.fname) in
-                 List.iteri
-                   (fun k arg ->
-                     if k < Array.length flags && flags.(k)
-                        && not (provably_non_sensitive ctx ud ~summaries prog arg)
-                     then begin
-                       flags.(k) <- false;
-                       changed := true
-                     end)
-                   args
-               | None -> ())
-            | _ -> ()))
-  done;
-  summaries
+  | An.Usedef.From_param _ | An.Usedef.From_fun _ | An.Usedef.From_malloc
+  | An.Usedef.From_load _ | An.Usedef.From_call | An.Usedef.Unknown -> false
 
 (* A char access is a universal-pointer dereference only when its address
    was loaded as a (non-demoted) char*; direct indexing into char arrays is
@@ -93,16 +46,17 @@ let char_deref_needs_check f fn addr =
      | _ -> false)
   | _ -> false
 
-let run ?(debug = false) ?(refine = true) ~points_to (prog : Prog.t) : int =
-  let plan = An.Plan.create ~refine ~pinned:[] ~points_to prog in
+(** [usedef] hands out the build's use-def of each function. *)
+let run ?(debug = false) ?(refine = true) ~points_to ~usedef (prog : Prog.t) :
+    int =
+  let plan = An.Plan.create ~refine ~pinned:[] ~points_to ~usedef prog in
   let ctx = An.Plan.ctx plan in
   let safe_where = if debug then I.SafeDebug else I.SafeFull in
-  let summaries = param_summaries ctx plan prog in
   let demoted = An.Plan.demoted_count plan in
   Prog.iter_funcs prog (fun fn ->
       let f = An.Plan.func plan fn.Prog.fname in
       let non_sensitive o =
-        provably_non_sensitive ctx (An.Plan.usedef f) ~summaries prog o
+        provably_non_sensitive ctx (An.Plan.usedef f) prog o
       in
       let route here =
         match An.Plan.access f here with

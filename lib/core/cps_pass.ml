@@ -24,9 +24,10 @@ module An = Levee_analysis
 (** Returns the number of accesses demoted by the points-to refinement
     ([Pointsto.refine_cps]): instrumented-type accesses whose values
     provably never hold a code pointer stay on the regular path.
-    [points_to] yields the solve of [prog] or of its source. *)
-let run ?(refine = true) ~points_to (prog : Prog.t) : int =
-  let plan = An.Plan.create ~refine ~pinned:[] ~points_to prog in
+    [points_to] yields the solve of [prog] or of its source; [usedef]
+    hands out the build's use-def of each function. *)
+let run ?(refine = true) ~points_to ~usedef (prog : Prog.t) : int =
+  let plan = An.Plan.create ~refine ~pinned:[] ~points_to ~usedef prog in
   let instrumented = An.Sensitivity.is_cps_sensitive (An.Plan.ctx plan) in
   let skip = An.Plan.skip plan in
   let pt = An.Plan.points_to plan in
@@ -37,14 +38,16 @@ let run ?(refine = true) ~points_to (prog : Prog.t) : int =
   Prog.iter_funcs prog (fun fn ->
       let fname = fn.Prog.fname in
       let may_hold_code = An.Pointsto.addr_may_reach_code pt ~fname in
+      let skip = skip fname in
+      let refined = Option.value ~default:[||] (Hashtbl.find_opt refined fname) in
       Array.iter
         (fun (b : Prog.block) ->
           Array.iteri
             (fun idx (i : I.instr) ->
               let routed ty =
                 instrumented ty
-                && (not (skip fname (b.Prog.bid, idx)))
-                && not (Hashtbl.mem refined (fname, b.Prog.bid, idx))
+                && (not (skip (b.Prog.bid, idx)))
+                && not (An.Usedef.marked refined (b.Prog.bid, idx))
               in
               match i with
               | I.Load ({ ty; _ } as l) when routed ty ->
@@ -62,4 +65,4 @@ let run ?(refine = true) ~points_to (prog : Prog.t) : int =
               | _ -> ())
             b.Prog.instrs)
         fn.Prog.blocks);
-  Hashtbl.length refined
+  Hashtbl.fold (fun _ m n -> n + List.length (An.Usedef.positions m)) refined 0

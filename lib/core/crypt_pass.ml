@@ -82,12 +82,14 @@ let crypt_globals ctx (prog : Prog.t) : (string * bool array) list =
 (** Mark sensitive accesses as [Crypt] and compute the global re-encryption
     masks. Returns [(demoted, crypt_cells)]: the number of accesses the
     points-to refinement demoted, and the per-global masks for
-    [Config.crypt_cells]. *)
-let run ?(refine = true) ~points_to (prog : Prog.t) :
+    [Config.crypt_cells]. [usedef] hands out the build's use-def of each
+    function. *)
+let run ?(refine = true) ~points_to ~usedef (prog : Prog.t) :
     int * (string * bool array) list =
   let cells = crypt_globals (An.Sensitivity.create prog.Prog.tenv) prog in
   let plan =
-    An.Plan.create ~refine ~pinned:(List.map fst cells) ~points_to prog
+    An.Plan.create ~refine ~pinned:(List.map fst cells) ~points_to ~usedef
+      prog
   in
   let demoted = An.Plan.demoted_count plan in
   Prog.iter_funcs prog (fun fn ->

@@ -75,6 +75,10 @@ let build ?(store_impl = Safestore.Simple_array)
         invalid_arg "Pipeline.build: points-to solve of another program";
       pt
   in
+  (* One use-def per function for the builds that analyse: the safe-stack
+     analysis, the char* heuristic and the plan all read these. The
+     safe-stack pass only sets [Alloca.slot], which they never look at. *)
+  let usedef () = Levee_analysis.Usedef.of_prog prog in
   let demoted = ref 0 in
   let config =
     match protection with
@@ -86,7 +90,7 @@ let build ?(store_impl = Safestore.Simple_array)
       Cookie_pass.run prog;
       Config.cookies_only
     | Safe_stack ->
-      Safestack_pass.run prog;
+      Safestack_pass.run ~usedef:(usedef ()) prog;
       Config.safe_stack_only
     | Cfi ->
       Cfi_pass.run prog;
@@ -95,20 +99,25 @@ let build ?(store_impl = Safestore.Simple_array)
       ignore (Cfi_type_pass.run (points_to ()) prog);
       Config.cfi_type
     | Cpi_crypt ->
-      let d, crypt_cells = Crypt_pass.run ~refine ~points_to prog in
+      let d, crypt_cells =
+        Crypt_pass.run ~refine ~points_to ~usedef:(usedef ()) prog
+      in
       demoted := d;
       { Config.cpi_crypt with Config.crypt_cells }
     | Cps ->
-      Safestack_pass.run prog;
-      demoted := Cps_pass.run ~refine ~points_to prog;
+      let usedef = usedef () in
+      Safestack_pass.run ~usedef prog;
+      demoted := Cps_pass.run ~refine ~points_to ~usedef prog;
       Config.cps ~store_impl ()
     | Cpi ->
-      Safestack_pass.run prog;
-      demoted := Cpi_pass.run ~refine ~points_to prog;
+      let usedef = usedef () in
+      Safestack_pass.run ~usedef prog;
+      demoted := Cpi_pass.run ~refine ~points_to ~usedef prog;
       Config.cpi ~store_impl ()
     | Cpi_debug ->
-      Safestack_pass.run prog;
-      demoted := Cpi_pass.run ~debug:true ~refine ~points_to prog;
+      let usedef = usedef () in
+      Safestack_pass.run ~usedef prog;
+      demoted := Cpi_pass.run ~debug:true ~refine ~points_to ~usedef prog;
       { (Config.cpi ~store_impl ()) with Config.name = "cpi-debug" }
     | Softbound ->
       Softbound_pass.run prog;

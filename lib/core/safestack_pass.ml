@@ -10,9 +10,12 @@
 module I = Levee_ir.Instr
 module Prog = Levee_ir.Prog
 
-let run (prog : Prog.t) =
+(** [usedef] hands out the build's use-def of each function. *)
+let run ~usedef (prog : Prog.t) =
   Prog.iter_funcs prog (fun fn ->
-      let verdicts, _needs = Levee_analysis.Stackanalysis.classify prog.Prog.tenv fn in
+      let verdicts, _needs =
+        Levee_analysis.Stackanalysis.classify prog.Prog.tenv (usedef fn.Prog.fname)
+      in
       Prog.iter_instrs fn (fun i ->
           match i with
           | I.Alloca ({ dst; _ } as a) ->

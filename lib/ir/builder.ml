@@ -19,16 +19,13 @@ let create ~name ~params ~ret_ty =
   let entry = { Prog.bid = 0; instrs = [||]; term = Unreachable } in
   let fn =
     { Prog.fname = name; params; ret_ty; blocks = [| entry |];
-      nregs = List.length params; reg_ty = Hashtbl.create 16;
-      cookie = false; address_taken = false }
+      nregs = List.length params; cookie = false; address_taken = false }
   in
-  List.iteri (fun i (_, ty) -> Hashtbl.replace fn.reg_ty i ty) params;
   { fn; cur = entry; pending = []; sealed = false }
 
-let fresh_reg ?ty t =
+let fresh_reg t =
   let r = t.fn.nregs in
   t.fn.nregs <- r + 1;
-  (match ty with Some ty -> Hashtbl.replace t.fn.reg_ty r ty | None -> ());
   r
 
 (** Parameter register for the [i]-th parameter. *)
@@ -59,22 +56,22 @@ let set_term t term =
 (* -- Typed emission helpers; each returns the destination register -- *)
 
 let alloca t ty =
-  let dst = fresh_reg ~ty:(Ty.Ptr ty) t in
+  let dst = fresh_reg t in
   emit t (Alloca { dst; ty; slot = Auto });
   dst
 
 let bin t op l r =
-  let dst = fresh_reg ~ty:Ty.Int t in
+  let dst = fresh_reg t in
   emit t (Bin { dst; op; l; r });
   dst
 
 let cmp t op l r =
-  let dst = fresh_reg ~ty:Ty.Int t in
+  let dst = fresh_reg t in
   emit t (Cmp { dst; op; l; r });
   dst
 
 let load t ty addr =
-  let dst = fresh_reg ~ty t in
+  let dst = fresh_reg t in
   emit t (Load { dst; ty; addr; where = Regular; checked = false });
   dst
 
@@ -86,17 +83,17 @@ let gep t ~base_ty ~base path =
   dst
 
 let cast t kind ty v =
-  let dst = fresh_reg ~ty t in
+  let dst = fresh_reg t in
   emit t (Cast { dst; kind; ty; v });
   dst
 
 let call t ?(fty = Ty.Fn ([], Ty.Void)) ~ret_ty callee args =
-  let dst = if Ty.equal ret_ty Ty.Void then None else Some (fresh_reg ~ty:ret_ty t) in
+  let dst = if Ty.equal ret_ty Ty.Void then None else Some (fresh_reg t) in
   emit t (Call { dst; callee; args; fty; cfi_checked = false; cfi_set = None });
   dst
 
 let intrin t ?dst_ty op args =
-  let dst = match dst_ty with None -> None | Some ty -> Some (fresh_reg ~ty t) in
+  let dst = match dst_ty with None -> None | Some _ -> Some (fresh_reg t) in
   emit t (Intrin { dst; op; args });
   dst
 

@@ -9,8 +9,8 @@ val create : name:string -> params:(string * Ty.t) list -> ret_ty:Ty.t -> t
 
 val func : t -> Prog.func
 
-(** Allocate a fresh virtual register, optionally recording its type. *)
-val fresh_reg : ?ty:Ty.t -> t -> int
+(** Allocate a fresh virtual register. *)
+val fresh_reg : t -> int
 
 (** Register holding the [i]-th parameter. *)
 val param_reg : t -> int -> int

@@ -12,7 +12,6 @@ type func = {
   ret_ty : Ty.t;
   mutable blocks : block array;     (* blocks.(0) is the entry block *)
   mutable nregs : int;
-  reg_ty : (int, Ty.t) Hashtbl.t;   (* best-effort register types *)
   mutable cookie : bool;            (* stack-cookie pass: guard this frame *)
   mutable address_taken : bool;     (* is a legitimate indirect-call target *)
 }
@@ -71,34 +70,30 @@ let iter_instrs (fn : func) f =
 let rewrite_blocks (fn : func) f =
   Array.iter (fun b -> b.instrs <- f b.instrs) fn.blocks
 
-(** Deep copy of an instruction: variants carry mutable fields, so passes
-    must never share instruction values between program copies. *)
+(** Copy of an instruction for another program copy: the variants with
+    mutable fields are copied, so passes never share them between program
+    copies; the immutable ones are shared. *)
 let clone_instr (i : Instr.instr) : Instr.instr =
   match i with
   | Instr.Alloca { dst; ty; slot } -> Instr.Alloca { dst; ty; slot }
-  | Instr.Bin { dst; op; l; r } -> Instr.Bin { dst; op; l; r }
-  | Instr.Cmp { dst; op; l; r } -> Instr.Cmp { dst; op; l; r }
   | Instr.Load { dst; ty; addr; where; checked } ->
     Instr.Load { dst; ty; addr; where; checked }
   | Instr.Store { ty; v; addr; where; checked } ->
     Instr.Store { ty; v; addr; where; checked }
-  | Instr.Gep { dst; base_ty; base; path } -> Instr.Gep { dst; base_ty; base; path }
-  | Instr.Cast { dst; kind; ty; v } -> Instr.Cast { dst; kind; ty; v }
   | Instr.Call { dst; callee; args; fty; cfi_checked; cfi_set } ->
     Instr.Call { dst; callee; args; fty; cfi_checked; cfi_set }
-  | Instr.Intrin { dst; op; args } -> Instr.Intrin { dst; op; args }
+  | Instr.Bin _ | Instr.Cmp _ | Instr.Gep _ | Instr.Cast _ | Instr.Intrin _ -> i
 
 let clone_func (fn : func) : func =
   { fn with
     blocks =
       Array.map
         (fun b -> { b with instrs = Array.map clone_instr b.instrs })
-        fn.blocks;
-    reg_ty = Hashtbl.copy fn.reg_ty }
+        fn.blocks }
 
-(** Deep copy of a program, for instrumenting the same module under several
-    protection configurations. The type environment and globals are
-    immutable and shared. *)
+(** Copy of a program, for instrumenting the same module under several
+    protection configurations. The immutable instructions, the type
+    environment and the globals are shared. *)
 let clone (p : t) : t =
   let funcs = Hashtbl.create (Hashtbl.length p.funcs) in
   Hashtbl.iter (fun name fn -> Hashtbl.replace funcs name (clone_func fn)) p.funcs;

@@ -12,7 +12,6 @@ type func = {
   ret_ty : Ty.t;
   mutable blocks : block array;     (** [blocks.(0)] is the entry block *)
   mutable nregs : int;
-  reg_ty : (int, Ty.t) Hashtbl.t;   (** best-effort register types *)
   mutable cookie : bool;            (** stack-cookie pass: guard this frame *)
   mutable address_taken : bool;     (** legitimate indirect-call target *)
 }
@@ -59,13 +58,17 @@ val iter_instrs : func -> (Instr.instr -> unit) -> unit
 (** Map every instruction array of a function in place. *)
 val rewrite_blocks : func -> (Instr.instr array -> Instr.instr array) -> unit
 
-(** Deep copy of an instruction (variants carry mutable fields). *)
+(** Copy of an instruction: the variants with mutable fields are copied,
+    the immutable ones returned as they are. *)
 val clone_instr : Instr.instr -> Instr.instr
 
 val clone_func : func -> func
 
-(** Deep copy of a program, for instrumenting the same module under
-    several protection configurations. *)
+(** Copy of a program, for instrumenting the same module under several
+    protection configurations: every mutable part (functions, blocks,
+    instruction arrays, instructions with mutable fields) is fresh; the
+    immutable instructions, the type environment and the globals are
+    shared. *)
 val clone : t -> t
 
 (** Compute the set of functions whose address is taken anywhere in the

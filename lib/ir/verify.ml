@@ -9,12 +9,13 @@ exception Invalid_ir of error
 let fail func block fmt =
   Printf.ksprintf (fun msg -> raise (Invalid_ir { func; block; msg })) fmt
 
-let check_operand fname bid (p : Prog.t) nregs (o : Instr.operand) =
+(* [globals] holds the program's global names. *)
+let check_operand fname bid (p : Prog.t) globals nregs (o : Instr.operand) =
   match o with
   | Instr.Reg r ->
     if r < 0 || r >= nregs then fail fname bid "register %%r%d out of range" r
   | Instr.Glob g ->
-    if Prog.find_global p g = None then fail fname bid "unknown global @%s" g
+    if not (Hashtbl.mem globals g) then fail fname bid "unknown global @%s" g
   | Instr.Fun f ->
     if not (Prog.has_func p f) then fail fname bid "unknown function &%s" f
   | Instr.Imm _ | Instr.Nullp -> ()
@@ -23,23 +24,20 @@ let check_block_id fname bid fn target =
   if target < 0 || target >= Array.length fn.Prog.blocks then
     fail fname bid "branch to unknown block b%d" target
 
-(** Registers must be defined before use within straight-line order; we
-    check a weaker property (definition exists somewhere) plus exact checks
-    for operand well-formedness, which is what the passes can break. *)
-let check_func (p : Prog.t) (fn : Prog.func) =
+(* Operand well-formedness (registers and destinations in range, known
+   globals, functions and blocks), which is what the passes can break.
+   Whether a register is defined before it is used is not checked. *)
+let check_func (p : Prog.t) globals (fn : Prog.func) =
   let fname = fn.fname in
-  let defined = Hashtbl.create 64 in
-  List.iteri (fun i _ -> Hashtbl.replace defined i ()) fn.params;
   let def r bid =
-    if r < 0 || r >= fn.nregs then fail fname bid "destination %%r%d out of range" r;
-    Hashtbl.replace defined r ()
+    if r < 0 || r >= fn.nregs then fail fname bid "destination %%r%d out of range" r
   in
   Array.iter
     (fun (b : Prog.block) ->
       let bid = b.bid in
+      let op o = check_operand fname bid p globals fn.nregs o in
       Array.iter
         (fun (i : Instr.instr) ->
-          let op o = check_operand fname bid p fn.nregs o in
           match i with
           | Instr.Alloca { dst; ty; _ } ->
             if Ty.size_of p.tenv ty = 0 then fail fname bid "alloca of zero-sized type";
@@ -78,14 +76,14 @@ let check_func (p : Prog.t) (fn : Prog.func) =
       | Instr.Ret None ->
         if not (Ty.equal fn.ret_ty Ty.Void) then
           fail fname bid "ret void in non-void function"
-      | Instr.Ret (Some o) -> check_operand fname bid p fn.nregs o
+      | Instr.Ret (Some o) -> op o
       | Instr.Br (c, t1, t2) ->
-        check_operand fname bid p fn.nregs c;
+        op c;
         check_block_id fname bid fn t1;
         check_block_id fname bid fn t2
       | Instr.Jmp t -> check_block_id fname bid fn t
       | Instr.Switch (o, cases, dflt) ->
-        check_operand fname bid p fn.nregs o;
+        op o;
         List.iter (fun (_, t) -> check_block_id fname bid fn t) cases;
         check_block_id fname bid fn dflt
       | Instr.Unreachable -> ())
@@ -93,7 +91,10 @@ let check_func (p : Prog.t) (fn : Prog.func) =
   if Array.length fn.blocks = 0 then fail fname 0 "function has no blocks"
 
 (** Verify a whole program; raises [Invalid_ir] on the first violation. *)
-let program (p : Prog.t) = Prog.iter_funcs p (fun fn -> check_func p fn)
+let program (p : Prog.t) =
+  let globals = Hashtbl.create 64 in
+  List.iter (fun (g : Prog.global) -> Hashtbl.replace globals g.gname ()) p.globals;
+  Prog.iter_funcs p (check_func p globals)
 
 (** [program_result p] is [Ok ()] or [Error message]. *)
 let program_result p =

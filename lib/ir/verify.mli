@@ -6,9 +6,6 @@ type error = { func : string; block : int; msg : string }
 
 exception Invalid_ir of error
 
-(** Verify one function. @raise Invalid_ir on the first violation. *)
-val check_func : Prog.t -> Prog.func -> unit
-
 (** Verify a whole program. @raise Invalid_ir on the first violation. *)
 val program : Prog.t -> unit
 

@@ -61,7 +61,7 @@ let lookup_var fe name =
 (** Allocate a hoisted stack slot of type [ty]; returns the register holding
     its address. *)
 let alloca_hoisted fe ty =
-  let dst = B.fresh_reg ~ty:(Ty.Ptr ty) fe.b in
+  let dst = B.fresh_reg fe.b in
   fe.allocas <- Ir.Alloca { dst; ty; slot = Ir.Auto } :: fe.allocas;
   dst
 

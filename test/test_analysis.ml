@@ -58,9 +58,13 @@ let test_cps_criterion () =
   Alcotest.(check bool) "int* not cps" false (cps (Ty.Ptr Ty.Int))
 
 (* char* heuristic: string-only pointers demoted, laundering sites kept *)
-let demoted_count src =
-  let prog = Levee_minic.Lower.compile src in
-  Hashtbl.length (An.Strheur.demoted prog)
+let count m = List.length (An.Usedef.positions m)
+
+let demoted_in prog =
+  let demoted = An.Strheur.demoted ~usedef:(An.Usedef.of_prog prog) prog in
+  Prog.fold_funcs prog (fun n fn -> n + count (demoted fn.Prog.fname)) 0
+
+let demoted_count src = demoted_in (Levee_minic.Lower.compile src)
 
 let test_strheur_demotes_strings () =
   let n =
@@ -98,8 +102,7 @@ let test_strheur_consistency () =
         int use2() { print_str(greeting); return 0; }
         int main() { greeting = "other"; return use1() + use2(); }|}
   in
-  let dem = An.Strheur.demoted prog in
-  Alcotest.(check bool) "whole site demoted" true (Hashtbl.length dem >= 3)
+  Alcotest.(check bool) "whole site demoted" true (demoted_in prog >= 3)
 
 let test_castflow () =
   let ctx, prog =
@@ -116,7 +119,7 @@ let test_castflow () =
   let fn = Prog.find_func prog "main" in
   let forced = An.Castflow.forced_load_positions ctx (An.Usedef.build fn) in
   Alcotest.(check bool) "load feeding sensitive cast is forced" true
-    (Hashtbl.length forced > 0)
+    (count forced > 0)
 
 (* regression: the forced-value walk must follow EVERY dataflow route to
    the sensitive cast, not just the syntactic origin chain. Routing the
@@ -126,7 +129,7 @@ let test_castflow () =
 let forced_count src fname =
   let ctx, prog = ctx_of src in
   let fn = Prog.find_func prog fname in
-  Hashtbl.length (An.Castflow.forced_load_positions ctx (An.Usedef.build fn))
+  count (An.Castflow.forced_load_positions ctx (An.Usedef.build fn))
 
 let test_castflow_multipath () =
   let n =
@@ -175,13 +178,15 @@ let test_unsafe_cast_positions () =
   let pos = An.Castflow.unsafe_cast_positions ctx fn in
   (* exactly the int->fnptr direction produces a sensitive value; the
      fnptr->int cast is not a code-pointer forgery site *)
-  Alcotest.(check int) "one unsafe-cast site" 1 (Hashtbl.length pos)
+  Alcotest.(check int) "one unsafe-cast site" 1 (count pos)
 
 (* safe stack analysis *)
 let verdicts_of src fname =
   let prog = Levee_minic.Lower.compile src in
   let fn = Prog.find_func prog fname in
-  let verdicts, needs = An.Stackanalysis.classify prog.Prog.tenv fn in
+  let verdicts, needs =
+    An.Stackanalysis.classify prog.Prog.tenv (An.Usedef.build fn)
+  in
   (verdicts, needs, fn)
 
 let count_verdict verdicts v =

@@ -14,8 +14,8 @@ let blk bid term = { Prog.bid; instrs = [||]; term }
 
 let func blocks =
   { Prog.fname = "synthetic"; params = []; ret_ty = Ty.Int;
-    blocks = Array.of_list blocks; nregs = 1; reg_ty = Hashtbl.create 4;
-    cookie = false; address_taken = false }
+    blocks = Array.of_list blocks; nregs = 1; cookie = false;
+    address_taken = false }
 
 let ret = I.Ret (Some (I.Imm 0))
 let cond = I.Reg 0

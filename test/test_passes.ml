@@ -236,6 +236,57 @@ let test_behaviour_preserved () =
         (r.M.Interp.outcome = expect))
     P.all_protections
 
+(* A build makes one use-def per function and hands it to every reader:
+   driving a cpi build's steps by hand with one table, the safe-stack
+   analysis, the char* heuristic and the plan each ask for every function
+   and get physically the table's use-def, the plan keeps that one, and
+   the result is the pipeline's own build. *)
+let test_one_usedef_per_build () =
+  let module An = Levee_analysis in
+  let src =
+    Levee_minic.Lower.compile
+      (In_channel.with_open_bin "../examples/minic/fptr_zoo.c"
+         In_channel.input_all)
+  in
+  let prog = Prog.clone src in
+  let table = An.Usedef.of_prog prog in
+  let asked = ref [] in
+  let usedef who fname =
+    let ud = table fname in
+    asked := (who, fname, ud) :: !asked;
+    ud
+  in
+  let points_to () = An.Pointsto.analyze src in
+  Levee_core.Safestack_pass.run ~usedef:(usedef "stack") prog;
+  let _demoted : string -> An.Usedef.marks =
+    An.Strheur.demoted ~usedef:(usedef "char*") prog
+  in
+  let plan =
+    An.Plan.create ~refine:true ~pinned:[] ~points_to ~usedef:(usedef "plan")
+      prog
+  in
+  ignore (An.Plan.demoted_count plan);
+  Prog.iter_funcs prog (fun fn ->
+      let fname = fn.Prog.fname in
+      let ud = table fname in
+      Alcotest.(check bool) (fname ^ ": the plan keeps it") true
+        (An.Plan.usedef (An.Plan.func plan fname) == ud);
+      List.iter
+        (fun who ->
+          let got =
+            List.filter_map
+              (fun (w, f, u) -> if w = who && f = fname then Some u else None)
+              !asked
+          in
+          Alcotest.(check bool) (fname ^ ": " ^ who ^ " reads it") true
+            (got <> [] && List.for_all (fun u -> u == ud) got))
+        [ "stack"; "char*"; "plan" ]);
+  ignore
+    (Levee_core.Cpi_pass.run ~points_to ~usedef:(usedef "cpi") prog);
+  Alcotest.(check string) "the pipeline's build"
+    (Levee_ir.Printer.program (P.build ~elide:false P.Cpi src).P.prog)
+    (Levee_ir.Printer.program prog)
+
 let test_annotated_data_protection () =
   (* the struct-ucred use case: protect annotated plain data against an
      arbitrary-write corruption (Section 4, "sensitive data protection") *)
@@ -382,6 +433,7 @@ let () =
       ("pipeline",
        [ t "verifier passes for all protections" test_pipeline_verifies_all;
          t "behaviour preserved" test_behaviour_preserved;
+         t "one use-def per function per build" test_one_usedef_per_build;
          t "statistics" test_stats_fields ]);
       ("elision",
        [ t "fires and is counted" test_elision_fires_and_counts;
