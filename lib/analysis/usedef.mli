@@ -40,8 +40,8 @@ val of_prog : Prog.t -> string -> t
     have none; registers outside the function have neither defs nor uses. *)
 val def : t -> int -> (pos * I.instr) option
 
-(** Every use of a register, latest first (a block's terminator after its
-    instructions). *)
+(** Every use of a register, in reverse program order (a block's
+    terminator counts as after its instructions). *)
 val uses_of : t -> int -> use list
 
 (** A dense set of one function's positions, [m.(block).(idx)]; [marks fn]
