@@ -265,8 +265,9 @@ let test_usedef_origin () =
   Alcotest.(check bool) "global origin" true (has (An.Usedef.From_global "g"))
 
 (* Use-def maps by hand: parameters have no defining instruction, a
-   register's uses come latest first (terminators after their block's
-   instructions), and registers outside the function answer nothing. *)
+   register's uses come in reverse program order (a terminator counts as
+   after its block's instructions), and registers outside the function
+   answer nothing. *)
 let test_usedef_defs_uses () =
   let module B = Levee_ir.Builder in
   let b =
