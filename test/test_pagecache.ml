@@ -9,7 +9,10 @@
    patterns a cache could get wrong: hit-after-miss, interleaving across
    page boundaries, more live pages than the cache has slots (so pages
    that share a slot evict each other), addresses an attacker may choose
-   (negative, or 2^31 and above), and reuse of a cleared store.
+   (negative, or 2^31 and above), and reuse of a cleared store. The
+   paged table also remembers the last page it found absent, so a page
+   first missed and then allocated, and a page missed just before
+   [reset], are driven through every instance of it.
 
    [clear] / [reset] also hand the pages to the current domain's pool of
    spare pages, which the next page mapped in that domain comes from: a
@@ -306,6 +309,126 @@ let test_paged_none_reads_none () =
   Alcotest.(check int) "reads and clears allocate nothing" 2
     (M.Safestore.Paged.pages p)
 
+(* ---------- Absent pages ---------- *)
+
+(* Every instance of the paged table behind one interface: the 256-slot
+   metadata shadow, and the safe stores whose backend is one (4096-slot
+   array pages, 512-slot two-level and MPX leaves). [size] is what the
+   table has allocated: pages for the shadow, the footprint for a store.
+   Addresses [page_words] apart are on distinct pages of every instance. *)
+type paged = {
+  get : int -> int option;
+  set : int -> int -> unit;
+  clear_at : int -> unit;
+  reset : unit -> unit;
+  size : unit -> int;
+  count : unit -> int;
+}
+
+let paged_instances =
+  let module P = M.Safestore.Paged in
+  let module S = M.Safestore in
+  let shadow () =
+    let p = P.create ~page_bits:8 in
+    { get = P.get p; set = (fun a v -> P.set p a (Some v));
+      clear_at = P.clear_at p; reset = (fun () -> P.reset p);
+      size = (fun () -> P.pages p); count = (fun () -> P.count p) }
+  in
+  let store impl () =
+    let s = S.create impl in
+    { get = (fun a -> Option.map (fun e -> e.S.value) (S.get s a));
+      set = (fun a v -> S.set s a (entry v)); clear_at = S.clear_at s;
+      reset = (fun () -> S.reset s);
+      size = (fun () -> S.footprint_words s);
+      count = (fun () -> S.entry_count s) }
+  in
+  ("shadow", shadow)
+  :: List.map (fun impl -> (S.impl_name impl, store impl))
+       [ S.Simple_array; S.Two_level; S.Mpx ]
+
+let each_paged f = List.iter (fun (name, mk) -> f name (mk ())) paged_instances
+
+let present = 0x0100_0000
+let absent = present + (8 * page_words)
+let absent' = present + (9 * page_words)
+
+let check_get what expected actual =
+  Alcotest.(check (option int)) what expected actual
+
+(* Repeated reads and clears of never-allocated pages, alone, alternating
+   between two of them, and interleaved with a live page so the last-page
+   cache moves away and back. *)
+let test_absent_page_untouched () =
+  each_paged (fun name t ->
+      t.set present 1;
+      let size = t.size () in
+      for _ = 1 to 3 do
+        check_get (name ^ ": absent page") None (t.get absent);
+        t.clear_at absent;
+        check_get (name ^ ": absent page after clear_at") None
+          (t.get (absent + 1));
+        check_get (name ^ ": second absent page") None (t.get absent');
+        t.clear_at absent';
+        check_get (name ^ ": live page") (Some 1) (t.get present);
+        t.clear_at absent;
+        check_get (name ^ ": live page after clear_at elsewhere") (Some 1)
+          (t.get present)
+      done;
+      Alcotest.(check int) (name ^ ": nothing allocated") size (t.size ());
+      Alcotest.(check int) (name ^ ": entries") 1 (t.count ()))
+
+(* A page first seen absent, then allocated by [set], must be found again
+   once the last-page cache has moved to another page, and cleared by a
+   later [clear_at]. *)
+let test_absent_then_set () =
+  each_paged (fun name t ->
+      t.set present 1;
+      let one_page = t.size () in
+      check_get (name ^ ": absent page") None (t.get absent);
+      t.clear_at absent;
+      t.set absent 2;
+      check_get (name ^ ": live page") (Some 1) (t.get present);
+      check_get (name ^ ": set after the miss") (Some 2) (t.get absent);
+      check_get (name ^ ": live page again") (Some 1) (t.get present);
+      t.clear_at absent;
+      check_get (name ^ ": live page after clear_at") (Some 1) (t.get present);
+      check_get (name ^ ": cleared") None (t.get absent);
+      Alcotest.(check int) (name ^ ": two pages") (2 * one_page) (t.size ());
+      (* The same through [clear_at] as the first access to the page. *)
+      t.clear_at absent';
+      t.set absent' 3;
+      check_get (name ^ ": live page") (Some 1) (t.get present);
+      check_get (name ^ ": set after a clear_at miss") (Some 3)
+        (t.get absent'))
+
+(* [reset] with a page seen absent: the pages that existed read [None],
+   and every page, absent before or not, can be set and read back. *)
+let test_absent_across_reset () =
+  each_paged (fun name t ->
+      t.set present 1;
+      t.set absent' 2;
+      let two_pages = t.size () in
+      check_get (name ^ ": absent page") None (t.get absent);
+      t.reset ();
+      check_get (name ^ ": existed, after reset") None (t.get present);
+      check_get (name ^ ": existed, after reset") None (t.get absent');
+      check_get (name ^ ": absent, after reset") None (t.get absent);
+      t.clear_at present;
+      Alcotest.(check int) (name ^ ": reset table is empty") 0 (t.size ());
+      t.set absent 3;
+      t.set present 4;
+      check_get (name ^ ": set again") (Some 4) (t.get present);
+      check_get (name ^ ": absent before reset, set after") (Some 3)
+        (t.get absent);
+      check_get (name ^ ": set again") (Some 4) (t.get present);
+      check_get (name ^ ": still absent") None (t.get absent');
+      t.set absent' 5;
+      check_get (name ^ ": set again") (Some 4) (t.get present);
+      check_get (name ^ ": absent after reset, then set") (Some 5)
+        (t.get absent');
+      Alcotest.(check int) (name ^ ": three pages")
+        (3 * two_pages / 2) (t.size ()))
+
 let () =
   Alcotest.run "pagecache"
     [ ( "mem",
@@ -335,4 +458,10 @@ let () =
             test_store_get_miss_allocates_nothing ] );
       ( "paged",
         [ Alcotest.test_case "None stored reads back None" `Quick
-            test_paged_none_reads_none ] ) ]
+            test_paged_none_reads_none ] );
+      ( "absent pages",
+        [ Alcotest.test_case "reads and clears change nothing" `Quick
+            test_absent_page_untouched;
+          Alcotest.test_case "set after a miss reads back" `Quick
+            test_absent_then_set;
+          Alcotest.test_case "reset" `Quick test_absent_across_reset ] ) ]
