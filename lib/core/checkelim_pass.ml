@@ -91,7 +91,7 @@ type syminfo = {
    checked at each use site. *)
 let build_syms (fn : Prog.func) =
   let ndefs = Array.make fn.Prog.nregs 0 in
-  let defs = Hashtbl.create 64 in
+  let defs = Array.make fn.Prog.nregs None in
   Array.iter
     (fun (b : Prog.block) ->
       Array.iteri
@@ -99,8 +99,7 @@ let build_syms (fn : Prog.func) =
           let def r =
             if r >= 0 && r < fn.Prog.nregs then begin
               ndefs.(r) <- ndefs.(r) + 1;
-              Hashtbl.replace defs r
-                ({ An.Usedef.block = b.Prog.bid; idx }, i)
+              defs.(r) <- Some ({ An.Usedef.block = b.Prog.bid; idx }, i)
             end
           in
           match i with
@@ -116,19 +115,21 @@ let build_syms (fn : Prog.func) =
         b.Prog.instrs)
     fn.Prog.blocks;
   let nparams = List.length fn.Prog.params in
-  let memo : (int, syminfo option) Hashtbl.t = Hashtbl.create 64 in
+  (* By register: [None] until first asked for; then [Some None], the
+     cycle guard (a register on the walk stack resolves to None); then
+     [Some result]. *)
+  let memo : syminfo option option array = Array.make fn.Prog.nregs None in
   let rec of_reg ~depth r =
     if depth = 0 then None
     else
-      match Hashtbl.find_opt memo r with
+      match memo.(r) with
       | Some cached -> cached
       | None ->
-        (* cycle guard: a register on the walk stack resolves to None *)
-        Hashtbl.replace memo r None;
+        memo.(r) <- Some None;
         let result =
           if ndefs.(r) > 1 then None
           else
-            match Hashtbl.find_opt defs r with
+            match defs.(r) with
             | None ->
               if r < nparams then
                 Some { s_sym = S_param r; s_mem = false; s_allocas = [];
@@ -178,7 +179,7 @@ let build_syms (fn : Prog.func) =
                   | None -> None)
                | I.Call _ | I.Intrin _ | I.Store _ -> None)
         in
-        Hashtbl.replace memo r result;
+        memo.(r) <- Some result;
         result
   and combine2 ~depth mk l rr =
     match of_op ~depth:(depth - 1) l, of_op ~depth:(depth - 1) rr with

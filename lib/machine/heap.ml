@@ -14,17 +14,17 @@ type t = {
   limit : int;
   mutable brk : int;
   mutable next_tid : int;
-  blocks : (int, block) Hashtbl.t;        (* addr -> block *)
-  free_lists : (int, int list ref) Hashtbl.t;  (* size -> addresses *)
+  blocks : block Mem.Tbl.t;               (* addr -> block *)
+  free_lists : int list ref Mem.Tbl.t;     (* size -> addresses *)
   mutable live_words : int;
   mutable peak_words : int;
-  dead_tids : (int, unit) Hashtbl.t;
+  dead_tids : unit Mem.Tbl.t;
 }
 
 let create mem ~base ~limit =
-  { mem; base; limit; brk = base; next_tid = 1; blocks = Hashtbl.create 64;
-    free_lists = Hashtbl.create 16; live_words = 0; peak_words = 0;
-    dead_tids = Hashtbl.create 64 }
+  { mem; base; limit; brk = base; next_tid = 1; blocks = Mem.Tbl.create 64;
+    free_lists = Mem.Tbl.create 16; live_words = 0; peak_words = 0;
+    dead_tids = Mem.Tbl.create 64 }
 
 let fresh_tid t =
   let id = t.next_tid in
@@ -36,7 +36,7 @@ let fresh_tid t =
 let malloc t n =
   let n = max n 1 in
   let reuse =
-    match Hashtbl.find_opt t.free_lists n with
+    match Mem.Tbl.find_opt t.free_lists n with
     | Some ({ contents = addr :: rest } as l) ->
       l := rest;
       Some addr
@@ -53,7 +53,7 @@ let malloc t n =
   in
   let tid = fresh_tid t in
   let b = { addr; size = n; tid; live = true } in
-  Hashtbl.replace t.blocks addr b;
+  Mem.Tbl.replace t.blocks addr b;
   Mem.write t.mem (addr - 1) n;
   (* Zero the block: freshly mapped pages are zero, but reused ones are
      not — deliberately NOT zeroing reused blocks would model heap data
@@ -66,24 +66,24 @@ let malloc t n =
   b
 
 let free t addr =
-  match Hashtbl.find_opt t.blocks addr with
+  match Mem.Tbl.find_opt t.blocks addr with
   | None -> raise (Trap.Machine_stop (Trap.Trapped Trap.Invalid_free))
   | Some b ->
     if not b.live then raise (Trap.Machine_stop (Trap.Trapped Trap.Double_free));
     b.live <- false;
-    Hashtbl.replace t.dead_tids b.tid ();
+    Mem.Tbl.replace t.dead_tids b.tid ();
     t.live_words <- t.live_words - b.size;
     let l =
-      match Hashtbl.find_opt t.free_lists b.size with
+      match Mem.Tbl.find_opt t.free_lists b.size with
       | Some l -> l
       | None ->
         let l = ref [] in
-        Hashtbl.replace t.free_lists b.size l;
+        Mem.Tbl.replace t.free_lists b.size l;
         l
     in
     l := addr :: !l
 
 (** Is the temporal id [tid] dead (its object freed)? *)
-let tid_dead t tid = tid <> 0 && Hashtbl.mem t.dead_tids tid
+let tid_dead t tid = tid <> 0 && Mem.Tbl.mem t.dead_tids tid
 
-let block_at t addr = Hashtbl.find_opt t.blocks addr
+let block_at t addr = Mem.Tbl.find_opt t.blocks addr

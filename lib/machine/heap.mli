@@ -13,11 +13,11 @@ type t = {
   limit : int;
   mutable brk : int;
   mutable next_tid : int;
-  blocks : (int, block) Hashtbl.t;
-  free_lists : (int, int list ref) Hashtbl.t;
+  blocks : block Mem.Tbl.t;
+  free_lists : int list ref Mem.Tbl.t;
   mutable live_words : int;
   mutable peak_words : int;
-  dead_tids : (int, unit) Hashtbl.t;
+  dead_tids : unit Mem.Tbl.t;
 }
 
 val create : Mem.t -> base:int -> limit:int -> t

@@ -6,7 +6,7 @@
     pool. *)
 
 (** Hashtable on int keys with a monomorphic hash and compare (the page
-    tables here and in {!Safestore}). *)
+    tables here and in {!Safestore}, and {!Heap}'s tables). *)
 module Tbl : Hashtbl.S with type key = int
 
 (** A per-domain pool of spare pages (this memory's, and the safe store's

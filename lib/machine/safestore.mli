@@ -34,10 +34,10 @@ val impl_name : impl -> string
 
 (** A lazily paged table of optional values at integer addresses, one page
     of [2^page_bits] slots at a time, with a one-entry cache of the last
-    page touched. The array and two-level organisations are instances
-    (4096-word pages, 512-word leaves), and so is the interpreter's
-    metadata shadow of the safe stack. Any int is a valid address,
-    negative ones included.
+    page touched and the index of the last page found unallocated. The
+    array and two-level organisations are instances (4096-word pages,
+    512-word leaves), and so is the interpreter's metadata shadow of the
+    safe stack. Any int is a valid address, negative ones included.
 
     The store's own instances recycle their pages: a page they map comes
     from the current domain's pool of emptied pages of that size when it

@@ -13,6 +13,8 @@
 # a key with no prior record is skipped — the append itself seeds the
 # baseline the next CI run gates against, which is also how a deliberate
 # schema bump re-baselines without tripping the gate on shape changes.
+# Right after the build it fails if the interpreter is compiled with
+# -opaque, i.e. without cross-module inlining.
 # Host wall-clock speed is measured by `python3 benchmark/run.py`, not
 # here; the script only prints the wall time of its `dune runtest` step,
 # of the benchmark's `--self-test`, which it runs after the tests, and of
@@ -27,6 +29,17 @@ STORE=RUNS.jsonl
 
 echo "== build =="
 dune build
+
+# dune-workspace's release profile compiles without -opaque, so the
+# interpreter inlines Cost, Mem and Safestore; the tests' wall time and
+# the benchmark assume it. A lost workspace file or a dev profile brings
+# -opaque back without any other sign.
+interp_rules=$(dune rules ./lib/machine/.levee_machine.objs/native/levee_machine__Interp.cmx)
+case $interp_rules in
+  *-opaque*)
+    echo "ci: FAIL: interp.ml is compiled with -opaque (no dune-workspace, or a dev profile)"
+    exit 1 ;;
+esac
 
 echo "== tests =="
 tests_start=$(date +%s)
