@@ -43,10 +43,10 @@ let impl_name = function
    common access is an integer compare and an array index. Misses on
    [get] and [clear_at] never allocate and never populate the cache with
    a phantom page; they remember the missing page's index instead, so
-   further reads and clears there answer without probing the table (in
-   the SPEC-like matrix more than half the reads ask for a page that was
-   never allocated). Allocating a page forgets that index, and so does
-   [reset].
+   further reads and clears there answer without probing the table. Over
+   the SPEC-like matrix at 1M instructions a cell, 8.4 M of the shadow's
+   15.1 M reads and 2.6 M of its 5.0 M clears are of a page it never
+   allocated. Allocating a page forgets that index, and so does [reset].
 
    The store's two instances also recycle pages the way [Mem] does: a
    new page comes from the current domain's pool of emptied pages of its
