@@ -498,6 +498,63 @@ let sweep_prog () =
   Hashtbl.replace prog.Levee_ir.Prog.funcs "classify" (switch_classify ());
   prog
 
+(* ---------- Switch dispatch ----------
+
+   A [main] that switches on one input word: case [i] of the list
+   returns 100 + i and the default returns 99, so the exit code names the
+   binding taken. Case values within 4 × cases + 8 of each other dispatch
+   through a dense table, others through a hashed one; both must act
+   like [List.assoc_opt] over the case list. *)
+let switch_exit cases x =
+  let b = B.create ~name:"main" ~params:[] ~ret_ty:Ty.Int in
+  let v = Option.get (B.intrin b ~dst_ty:Ty.Int I.I_read_int []) in
+  let ret k =
+    let blk = B.new_block b in
+    B.position_at b blk;
+    B.set_term b (I.Ret (Some (I.Imm k)));
+    blk
+  in
+  let dflt = ret 99 in
+  let cases = List.mapi (fun i c -> (c, ret (100 + i))) cases in
+  B.position_at b 0;
+  B.set_term b (I.Switch (I.Reg v, cases, dflt));
+  let prog = Levee_ir.Prog.create () in
+  Levee_ir.Prog.add_func prog (B.finish b);
+  match
+    (M.Interp.run_program ~input:[| x |] prog M.Config.vanilla).M.Interp.outcome
+  with
+  | M.Trap.Exit n -> n
+  | o -> Alcotest.failf "switch on %d: %s" x (M.Trap.outcome_to_string o)
+
+let check_switch what cases pairs =
+  List.iter
+    (fun (x, want) ->
+      Alcotest.(check int) (Printf.sprintf "%s, value %d" what x) want
+        (switch_exit cases x))
+    pairs
+
+let test_switch_first_binding () =
+  check_switch "dense duplicate" [ 5; 6; 5; 7 ]
+    [ (5, 100); (6, 101); (7, 103); (8, 99) ];
+  check_switch "sparse duplicate" [ 10; 1_000_000; 10 ]
+    [ (10, 100); (1_000_000, 101); (11, 99) ]
+
+let test_switch_dense_edges () =
+  check_switch "dense 0..2" [ 0; 1; 2 ]
+    [ (-1, 99); (0, 100); (2, 102); (3, 99); (min_int, 99); (max_int, 99) ];
+  check_switch "dense with a gap" [ 3; 5 ]
+    [ (2, 99); (3, 100); (4, 99); (5, 101); (6, 99) ]
+
+let test_switch_negative () =
+  check_switch "dense negative" [ -3; -1; 0 ]
+    [ (-4, 99); (-3, 100); (-2, 99); (-1, 101); (0, 102); (1, 99);
+      (max_int, 99); (min_int, 99) ];
+  check_switch "sparse negative" [ -1_000_000; 7 ]
+    [ (-1_000_000, 100); (7, 101); (-999_999, 99); (-7, 99) ]
+
+let test_switch_empty () =
+  check_switch "no cases" [] [ (0, 99); (-1, 99); (42, 99) ]
+
 let two_thread_src =
   {|int n; int lk;
     int worker(int w) {
@@ -607,4 +664,9 @@ let () =
          t "concurrent workload" test_concurrent_workload ]);
       ("step boundaries",
        [ t "fuel, stall and single-step sweeps" test_boundaries_sequential;
-         t "the same under preemption" test_boundaries_threads ]) ]
+         t "the same under preemption" test_boundaries_threads ]);
+      ("switch",
+       [ t "first binding wins" test_switch_first_binding;
+         t "dense range edges" test_switch_dense_edges;
+         t "negative case values" test_switch_negative;
+         t "no cases takes the default" test_switch_empty ]) ]
