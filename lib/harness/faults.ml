@@ -6,7 +6,8 @@
    the tasks only read it), runs the un-faulted baseline and then every
    plan; the submitting domain integrates results in submission order,
    so the report is independent of [jobs]. Images are built per task:
-   they prepare functions on first use, so they are never shared. *)
+   they lay out and compile functions on first use, so they are never
+   shared. *)
 
 module P = Levee_core.Pipeline
 module M = Levee_machine

@@ -10,13 +10,15 @@
     one, injected shellcode in a data page, or garbage.
 
     The machine runs compiled code. The first time a function is entered,
-    the loader prepares it ([Levee_ir.Prepared]) if nothing has yet, and
-    each instruction and terminator of the prepared form is compiled into
-    one closure over the machine state, specialised on its operand kinds
-    (register or constant), operator, [where]/[checked] and constant
-    address; rare shapes compile to closures over the general
-    [do_load]/[do_store]/[do_call]/[do_intrin]/[do_ret] helpers. The code
-    is cached on the [Loader.image], so every run of an image shares it.
+    it is compiled straight from its IR: each instruction and terminator
+    becomes one closure over the machine state, specialised on its
+    operand kinds (register or constant), operator, [where]/[checked] and
+    constant address; rare shapes compile to closures over the general
+    [do_load]/[do_store]/[do_call]/[do_intrin]/[do_ret] helpers. Operands,
+    alloca slots, GEP steps, callees, return addresses, cfi-type sets and
+    switch tables are resolved then, once, and every register is checked
+    against the function's [nregs]. The code is cached on the
+    [Loader.image], so every run of an image shares it.
 
     One set of closures, two drivers:
     - the single-step driver runs one instruction per step, testing fuel,
@@ -39,14 +41,34 @@
 
 module Ty = Levee_ir.Ty
 module I = Levee_ir.Instr
-module Pr = Levee_ir.Prepared
 module Prog = Levee_ir.Prog
 open Trap
 
-type meta = Meta.t = { lower : int; upper : int; tid : int; kind : Safestore.kind }
+(* Based-on metadata of a register value: bounds, temporal id and kind. *)
+type meta = { lower : int; upper : int; tid : int; kind : Safestore.kind }
 
-let meta_of_entry = Meta.of_entry
-let entry_of_meta = Meta.to_entry
+let meta_of_entry (e : Safestore.entry) =
+  match e.Safestore.kind with
+  | Safestore.Invalid -> None
+  | k ->
+    Some { lower = e.Safestore.lower; upper = e.Safestore.upper;
+           tid = e.Safestore.tid; kind = k }
+
+let entry_of_meta value = function
+  | Some m ->
+    { Safestore.value; lower = m.lower; upper = m.upper; tid = m.tid;
+      kind = m.kind }
+  | None -> Safestore.invalid_entry value
+
+(* An operand as the compiled code reads it: a register, or a constant
+   with its value and metadata ([Imm], [Nullp], and the address of a
+   global or a function, resolved when the function is compiled). *)
+type operand = Reg of int | Const of int * meta option
+
+(* A GEP step with its element size resolved: a field (word offset and
+   field size, for bounds narrowing) or an index (element size in words
+   and the index operand). *)
+type gep_step = Field of int * int | Index of int * operand
 
 type jmp_ctx = {
   jc_tid : int;                (* owning thread: cross-thread longjmp is corruption *)
@@ -75,8 +97,8 @@ type fault =
   | Worker_kill of { tid : int }
 
 type frame = {
-  fr_pf : Loader.pmeta Pr.func;
-  code : block_code array;     (* compiled blocks of [fr_pf] *)
+  findex : int;                (* the function's index in the image *)
+  code : block_code array;     (* its compiled blocks *)
   regs : int array;
   rmeta : meta option array;
   mutable block : int;
@@ -105,6 +127,11 @@ and block_code = {
 
 (* One compiled instruction or terminator. *)
 and op = t -> frame -> unit
+
+(* A compiled function: its blocks and the size of its register files,
+   read when it was compiled, together with the check that every
+   register it names is below it. *)
+and compiled = { nregs : int; blocks : block_code array }
 
 (* One thread of the machine: its own call stack (frames) over its own
    regular+safe stack pair (paper §4.2); registers live in the frames.
@@ -197,10 +224,9 @@ let stop outcome = raise (Machine_stop outcome)
 
 (* Placeholder [cur] before the first frame is pushed; never executed. *)
 let dummy_frame () =
-  { fr_pf = Loader.unprepared.Loader.pf; code = [||]; regs = [||];
-    rmeta = [||]; block = 0; ip = 0; base_r = 0; base_s = 0; ret_dst = None;
-    pushed_ret = 0; cookie_value = 0; penalize_stack = false;
-    layout = Loader.unprepared.Loader.layout }
+  { findex = -1; code = [||]; regs = [||]; rmeta = [||]; block = 0; ip = 0;
+    base_r = 0; base_s = 0; ret_dst = None; pushed_ret = 0; cookie_value = 0;
+    penalize_stack = false; layout = Loader.untouched.Loader.layout }
 
 (* A fresh thread over its carved stack pair. Thread 0's windows are the
    historical single-thread stacks, so single-threaded runs are unchanged. *)
@@ -334,20 +360,21 @@ let check_deref st addr meta ~size ~what =
 
 (* ---------- Operand evaluation ---------- *)
 
-(* Operands are pre-resolved: a register read or a constant, no lookups.
-   The value and metadata projections are split so the hot loop never
-   allocates a pair per operand (no flambda to elide it). Register
-   indices are validated against [nregs] when the function is prepared,
-   so the register files are accessed unchecked. *)
-let[@inline] eval_v fr (o : Loader.pmeta Pr.operand) =
+(* Operands are resolved at compile time: a register read or a
+   constant, no lookups. The value and metadata projections are split so
+   the hot loop never allocates a pair per operand (no flambda to elide
+   it). Compiling a function refuses any register outside [0, nregs)
+   ([check_reg] below), and its frames' register files have [nregs]
+   slots, so the closures access them unchecked. *)
+let[@inline] eval_v fr o =
   match o with
-  | Pr.Reg r -> Array.unsafe_get fr.regs r
-  | Pr.Const (v, _) -> v
+  | Reg r -> Array.unsafe_get fr.regs r
+  | Const (v, _) -> v
 
-let[@inline] eval_m fr (o : Loader.pmeta Pr.operand) =
+let[@inline] eval_m fr o =
   match o with
-  | Pr.Reg r -> Array.unsafe_get fr.rmeta r
-  | Pr.Const (_, m) -> m
+  | Reg r -> Array.unsafe_get fr.rmeta r
+  | Const (_, m) -> m
 
 (* Metadata slots are written through the GC's write barrier, and most
    writes store [None] over [None]: test the slot first. *)
@@ -367,16 +394,16 @@ let cookie_secret base = 0x600DC00C lxor (base * 31)
    reach the compiler through this reference, set once at module
    initialisation. *)
 let compile_fwd :
-    (Loader.image -> Loader.pmeta Pr.func -> block_code array) ref =
-  ref (fun _ _ -> assert false)
+    (Loader.image -> int -> Loader.frame_layout -> compiled) ref =
+  ref (fun _ _ _ -> assert false)
 
-type Loader.code += Compiled of block_code array
+type Loader.code += Compiled of compiled
 
-(* Prepare (if nothing has yet) and compile function [idx]; the code is
+(* Lay out (if nothing has yet) and compile function [idx]; the code is
    cached in its slot on the image for every later run. *)
 let compile image idx =
   let fn = Loader.fn image idx in
-  let c = !compile_fwd image fn.Loader.pf in
+  let c = !compile_fwd image idx fn.Loader.layout in
   fn.Loader.code <- Compiled c;
   c
 
@@ -386,21 +413,20 @@ let compile image idx =
    thread_spawn, which pushes the outermost frame of the thread it
    creates. A function entered before costs one test of its slot. *)
 let push_frame_empty st th idx ~ret_dst ~pushed_ret ~entry =
-  let code =
+  let c =
     match (Array.unsafe_get st.image.Loader.fns idx).Loader.code with
     | Compiled c -> c
     | _ -> compile st.image idx
   in
-  let fn = Array.unsafe_get st.image.Loader.fns idx in
-  let pf = fn.Loader.pf and layout = fn.Loader.layout in
+  let layout = (Array.unsafe_get st.image.Loader.fns idx).Loader.layout in
   let base_r = th.sp_r in
   let base_s = th.sp_s in
   th.sp_r <- th.sp_r - layout.Loader.fl_regular_size;
   th.sp_s <- th.sp_s - layout.Loader.fl_safe_size;
   if th.sp_r < th.stack_floor then
     stop (Crash "regular stack overflow");
-  let regs = Array.make (max pf.Pr.nregs 1) 0 in
-  let rmeta = Array.make (max pf.Pr.nregs 1) None in
+  let regs = Array.make (max c.nregs 1) 0 in
+  let rmeta = Array.make (max c.nregs 1) None in
   let cookie_value = cookie_secret base_r in
   (match layout.Loader.fl_cookie_offset with
    | Some off ->
@@ -432,7 +458,7 @@ let push_frame_empty st th idx ~ret_dst ~pushed_ret ~entry =
   let penalize_stack = hot_resident > Cost.hot_frame_threshold in
   let block, ip = entry in
   let fr =
-    { fr_pf = pf; code; regs; rmeta; block; ip;
+    { findex = idx; code = c.blocks; regs; rmeta; block; ip;
       base_r; base_s; ret_dst; pushed_ret; cookie_value; penalize_stack;
       layout }
   in
@@ -532,7 +558,7 @@ let in_cfi_set (set : int array) v =
   let rec go i = i < n && (set.(i) = v || (set.(i) < v && go (i + 1))) in
   go 0
 
-(* [ret_addr] was resolved when the caller was prepared: the code address
+(* [ret_addr] was resolved when the caller was compiled: the code address
    of the instruction after the call site. The driver has already moved
    the caller past the call, so the frame resumes at the next instruction
    on return. *)
@@ -662,7 +688,7 @@ let libc_check st meta addr n what =
 (* Arguments are evaluated on demand out of the caller's registers; every
    arm reads its operands before any frame is pushed or popped, so the
    caller frame is still live at each [v]/[m] use. *)
-let do_intrin st fr dst (op : I.intrin) (args : Loader.pmeta Pr.operand array) =
+let do_intrin st fr dst (op : I.intrin) (args : operand array) =
   let v i = eval_v fr args.(i) in
   let m i = eval_m fr args.(i) in
   let ret value meta =
@@ -773,7 +799,7 @@ let do_intrin st fr dst (op : I.intrin) (args : Loader.pmeta Pr.operand array) =
     (* Resume point: the instruction after this setjmp (ip was already
        advanced by the driver). *)
     let resume =
-      st.image.Loader.block_base.(fr.fr_pf.Pr.findex).(fr.block) + fr.ip
+      st.image.Loader.block_base.(fr.findex).(fr.block) + fr.ip
     in
     let id = st.next_jmp in
     st.next_jmp <- id + 1;
@@ -1154,9 +1180,9 @@ let bin_meta (op : I.binop) am bm =
 
 let[@inline] reg fr r = Array.unsafe_get fr.regs r
 
-let compile_bin dst (op : I.binop) (l : Loader.pmeta Pr.operand) r : op =
+let compile_bin dst (op : I.binop) (l : operand) r : op =
   match op, l, r with
-  | I.Add, Pr.Reg a, Pr.Reg b ->
+  | I.Add, Reg a, Reg b ->
     fun st fr ->
       Cost.add st.cost Cost.alu;
       let rm = fr.rmeta in
@@ -1164,14 +1190,14 @@ let compile_bin dst (op : I.binop) (l : Loader.pmeta Pr.operand) r : op =
       Array.unsafe_set fr.regs dst
         (Array.unsafe_get fr.regs a + Array.unsafe_get fr.regs b);
       set_m rm dst (if am == None then bm else if bm == None then am else None)
-  | I.Add, Pr.Reg a, Pr.Const (k, None) | I.Add, Pr.Const (k, None), Pr.Reg a
-  | I.Sub, Pr.Reg a, Pr.Const (k, None) ->
+  | I.Add, Reg a, Const (k, None) | I.Add, Const (k, None), Reg a
+  | I.Sub, Reg a, Const (k, None) ->
     let k = if op = I.Sub then -k else k in
     fun st fr ->
       Cost.add st.cost Cost.alu;
       Array.unsafe_set fr.regs dst (Array.unsafe_get fr.regs a + k);
       set_m fr.rmeta dst (Array.unsafe_get fr.rmeta a)
-  | I.Sub, Pr.Reg a, Pr.Reg b ->
+  | I.Sub, Reg a, Reg b ->
     fun st fr ->
       Cost.add st.cost Cost.alu;
       let rm = fr.rmeta in
@@ -1179,13 +1205,13 @@ let compile_bin dst (op : I.binop) (l : Loader.pmeta Pr.operand) r : op =
       Array.unsafe_set fr.regs dst
         (Array.unsafe_get fr.regs a - Array.unsafe_get fr.regs b);
       set_m rm dst (if bm == None then am else None)
-  | I.Mul, Pr.Reg a, Pr.Reg b ->
+  | I.Mul, Reg a, Reg b ->
     fun st fr ->
       Cost.add st.cost Cost.alu;
       Array.unsafe_set fr.regs dst
         (Array.unsafe_get fr.regs a * Array.unsafe_get fr.regs b);
       set_m fr.rmeta dst None
-  | I.Mul, Pr.Reg a, Pr.Const (k, _) | I.Mul, Pr.Const (k, _), Pr.Reg a ->
+  | I.Mul, Reg a, Const (k, _) | I.Mul, Const (k, _), Reg a ->
     fun st fr ->
       Cost.add st.cost Cost.alu;
       Array.unsafe_set fr.regs dst (Array.unsafe_get fr.regs a * k);
@@ -1195,12 +1221,12 @@ let compile_bin dst (op : I.binop) (l : Loader.pmeta Pr.operand) r : op =
       Cost.add st.cost Cost.alu;
       let v = exec_binop op (eval_v fr l) (eval_v fr r) in
       set_reg fr dst v (bin_meta op (eval_m fr l) (eval_m fr r))
-  | _, Pr.Reg a, Pr.Reg b ->
+  | _, Reg a, Reg b ->
     fun st fr ->
       Cost.add st.cost Cost.alu;
       let v = exec_binop op (reg fr a) (reg fr b) in
       set_reg fr dst v None
-  | _, Pr.Reg a, Pr.Const (k, _) ->
+  | _, Reg a, Const (k, _) ->
     fun st fr ->
       Cost.add st.cost Cost.alu;
       set_reg fr dst (exec_binop op (reg fr a) k) None
@@ -1214,31 +1240,31 @@ let[@inline] set_flag st fr dst c =
   Array.unsafe_set fr.regs dst (if c then 1 else 0);
   set_m fr.rmeta dst None
 
-let compile_cmp dst (op : I.cmpop) (l : Loader.pmeta Pr.operand) r : op =
+let compile_cmp dst (op : I.cmpop) (l : operand) r : op =
   match op, l, r with
-  | I.Eq, Pr.Reg a, Pr.Reg b ->
+  | I.Eq, Reg a, Reg b ->
     fun st fr -> set_flag st fr dst (reg fr a = reg fr b)
-  | I.Ne, Pr.Reg a, Pr.Reg b ->
+  | I.Ne, Reg a, Reg b ->
     fun st fr -> set_flag st fr dst (reg fr a <> reg fr b)
-  | I.Lt, Pr.Reg a, Pr.Reg b ->
+  | I.Lt, Reg a, Reg b ->
     fun st fr -> set_flag st fr dst (reg fr a < reg fr b)
-  | I.Le, Pr.Reg a, Pr.Reg b ->
+  | I.Le, Reg a, Reg b ->
     fun st fr -> set_flag st fr dst (reg fr a <= reg fr b)
-  | I.Gt, Pr.Reg a, Pr.Reg b ->
+  | I.Gt, Reg a, Reg b ->
     fun st fr -> set_flag st fr dst (reg fr a > reg fr b)
-  | I.Ge, Pr.Reg a, Pr.Reg b ->
+  | I.Ge, Reg a, Reg b ->
     fun st fr -> set_flag st fr dst (reg fr a >= reg fr b)
-  | I.Eq, Pr.Reg a, Pr.Const (k, _) ->
+  | I.Eq, Reg a, Const (k, _) ->
     fun st fr -> set_flag st fr dst (reg fr a = k)
-  | I.Ne, Pr.Reg a, Pr.Const (k, _) ->
+  | I.Ne, Reg a, Const (k, _) ->
     fun st fr -> set_flag st fr dst (reg fr a <> k)
-  | I.Lt, Pr.Reg a, Pr.Const (k, _) ->
+  | I.Lt, Reg a, Const (k, _) ->
     fun st fr -> set_flag st fr dst (reg fr a < k)
-  | I.Le, Pr.Reg a, Pr.Const (k, _) ->
+  | I.Le, Reg a, Const (k, _) ->
     fun st fr -> set_flag st fr dst (reg fr a <= k)
-  | I.Gt, Pr.Reg a, Pr.Const (k, _) ->
+  | I.Gt, Reg a, Const (k, _) ->
     fun st fr -> set_flag st fr dst (reg fr a > k)
-  | I.Ge, Pr.Reg a, Pr.Const (k, _) ->
+  | I.Ge, Reg a, Const (k, _) ->
     fun st fr -> set_flag st fr dst (reg fr a >= k)
   | _, _, _ ->
     fun st fr ->
@@ -1263,10 +1289,10 @@ let rec gep_walk fr dst path k a m =
   if k = Array.length path then set_reg fr dst a m
   else
     match Array.unsafe_get path k with
-    | Pr.Field (off, fsize) ->
+    | Field (off, fsize) ->
       let a = a + off in
       gep_walk fr dst path (k + 1) a (narrow m a fsize)
-    | Pr.Index (elem_size, idx_op) ->
+    | Index (elem_size, idx_op) ->
       gep_walk fr dst path (k + 1) (a + (eval_v fr idx_op * elem_size)) m
 
 (* The same walk over constant steps, at compile time. *)
@@ -1274,45 +1300,45 @@ let gep_const path a m =
   Array.fold_left
     (fun (a, m) step ->
       match step with
-      | Pr.Field (off, fsize) -> (a + off, narrow m (a + off) fsize)
-      | Pr.Index (elem_size, Pr.Const (k, _)) -> (a + (k * elem_size), m)
-      | Pr.Index (_, Pr.Reg _) -> invalid_arg "gep_const")
+      | Field (off, fsize) -> (a + off, narrow m (a + off) fsize)
+      | Index (elem_size, Const (k, _)) -> (a + (k * elem_size), m)
+      | Index (_, Reg _) -> invalid_arg "gep_const")
     (a, m) path
 
-let compile_gep dst (base : Loader.pmeta Pr.operand) path : op =
+let compile_gep dst (base : operand) path : op =
   let cost = Cost.alu * Array.length path in
   let consts =
     Array.for_all
-      (function Pr.Field _ | Pr.Index (_, Pr.Const _) -> true
-              | Pr.Index (_, Pr.Reg _) -> false)
+      (function Field _ | Index (_, Const _) -> true
+              | Index (_, Reg _) -> false)
       path
   in
   match base, path with
-  | Pr.Const (a, m), _ when consts ->
+  | Const (a, m), _ when consts ->
     (* A constant base (a global) with constant steps: the address and
        its narrowed metadata are computed once, here. *)
     let a, m = gep_const path a m in
     fun st fr ->
       Cost.add st.cost cost;
       set_reg fr dst a m
-  | Pr.Const (a, m), [| Pr.Index (es, Pr.Reg i) |] ->
+  | Const (a, m), [| Index (es, Reg i) |] ->
     fun st fr ->
       Cost.add st.cost cost;
       Array.unsafe_set fr.regs dst (a + (Array.unsafe_get fr.regs i * es));
       set_m fr.rmeta dst m
-  | Pr.Reg b, [| Pr.Index (es, Pr.Reg i) |] ->
+  | Reg b, [| Index (es, Reg i) |] ->
     fun st fr ->
       Cost.add st.cost cost;
       Array.unsafe_set fr.regs dst
         (Array.unsafe_get fr.regs b + (Array.unsafe_get fr.regs i * es));
       set_m fr.rmeta dst (Array.unsafe_get fr.rmeta b)
-  | Pr.Reg b, [| Pr.Index (es, Pr.Const (k, _)) |] ->
+  | Reg b, [| Index (es, Const (k, _)) |] ->
     let off = k * es in
     fun st fr ->
       Cost.add st.cost cost;
       Array.unsafe_set fr.regs dst (Array.unsafe_get fr.regs b + off);
       set_m fr.rmeta dst (Array.unsafe_get fr.rmeta b)
-  | Pr.Reg b, [| Pr.Field (off, fsize) |] ->
+  | Reg b, [| Field (off, fsize) |] ->
     fun st fr ->
       Cost.add st.cost cost;
       let a = Array.unsafe_get fr.regs b + off in
@@ -1323,9 +1349,85 @@ let compile_gep dst (base : Loader.pmeta Pr.operand) path : op =
       Cost.add st.cost cost;
       gep_walk fr dst path 0 (eval_v fr base) (eval_m fr base)
 
-let compile_instr image (i : Loader.pmeta Pr.instr) : op =
+(* The loads and stores the compiler specialises are the unchecked
+   [Regular] ones through a register, or from a global's constant
+   address; the rest compile to [do_load]/[do_store]. *)
+let compile_load image dst ty addr (where : I.where) checked : op =
+  match addr, where, checked with
+  | Reg r, I.Regular, false ->
+    fun st fr ->
+      load_regular st fr dst (Array.unsafe_get fr.regs r)
+        (Array.unsafe_get fr.rmeta r)
+  | Const (a, _), I.Regular, false when plain_const image a ->
+    fun st fr ->
+      Cost.charge_mem st.cost ~instrumented:false Cost.load_base;
+      race_data st a ~write:false;
+      set_reg fr dst (Mem.read st.mem a) None
+  | _ ->
+    let what = Ty.to_string ty and universal = Ty.is_universal_pointer ty in
+    fun st fr -> do_load st fr dst ~what ~universal addr where checked
+
+let compile_store image ty v addr (where : I.where) checked : op =
+  match v, addr, where, checked with
+  | Reg x, Reg r, I.Regular, false ->
+    fun st fr ->
+      store_regular st fr (Array.unsafe_get fr.regs r)
+        (Array.unsafe_get fr.rmeta r) (Array.unsafe_get fr.regs x)
+        (Array.unsafe_get fr.rmeta x)
+  | Const (k, km), Reg r, I.Regular, false ->
+    fun st fr ->
+      store_regular st fr (Array.unsafe_get fr.regs r)
+        (Array.unsafe_get fr.rmeta r) k km
+  | Reg x, Const (a, _), I.Regular, false when plain_const image a ->
+    fun st fr ->
+      Cost.charge_mem st.cost ~instrumented:false Cost.store_base;
+      race_data st a ~write:true;
+      charge_sfi st;
+      Mem.write st.mem a (Array.unsafe_get fr.regs x)
+  | _ ->
+    let what = Ty.to_string ty and universal = Ty.is_universal_pointer ty in
+    fun st fr -> do_store st fr ~what ~universal v addr where checked
+
+let check_reg (fn : Prog.func) r =
+  if r < 0 || r >= fn.Prog.nregs then
+    invalid_arg
+      (Printf.sprintf "Interp: register r%d out of range in %s (nregs %d)" r
+         fn.Prog.fname fn.Prog.nregs);
+  r
+
+(* Resolve an operand of [fn]: immediates and null become bare constants,
+   global and function references (address, metadata) constants. The
+   metadata is built once and shared by every execution; it is
+   immutable, so sharing is safe. *)
+let operand (image : Loader.image) fn (o : I.operand) =
+  match o with
+  | I.Reg r -> Reg (check_reg fn r)
+  | I.Imm n -> Const (n, None)
+  | I.Nullp -> Const (0, None)
+  | I.Glob g ->
+    let lo, hi = Hashtbl.find image.Loader.global_bounds g in
+    Const
+      (Hashtbl.find image.Loader.global_addr g,
+       Some { lower = lo; upper = hi; tid = 0; kind = Safestore.Data })
+  | I.Fun f ->
+    let a = Loader.entry_addr image f in
+    Const (a, Some { lower = a; upper = a + 1; tid = 0; kind = Safestore.Code })
+
+(* Compile one instruction of [fn]; [ret_addr] is the code address of
+   the instruction after it, the return address a call there pushes.
+   [where], [checked] and the cfi fields are mutable in the IR: they are
+   read here, once, which is why a program must not change after
+   [Loader.load]. *)
+let compile_instr image fn (layout : Loader.frame_layout) ret_addr
+    (i : I.instr) : op =
+  let opr = operand image fn and chk = check_reg fn in
+  let args l = Array.of_list (List.map opr l) in
   match i with
-  | Pr.Alloca { dst; on_safe; offset; size } ->
+  | I.Alloca { dst; _ } ->
+    let dst = chk dst in
+    let sl = Hashtbl.find layout.Loader.fl_slots dst in
+    let on_safe = sl.Loader.sl_on_safe and offset = sl.Loader.sl_offset
+    and size = sl.Loader.sl_size in
     fun st fr ->
       Cost.add st.cost Cost.alu;
       let base = if on_safe then fr.base_s else fr.base_r in
@@ -1333,119 +1435,160 @@ let compile_instr image (i : Loader.pmeta Pr.instr) : op =
       set_reg fr dst addr
         (Some { lower = addr; upper = addr + size; tid = 0;
                 kind = Safestore.Data })
-  | Pr.Bin { dst; op; l; r } -> compile_bin dst op l r
-  | Pr.Cmp { dst; op; l; r } -> compile_cmp dst op l r
-  | Pr.Load { dst; addr = Pr.Reg r; where = I.Regular; checked = false; _ } ->
-    fun st fr ->
-      load_regular st fr dst (Array.unsafe_get fr.regs r)
-        (Array.unsafe_get fr.rmeta r)
-  | Pr.Load { dst; addr = Pr.Const (a, _); where = I.Regular;
-              checked = false; _ }
-    when plain_const image a ->
-    fun st fr ->
-      Cost.charge_mem st.cost ~instrumented:false Cost.load_base;
-      race_data st a ~write:false;
-      set_reg fr dst (Mem.read st.mem a) None
-  | Pr.Load { dst; what; universal; addr; where; checked } ->
-    fun st fr -> do_load st fr dst ~what ~universal addr where checked
-  | Pr.Store { v = Pr.Reg x; addr = Pr.Reg r; where = I.Regular;
-               checked = false; _ } ->
-    fun st fr ->
-      store_regular st fr (Array.unsafe_get fr.regs r)
-        (Array.unsafe_get fr.rmeta r) (Array.unsafe_get fr.regs x)
-        (Array.unsafe_get fr.rmeta x)
-  | Pr.Store { v = Pr.Const (k, km); addr = Pr.Reg r; where = I.Regular;
-               checked = false; _ } ->
-    fun st fr ->
-      store_regular st fr (Array.unsafe_get fr.regs r)
-        (Array.unsafe_get fr.rmeta r) k km
-  | Pr.Store { v = Pr.Reg x; addr = Pr.Const (a, _); where = I.Regular;
-               checked = false; _ }
-    when plain_const image a ->
-    fun st fr ->
-      Cost.charge_mem st.cost ~instrumented:false Cost.store_base;
-      race_data st a ~write:true;
-      charge_sfi st;
-      Mem.write st.mem a (Array.unsafe_get fr.regs x)
-  | Pr.Store { what; universal; v; addr; where; checked } ->
-    fun st fr -> do_store st fr ~what ~universal v addr where checked
-  | Pr.Gep { dst; base; path } -> compile_gep dst base path
-  | Pr.Cast { dst; v = Pr.Reg x } ->
-    fun st fr ->
-      Cost.add st.cost Cost.alu;
-      set_reg fr dst (Array.unsafe_get fr.regs x) (Array.unsafe_get fr.rmeta x)
-  | Pr.Cast { dst; v = Pr.Const (k, km) } ->
-    fun st fr ->
-      Cost.add st.cost Cost.alu;
-      set_reg fr dst k km
-  | Pr.Call { dst; callee = Pr.Direct idx; args; ret_addr; _ } ->
-    (* The callee is prepared and compiled when the call first runs, not
-       here, so compiling a function never cascades down its calls. *)
+  | I.Bin { dst; op; l; r } -> compile_bin (chk dst) op (opr l) (opr r)
+  | I.Cmp { dst; op; l; r } -> compile_cmp (chk dst) op (opr l) (opr r)
+  | I.Load { dst; ty; addr; where; checked } ->
+    compile_load image (chk dst) ty (opr addr) where checked
+  | I.Store { ty; v; addr; where; checked } ->
+    compile_store image ty (opr v) (opr addr) where checked
+  | I.Gep { dst; base_ty = _; base; path } ->
+    let tenv = image.Loader.prog.Prog.tenv in
+    let step = function
+      | I.Field (_, off, fsize) -> Field (off, fsize)
+      | I.Index (ty, idx) -> Index (Ty.size_of tenv ty, opr idx)
+    in
+    compile_gep (chk dst) (opr base) (Array.of_list (List.map step path))
+  | I.Cast { dst; v; _ } ->
+    let dst = chk dst in
+    (match opr v with
+     | Reg x ->
+       fun st fr ->
+         Cost.add st.cost Cost.alu;
+         set_reg fr dst (Array.unsafe_get fr.regs x)
+           (Array.unsafe_get fr.rmeta x)
+     | Const (k, km) ->
+       fun st fr ->
+         Cost.add st.cost Cost.alu;
+         set_reg fr dst k km)
+  | I.Call { dst; callee = I.Direct name; args = a; _ } ->
+    (* The callee is compiled when the call first runs, not here, so
+       compiling a function never cascades down its calls. *)
+    let dst = Option.map chk dst and args = args a in
+    let idx = Hashtbl.find image.Loader.fn_index name in
     let nargs = Array.length args in
     fun st fr ->
       Cost.add st.cost nargs;
       invoke st fr dst args ret_addr idx
-  | Pr.Call { dst; callee = Pr.Indirect o; args; cfi_checked; cfi_set;
-              ret_addr } ->
+  | I.Call { dst; callee = I.Indirect o; args = a; fty = _; cfi_checked;
+             cfi_set } ->
+    let dst = Option.map chk dst and o = opr o and args = args a in
+    (* The cfi-type target set, as sorted entry addresses. *)
+    let cfi_set =
+      Option.map
+        (fun names ->
+          let set = Array.of_list (List.map (Loader.entry_addr image) names) in
+          Array.sort compare set;
+          set)
+        cfi_set
+    in
     fun st fr -> do_call st fr dst o args cfi_checked cfi_set ret_addr
-  | Pr.Intrin { dst; op; args } -> fun st fr -> do_intrin st fr dst op args
+  | I.Intrin { dst; op; args = a } ->
+    let dst = Option.map chk dst and args = args a in
+    fun st fr -> do_intrin st fr dst op args
 
 let[@inline] goto fr b =
   fr.block <- b;
   fr.ip <- 0
 
-let compile_term (t : Loader.pmeta Pr.term) : op =
+let[@inline] switch_cost st = Cost.add st.cost (Cost.branch + 1)
+
+(* A switch jumps through a dense table when its case values span at
+   most [4 * cases + 8] slots (a pathological sparse switch wastes at
+   most that much), through a hashtable otherwise. Both take a value's
+   first binding, as [List.assoc_opt] over the cases would. *)
+let compile_switch o cases dflt : op =
+  match cases with
+  | [] -> fun st fr -> switch_cost st; goto fr dflt
+  | (v0, _) :: _ ->
+    let n = List.length cases in
+    let lo = List.fold_left (fun a (v, _) -> min a v) v0 cases in
+    let hi = List.fold_left (fun a (v, _) -> max a v) v0 cases in
+    (* [hi - lo] wraps negative when the span exceeds [max_int]. *)
+    let d = hi - lo in
+    if d >= 0 && d < (4 * n) + 8 then begin
+      let targets = Array.make (d + 1) dflt in
+      List.iter (fun (v, b) -> targets.(v - lo) <- b) (List.rev cases);
+      fun st fr ->
+        switch_cost st;
+        let i = eval_v fr o - lo in
+        goto fr (if i >= 0 && i <= d then Array.unsafe_get targets i else dflt)
+    end
+    else begin
+      let tbl = Hashtbl.create (2 * n) in
+      List.iter
+        (fun (v, b) -> if not (Hashtbl.mem tbl v) then Hashtbl.add tbl v b)
+        cases;
+      fun st fr ->
+        switch_cost st;
+        goto fr
+          (match Hashtbl.find_opt tbl (eval_v fr o) with
+           | Some b -> b
+           | None -> dflt)
+    end
+
+let compile_term image fn (t : I.term) : op =
+  let opr = operand image fn in
   match t with
-  | Pr.Ret None -> fun st _ -> do_ret st 0 None
-  | Pr.Ret (Some (Pr.Reg r)) ->
-    fun st fr ->
-      do_ret st (Array.unsafe_get fr.regs r) (Array.unsafe_get fr.rmeta r)
-  | Pr.Ret (Some (Pr.Const (k, km))) -> fun st _ -> do_ret st k km
-  | Pr.Br (Pr.Reg c, bt, bf) ->
-    fun st fr ->
-      Cost.add st.cost Cost.branch;
-      goto fr (if Array.unsafe_get fr.regs c <> 0 then bt else bf)
-  | Pr.Br (Pr.Const (k, _), bt, bf) ->
-    let b = if k <> 0 then bt else bf in
+  | I.Ret None -> fun st _ -> do_ret st 0 None
+  | I.Ret (Some o) ->
+    (match opr o with
+     | Reg r ->
+       fun st fr ->
+         do_ret st (Array.unsafe_get fr.regs r) (Array.unsafe_get fr.rmeta r)
+     | Const (k, km) -> fun st _ -> do_ret st k km)
+  | I.Br (c, bt, bf) ->
+    (match opr c with
+     | Reg c ->
+       fun st fr ->
+         Cost.add st.cost Cost.branch;
+         goto fr (if Array.unsafe_get fr.regs c <> 0 then bt else bf)
+     | Const (k, _) ->
+       let b = if k <> 0 then bt else bf in
+       fun st fr ->
+         Cost.add st.cost Cost.branch;
+         goto fr b)
+  | I.Jmp b ->
     fun st fr ->
       Cost.add st.cost Cost.branch;
       goto fr b
-  | Pr.Jmp b ->
-    fun st fr ->
-      Cost.add st.cost Cost.branch;
-      goto fr b
-  | Pr.Switch (o, tbl) ->
-    fun st fr ->
-      Cost.add st.cost (Cost.branch + 1);
-      goto fr (Pr.switch_target tbl (eval_v fr o))
-  | Pr.Unreachable -> fun _ _ -> stop (Crash "unreachable executed")
+  | I.Switch (o, cases, dflt) -> compile_switch (opr o) cases dflt
+  | I.Unreachable -> fun _ _ -> stop (Crash "unreachable executed")
 
 (* A straight-line stretch ends before a call or an intrinsic (they push
    frames, block, spawn or reschedule) and takes in the terminator only
-   when it stays in the frame. *)
-let compile_block image (b : Loader.pmeta Pr.block) =
-  let n = Array.length b.Pr.instrs in
+   when it stays in the frame. [base] is the block's code address. *)
+let compile_block image fn layout base (b : Prog.block) =
+  let n = Array.length b.Prog.instrs in
   let ops =
-    Array.append (Array.map (compile_instr image) b.Pr.instrs)
-      [| compile_term b.Pr.term |]
+    Array.append
+      (Array.mapi
+         (fun ip i -> compile_instr image fn layout (base + ip + 1) i)
+         b.Prog.instrs)
+      [| compile_term image fn b.Prog.term |]
   in
   let span = Array.make (n + 1) 0 in
-  (match b.Pr.term with
-   | Pr.Br _ | Pr.Jmp _ | Pr.Switch _ -> span.(n) <- 1
-   | Pr.Ret _ | Pr.Unreachable -> ());
+  (match b.Prog.term with
+   | I.Br _ | I.Jmp _ | I.Switch _ -> span.(n) <- 1
+   | I.Ret _ | I.Unreachable -> ());
   for ip = n - 1 downto 0 do
-    match b.Pr.instrs.(ip) with
-    | Pr.Call _ | Pr.Intrin _ -> ()
-    | Pr.Alloca _ | Pr.Bin _ | Pr.Cmp _ | Pr.Load _ | Pr.Store _ | Pr.Gep _
-    | Pr.Cast _ ->
+    match b.Prog.instrs.(ip) with
+    | I.Call _ | I.Intrin _ -> ()
+    | I.Alloca _ | I.Bin _ | I.Cmp _ | I.Load _ | I.Store _ | I.Gep _
+    | I.Cast _ ->
       span.(ip) <- span.(ip + 1) + 1
   done;
   { ops; span }
 
 let () =
   compile_fwd :=
-    fun image (pf : Loader.pmeta Pr.func) ->
-      Array.map (compile_block image) pf.Pr.blocks
+    fun image idx layout ->
+      let fn = image.Loader.funcs.(idx) in
+      let bases = image.Loader.block_base.(idx) in
+      { nregs = fn.Prog.nregs;
+        blocks =
+          Array.mapi
+            (fun b blk -> compile_block image fn layout bases.(b) blk)
+            fn.Prog.blocks }
 
 (* ---------- Fault injection ---------- *)
 
@@ -1650,13 +1793,13 @@ let run ?input ?fuel ?faults ?sched_seed (image : Loader.image) : result =
   if not (Prog.has_func image.Loader.prog "main") then
     invalid_arg "Interp.run: program has no main";
   let st = create ?input ?fuel ?faults ?sched_seed image in
-  let main = Loader.prepared st.image "main" in
+  let main = Hashtbl.find image.Loader.fn_index "main" in
+  let nparams = List.length image.Loader.funcs.(main).Prog.params in
   (* A synthetic outermost frame is not needed: push main with the exit
      sentinel as its return address. *)
   let outcome =
     try
-      push_frame st st.running main.Pr.findex
-        ~args:(Array.make main.Pr.nparams (0, None))
+      push_frame st st.running main ~args:(Array.make nparams (0, None))
         ~ret_dst:None ~pushed_ret:exit_sentinel ~entry:(0, 0);
       run_loop st
     with Machine_stop outcome -> outcome

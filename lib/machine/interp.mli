@@ -7,10 +7,11 @@
     exactly where the attacker pointed it — a function, a gadget in the
     middle of one, injected shellcode in a data page, or garbage.
 
-    Execution model. A function is compiled on its first entry into one
-    closure per instruction and terminator, and the code is cached on the
-    [Loader.image]: every run of an image shares it, and each function is
-    compiled at most once per image. Two drivers run the same closures:
+    Execution model. A function is compiled straight from its IR on its
+    first entry into one closure per instruction and terminator, and the
+    code is cached on the [Loader.image]: every run of an image shares it,
+    and each function is compiled at most once per image. Two drivers run
+    the same closures:
 
     - single-step: before every instruction, in this order, the fuel test
       ([Trap.Fuel_exhausted] when it is spent), the faults scheduled for
@@ -96,7 +97,10 @@ type result = {
     on what ran before. A run that escapes with an exception other than
     a machine stop leaves its pages to the GC.
     @raise Invalid_argument if the program has no [main], before any
-           machine state is built. *)
+           machine state is built; or when a function is about to be
+           entered for the first time and one of its instructions or
+           terminators names a register outside [0, nregs) (compiling it
+           checks every register operand and destination). *)
 val run :
   ?input:int array -> ?fuel:int -> ?faults:(int * fault) list ->
   ?sched_seed:int -> Loader.image -> result

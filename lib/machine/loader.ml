@@ -5,19 +5,16 @@
     decoded like a real instruction pointer), lays out globals in the
     regular region, resolves global initializers, and computes per-function
     frame layouts for the active configuration. The loader is trusted, as
-    in the paper's threat model. Addresses are arithmetic and functions are
-    prepared on first use, so loading does no work per instruction; see
-    [loader.mli] for how, and for the invariants this relies on. *)
+    in the paper's threat model. Addresses are arithmetic and a function's
+    frame layout is built on first use, so loading does no work per
+    instruction; see [loader.mli] for how, and for the invariants this
+    relies on. *)
 
 module Ty = Levee_ir.Ty
 module Instr = Levee_ir.Instr
 module Prog = Levee_ir.Prog
-module Prepared = Levee_ir.Prepared
 
 type code_point = { cp_fn : string; cp_block : int; cp_ip : int }
-
-(** Metadata type the prepared program's resolved operands carry. *)
-type pmeta = Meta.t option
 
 (** Placement of one alloca slot within its frame. *)
 type slot = {
@@ -46,7 +43,6 @@ type code += Not_compiled
 
 (* A function's state, built on first use; see [loader.mli]. *)
 type fn = {
-  pf : pmeta Prepared.func;
   layout : frame_layout;
   mutable code : code;
 }
@@ -62,7 +58,7 @@ type image = {
   entries : int array;                      (* entry address, by index *)
   block_base : int array array;             (* address of (block, 0) *)
   code_end : int;                           (* first address past the code *)
-  fns : fn array;                           (* [unprepared] until first used *)
+  fns : fn array;                           (* [untouched] until first used *)
 }
 
 let layout_of_func tenv (cfg : Config.t) (fn : Prog.func) =
@@ -164,123 +160,10 @@ let point_addr image fname block ip =
   then raise Not_found;
   image.block_base.(f).(block) + ip
 
-(* ---------- First-use preparation ---------- *)
+(* ---------- First-use layout ---------- *)
 
-(* Resolve an operand: immediates and null become bare constants, global
-   and function references become (address, metadata) constants. The
-   metadata records are built once and shared by every execution of the
-   instruction; they are immutable, so sharing is safe. *)
-let prepare_operand image (o : Instr.operand) : pmeta Prepared.operand =
-  match o with
-  | Instr.Reg r -> Prepared.Reg r
-  | Instr.Imm n -> Prepared.Const (n, None)
-  | Instr.Nullp -> Prepared.Const (0, None)
-  | Instr.Glob g ->
-    let addr = Hashtbl.find image.global_addr g in
-    let lo, hi = Hashtbl.find image.global_bounds g in
-    Prepared.Const
-      (addr, Some { Meta.lower = lo; upper = hi; tid = 0; kind = Safestore.Data })
-  | Instr.Fun f ->
-    let addr = entry_addr image f in
-    Prepared.Const
-      (addr,
-       Some { Meta.lower = addr; upper = addr + 1; tid = 0; kind = Safestore.Code })
-
-(* Direct callees stay indices, so preparing a function never prepares
-   the functions it calls. *)
-let prepare_func image ~(layout : frame_layout) findex (fn : Prog.func) :
-    pmeta Prepared.func =
-  let op o = prepare_operand image o in
-  let tenv = image.prog.Prog.tenv and block_base = image.block_base.(findex) in
-  let blocks =
-    Array.map
-      (fun (b : Prog.block) ->
-        let instrs =
-          Array.mapi
-            (fun ip (i : Instr.instr) ->
-              match i with
-              | Instr.Alloca { dst; ty = _; slot = _ } ->
-                let sl = Hashtbl.find layout.fl_slots dst in
-                Prepared.Alloca
-                  { dst; on_safe = sl.sl_on_safe; offset = sl.sl_offset;
-                    size = sl.sl_size }
-              | Instr.Bin { dst; op = bop; l; r } ->
-                Prepared.Bin { dst; op = bop; l = op l; r = op r }
-              | Instr.Cmp { dst; op = cop; l; r } ->
-                Prepared.Cmp { dst; op = cop; l = op l; r = op r }
-              | Instr.Load { dst; ty; addr; where; checked } ->
-                Prepared.Load
-                  { dst; what = Ty.to_string ty;
-                    universal = Ty.is_universal_pointer ty; addr = op addr;
-                    where; checked }
-              | Instr.Store { ty; v; addr; where; checked } ->
-                Prepared.Store
-                  { what = Ty.to_string ty;
-                    universal = Ty.is_universal_pointer ty; v = op v;
-                    addr = op addr; where; checked }
-              | Instr.Gep { dst; base_ty = _; base; path } ->
-                Prepared.Gep
-                  { dst; base = op base;
-                    path =
-                      Array.of_list
-                        (List.map
-                           (function
-                             | Instr.Field (_, off, fsize) ->
-                               Prepared.Field (off, fsize)
-                             | Instr.Index (ty, idx) ->
-                               Prepared.Index (Ty.size_of tenv ty, op idx))
-                           path) }
-              | Instr.Cast { dst; kind = _; ty = _; v } ->
-                Prepared.Cast { dst; v = op v }
-              | Instr.Call { dst; callee; args; fty = _; cfi_checked; cfi_set }
-                ->
-                let callee =
-                  match callee with
-                  | Instr.Direct name ->
-                    Prepared.Direct (Hashtbl.find image.fn_index name)
-                  | Instr.Indirect o -> Prepared.Indirect (op o)
-                in
-                (* Resolve the cfi-type target set to sorted entry
-                   addresses once. *)
-                let cfi_set =
-                  match cfi_set with
-                  | None -> None
-                  | Some names ->
-                    let arr = Array.of_list (List.map (entry_addr image) names) in
-                    Array.sort compare arr;
-                    Some arr
-                in
-                Prepared.Call
-                  { dst; callee; args = Array.of_list (List.map op args);
-                    cfi_checked; cfi_set;
-                    (* The return address a call pushes: the code address
-                       of the instruction after the call site. *)
-                    ret_addr = block_base.(b.Prog.bid) + ip + 1 }
-              | Instr.Intrin { dst; op = iop; args } ->
-                Prepared.Intrin
-                  { dst; op = iop; args = Array.of_list (List.map op args) })
-            b.Prog.instrs
-        in
-        let term =
-          match b.Prog.term with
-          | Instr.Ret None -> Prepared.Ret None
-          | Instr.Ret (Some o) -> Prepared.Ret (Some (op o))
-          | Instr.Br (c, bt, bf) -> Prepared.Br (op c, bt, bf)
-          | Instr.Jmp b -> Prepared.Jmp b
-          | Instr.Switch (o, cases, dflt) ->
-            Prepared.Switch (op o, Prepared.switch_table cases dflt)
-          | Instr.Unreachable -> Prepared.Unreachable
-        in
-        { Prepared.instrs; term })
-      fn.Prog.blocks
-  in
-  { Prepared.findex; fname = fn.Prog.fname; nregs = fn.Prog.nregs;
-    nparams = List.length fn.Prog.params; blocks }
-
-let unprepared =
-  { pf = { Prepared.findex = -1; fname = "<unprepared>"; nregs = 0;
-           nparams = 0; blocks = [||] };
-    layout =
+let untouched =
+  { layout =
       { fl_slots = Hashtbl.create 1; fl_regular_size = 0; fl_safe_size = 0;
         fl_ret_on_safe = false; fl_ret_offset = 0; fl_cookie_offset = None;
         fl_hot_words = 0; fl_array_words = 0; fl_has_unsafe = false };
@@ -288,16 +171,15 @@ let unprepared =
 
 let fn image i =
   let s = image.fns.(i) in
-  if s != unprepared then s
+  if s != untouched then s
   else begin
-    let f = image.funcs.(i) in
-    let layout = layout_of_func image.prog.Prog.tenv image.cfg f in
-    let s = { pf = prepare_func image ~layout i f; layout; code = Not_compiled } in
+    let layout =
+      layout_of_func image.prog.Prog.tenv image.cfg image.funcs.(i)
+    in
+    let s = { layout; code = Not_compiled } in
     image.fns.(i) <- s;
     s
   end
-
-let prepared image name = (fn image (Hashtbl.find image.fn_index name)).pf
 
 let layout image name = (fn image (Hashtbl.find image.fn_index name)).layout
 
@@ -337,7 +219,7 @@ let load (prog : Prog.t) (cfg : Config.t) =
     prog.Prog.globals;
   { prog; cfg; slide; global_addr; global_bounds; funcs; fn_index; entries;
     block_base; code_end = !next_code;
-    fns = Array.make (Array.length funcs) unprepared }
+    fns = Array.make (Array.length funcs) untouched }
 
 (** Write global initializers into [mem]; code-pointer cells that the
     compiler/linker emitted (jump tables etc., Section 4 "binary level

@@ -11,13 +11,14 @@
     order within a function, one address per instruction plus one per
     terminator; the image keeps each block's base address, and [decode]
     binary-searches the function entries, then that function's block
-    bases. A function's prepared form and frame layout are built the first
-    time anything needs them (its first entry, a diverted jump into it,
-    [prepared] or [layout]) and cached in its slot, at most once per
-    function per image. This relies on three invariants:
-    - the image reads its [Prog.t] lazily, so a program must not be
-      mutated after [load] (the passes mutate a clone inside
-      [Pipeline.build], before loading);
+    bases. A function's frame layout is built the first time anything
+    needs it (its first entry, a diverted jump into it, or [layout]) and
+    its compiled code on its first entry; both are cached in its slot, at
+    most once per function per image. This relies on three invariants:
+    - the image reads its [Prog.t] lazily (the interpreter compiles each
+      function straight from it), so a program must not be mutated after
+      [load] (the passes mutate a clone inside [Pipeline.build], before
+      loading);
     - every function has at least one block and block ids are positions
       ([Verify] and [Builder] ensure both), so entries and block bases
       strictly increase;
@@ -27,9 +28,6 @@
 module Prog = Levee_ir.Prog
 
 type code_point = { cp_fn : string; cp_block : int; cp_ip : int }
-
-(** Metadata type carried by the prepared program's resolved operands. *)
-type pmeta = Meta.t option
 
 (** Placement of one alloca slot within its frame. *)
 type slot = {
@@ -58,10 +56,8 @@ type frame_layout = {
 type code = ..
 type code += Not_compiled
 
-(** One function's slot: its prepared form, its frame layout and its
-    compiled code. *)
+(** One function's slot: its frame layout and its compiled code. *)
 type fn = {
-  pf : pmeta Levee_ir.Prepared.func;
   layout : frame_layout;
   mutable code : code;
 }
@@ -112,13 +108,13 @@ val is_return_site : image -> int -> bool
 
 (** Every slot of [fns] until its function is first used (compare with
     [==]); never mutated. *)
-val unprepared : fn
+val untouched : fn
 
-(** The slot of the function at an index, prepared on first use. *)
+(** The slot of the function at an index. Its frame layout is built on
+    first use; its [code] stays [Not_compiled] until the interpreter
+    first enters the function. *)
 val fn : image -> int -> fn
 
-(** Prepared (decode-once) form of a function. @raise Not_found if unknown. *)
-val prepared : image -> string -> pmeta Levee_ir.Prepared.func
-
-(** Frame layout of a function. @raise Not_found if unknown. *)
+(** Frame layout of a function, built on first use.
+    @raise Not_found if unknown. *)
 val layout : image -> string -> frame_layout

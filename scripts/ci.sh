@@ -48,7 +48,7 @@ echo "== tests: $(( $(date +%s) - tests_start )) s wall =="
 
 # The benchmark's self-test runs generated 400-function programs to
 # completion under every protection: the one full-length whole-program
-# run, so it enters (and prepares on first use) every function.
+# run, so it enters (and compiles on first use) every function.
 echo "== whole programs: benchmark self-test =="
 selftest_start=$(date +%s)
 python3 benchmark/run.py --self-test

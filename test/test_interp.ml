@@ -555,6 +555,44 @@ let test_switch_negative () =
 let test_switch_empty () =
   check_switch "no cases" [] [ (0, 99); (-1, 99); (42, 99) ]
 
+(* ---------- Register range ----------
+
+   The compiled code indexes register files unchecked, so compiling a
+   function refuses any register outside [0, nregs). The program is a
+   hand-built [main] with [nregs = 1] that computes [dst = 40 + 2] and
+   returns [src]. *)
+let reg_main ~dst ~src =
+  let fn =
+    { Levee_ir.Prog.fname = "main"; params = []; ret_ty = Ty.Int;
+      blocks =
+        [| { Levee_ir.Prog.bid = 0;
+             instrs =
+               [| I.Bin { dst; op = I.Add; l = I.Imm 40; r = I.Imm 2 } |];
+             term = I.Ret (Some (I.Reg src)) } |];
+      nregs = 1; cookie = false; address_taken = false }
+  in
+  let prog = Levee_ir.Prog.create () in
+  Levee_ir.Prog.add_func prog fn;
+  prog
+
+let test_register_range () =
+  Alcotest.(check int) "r0 in range" 42
+    (exit_code (M.Interp.run_program (reg_main ~dst:0 ~src:0) M.Config.vanilla));
+  List.iter
+    (fun r ->
+      List.iter
+        (fun (what, dst, src) ->
+          match M.Interp.run_program (reg_main ~dst ~src) M.Config.vanilla with
+          | exception Invalid_argument msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s r%d: %S names it and main" what r msg) true
+              (contains msg (Printf.sprintf "r%d " r) && contains msg "main")
+          | res ->
+            Alcotest.failf "%s r%d: ran to %s" what r
+              (M.Trap.outcome_to_string res.M.Interp.outcome))
+        [ ("destination", r, 0); ("source", 0, r) ])
+    [ 1; 3; -5; 100_000 ]
+
 let two_thread_src =
   {|int n; int lk;
     int worker(int w) {
@@ -651,6 +689,7 @@ let () =
       ("io", [ t "output capture" test_output_capture ]);
       ("runs",
        [ t "program without main" test_no_main;
+         t "out-of-range registers refused" test_register_range;
          t "no memory from an earlier run" test_no_stale_memory ]);
       ("threads",
        [ t "locked counter" test_locked_counter;

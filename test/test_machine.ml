@@ -1,7 +1,7 @@
 (* Machine substrate tests: paged memory, the three safe-pointer-store
    organisations (with QCheck equivalence properties), the heap allocator
    with temporal ids, the address-space layout, and the loader's code
-   addresses, first-use preparation and frame layouts. *)
+   addresses, first-use layout and compilation, and frame layouts. *)
 
 module M = Levee_machine
 module SS = M.Safestore
@@ -280,10 +280,11 @@ let test_loader_address_oracle () =
         [ P.Vanilla; P.Cpi; P.Cfi_type; P.Hardened ])
     programs
 
-(* Functions are prepared and compiled on first use, once per image: a
-   call compiled into a caller does not prepare the callee, a second run
-   reuses every slot, and [Loader.layout] prepares a function that never
-   ran with the same layout [layout_of_func] computes. *)
+(* Functions are laid out and compiled on first use, once per image: a
+   call compiled into a caller does not touch the callee, a second run
+   reuses every slot and its code, and [Loader.layout] lays out a
+   function that never ran, with the layout [layout_of_func] computes,
+   without compiling it. *)
 let test_loader_lazy () =
   let prog =
     Helpers.compile
@@ -295,18 +296,22 @@ let test_loader_lazy () =
   let built = P.build P.Safe_stack prog in
   let image = M.Loader.load built.P.prog built.P.config in
   let fns = image.M.Loader.fns in
-  let unprepared name =
-    fns.(Hashtbl.find image.M.Loader.fn_index name) == M.Loader.unprepared
+  let slot name = fns.(Hashtbl.find image.M.Loader.fn_index name) in
+  let untouched name = slot name == M.Loader.untouched in
+  let compiled name =
+    match (slot name).M.Loader.code with
+    | M.Loader.Not_compiled -> false
+    | _ -> true
   in
-  Alcotest.(check bool) "nothing prepared or compiled at load" true
-    (Array.for_all (fun s -> s == M.Loader.unprepared) fns);
+  Alcotest.(check bool) "nothing laid out or compiled at load" true
+    (Array.for_all (fun s -> s == M.Loader.untouched) fns);
   let first = M.Interp.run image in
-  Alcotest.(check bool) "main and f prepared" true
-    ((not (unprepared "main")) && not (unprepared "f"));
-  Alcotest.(check bool) "callee of an untaken call still unprepared" true
-    (unprepared "rare");
-  Alcotest.(check bool) "unreferenced function still unprepared" true
-    (unprepared "unused");
+  Alcotest.(check bool) "main and f laid out and compiled" true
+    (compiled "main" && compiled "f");
+  Alcotest.(check bool) "callee of an untaken call still untouched" true
+    (untouched "rare");
+  Alcotest.(check bool) "unreferenced function still untouched" true
+    (untouched "unused");
   let slots = Array.copy fns in
   let codes = Array.map (fun s -> s.M.Loader.code) slots in
   let second = M.Interp.run image in
@@ -321,7 +326,8 @@ let test_loader_lazy () =
   Alcotest.(check bool) "layout of a function that never ran" true
     (M.Loader.layout image "unused"
      = M.Loader.layout_of_func built.P.prog.Prog.tenv built.P.config fn);
-  Alcotest.(check bool) "layout prepares it" false (unprepared "unused")
+  Alcotest.(check bool) "layout lays it out" false (untouched "unused");
+  Alcotest.(check bool) "layout does not compile it" false (compiled "unused")
 
 let test_loader_aslr_slide () =
   let prog = Helpers.compile "int main() { return 0; }" in
@@ -382,7 +388,7 @@ let () =
        [ t "code addressing" test_loader_code_addressing;
          t "address map matches the per-instruction oracle"
            test_loader_address_oracle;
-         t "functions prepared on first use" test_loader_lazy;
+         t "laid out and compiled on first use" test_loader_lazy;
          t "aslr slide" test_loader_aslr_slide;
          t "frame layouts" test_loader_frame_layouts ]);
       ("mpx", [ t "hardware store organisation" test_mpx_store ]) ]
