@@ -555,6 +555,12 @@ let test_switch_negative () =
 let test_switch_empty () =
   check_switch "no cases" [] [ (0, 99); (-1, 99); (42, 99) ]
 
+(* Two cases whose span exceeds [max_int]: the span computation wraps, so
+   the switch must not take it for a small dense range. *)
+let test_switch_extreme () =
+  check_switch "min_int and max_int" [ min_int; max_int ]
+    [ (min_int, 100); (max_int, 101); (0, 99); (-1, 99) ]
+
 (* ---------- Register range ----------
 
    The compiled code indexes register files unchecked, so compiling a
@@ -708,4 +714,5 @@ let () =
        [ t "first binding wins" test_switch_first_binding;
          t "dense range edges" test_switch_dense_edges;
          t "negative case values" test_switch_negative;
-         t "no cases takes the default" test_switch_empty ]) ]
+         t "no cases takes the default" test_switch_empty;
+         t "case values spanning more than max_int" test_switch_extreme ]) ]
