@@ -65,9 +65,8 @@ let entry_of_meta value = function
    global or a function, resolved when the function is compiled). *)
 type operand = Reg of int | Const of int * meta option
 
-(* A GEP step with its element size resolved: a field (word offset and
-   field size, for bounds narrowing) or an index (element size in words
-   and the index operand). *)
+(* A GEP step: a field (word offset, and field size for bounds
+   narrowing) or an index (element size in words, index operand). *)
 type gep_step = Field of int * int | Index of int * operand
 
 type jmp_ctx = {
@@ -128,9 +127,10 @@ and block_code = {
 (* One compiled instruction or terminator. *)
 and op = t -> frame -> unit
 
-(* A compiled function: its blocks and the size of its register files,
-   read when it was compiled, together with the check that every
-   register it names is below it. *)
+(* A compiled function: its blocks and the size of its frames' register
+   files. [nregs] is read once, when the function is compiled and every
+   register it names is checked against it, so the unchecked register
+   accesses stay in bounds whatever later happens to the IR. *)
 and compiled = { nregs : int; blocks : block_code array }
 
 (* One thread of the machine: its own call stack (frames) over its own
@@ -1396,9 +1396,9 @@ let check_reg (fn : Prog.func) r =
   r
 
 (* Resolve an operand of [fn]: immediates and null become bare constants,
-   global and function references (address, metadata) constants. The
-   metadata is built once and shared by every execution; it is
-   immutable, so sharing is safe. *)
+   global and function references (address, metadata) constants; a
+   global's bounds start at its address. The metadata is built once and
+   shared by every execution; it is immutable, so sharing is safe. *)
 let operand (image : Loader.image) fn (o : I.operand) =
   match o with
   | I.Reg r -> Reg (check_reg fn r)
@@ -1406,9 +1406,7 @@ let operand (image : Loader.image) fn (o : I.operand) =
   | I.Nullp -> Const (0, None)
   | I.Glob g ->
     let lo, hi = Hashtbl.find image.Loader.global_bounds g in
-    Const
-      (Hashtbl.find image.Loader.global_addr g,
-       Some { lower = lo; upper = hi; tid = 0; kind = Safestore.Data })
+    Const (lo, Some { lower = lo; upper = hi; tid = 0; kind = Safestore.Data })
   | I.Fun f ->
     let a = Loader.entry_addr image f in
     Const (a, Some { lower = a; upper = a + 1; tid = 0; kind = Safestore.Code })
@@ -1460,28 +1458,31 @@ let compile_instr image fn (layout : Loader.frame_layout) ret_addr
        fun st fr ->
          Cost.add st.cost Cost.alu;
          set_reg fr dst k km)
-  | I.Call { dst; callee = I.Direct name; args = a; _ } ->
-    (* The callee is compiled when the call first runs, not here, so
-       compiling a function never cascades down its calls. *)
+  | I.Call { dst; callee; args = a; fty = _; cfi_checked; cfi_set } ->
     let dst = Option.map chk dst and args = args a in
-    let idx = Hashtbl.find image.Loader.fn_index name in
-    let nargs = Array.length args in
-    fun st fr ->
-      Cost.add st.cost nargs;
-      invoke st fr dst args ret_addr idx
-  | I.Call { dst; callee = I.Indirect o; args = a; fty = _; cfi_checked;
-             cfi_set } ->
-    let dst = Option.map chk dst and o = opr o and args = args a in
-    (* The cfi-type target set, as sorted entry addresses. *)
-    let cfi_set =
-      Option.map
-        (fun names ->
-          let set = Array.of_list (List.map (Loader.entry_addr image) names) in
-          Array.sort compare set;
-          set)
-        cfi_set
-    in
-    fun st fr -> do_call st fr dst o args cfi_checked cfi_set ret_addr
+    (match callee with
+     | I.Direct name ->
+       (* The callee is compiled when the call first runs, not here, so
+          compiling a function never cascades down its calls. *)
+       let idx = Hashtbl.find image.Loader.fn_index name in
+       let nargs = Array.length args in
+       fun st fr ->
+         Cost.add st.cost nargs;
+         invoke st fr dst args ret_addr idx
+     | I.Indirect o ->
+       let o = opr o in
+       (* The cfi-type target set, as sorted entry addresses. *)
+       let cfi_set =
+         Option.map
+           (fun names ->
+             let set =
+               Array.of_list (List.map (Loader.entry_addr image) names)
+             in
+             Array.sort compare set;
+             set)
+           cfi_set
+       in
+       fun st fr -> do_call st fr dst o args cfi_checked cfi_set ret_addr)
   | I.Intrin { dst; op; args = a } ->
     let dst = Option.map chk dst and args = args a in
     fun st fr -> do_intrin st fr dst op args
@@ -1520,10 +1521,7 @@ let compile_switch o cases dflt : op =
         cases;
       fun st fr ->
         switch_cost st;
-        goto fr
-          (match Hashtbl.find_opt tbl (eval_v fr o) with
-           | Some b -> b
-           | None -> dflt)
+        goto fr (try Hashtbl.find tbl (eval_v fr o) with Not_found -> dflt)
     end
 
 let compile_term image fn (t : I.term) : op =

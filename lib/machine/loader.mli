@@ -110,9 +110,8 @@ val is_return_site : image -> int -> bool
     [==]); never mutated. *)
 val untouched : fn
 
-(** The slot of the function at an index. Its frame layout is built on
-    first use; its [code] stays [Not_compiled] until the interpreter
-    first enters the function. *)
+(** The slot of the function at an index, laid out on first use; its
+    [code] is [Not_compiled] until the function is first entered. *)
 val fn : image -> int -> fn
 
 (** Frame layout of a function, built on first use.
