@@ -1411,15 +1411,14 @@ let operand (image : Loader.image) fn (o : I.operand) =
     let a = Loader.entry_addr image f in
     Const (a, Some { lower = a; upper = a + 1; tid = 0; kind = Safestore.Code })
 
-(* Compile one instruction of [fn]; [ret_addr] is the code address of
-   the instruction after it, the return address a call there pushes.
+(* Compile one instruction. [opr] resolves its function's operands and
+   [chk] checks its registers; [ret_addr] is the code address of the
+   instruction after it, the return address a call there pushes.
    [where], [checked] and the cfi fields are mutable in the IR: they are
    read here, once, which is why a program must not change after
    [Loader.load]. *)
-let compile_instr image fn (layout : Loader.frame_layout) ret_addr
+let compile_instr image (layout : Loader.frame_layout) opr chk ret_addr
     (i : I.instr) : op =
-  let opr = operand image fn and chk = check_reg fn in
-  let args l = Array.of_list (List.map opr l) in
   match i with
   | I.Alloca { dst; _ } ->
     let dst = chk dst in
@@ -1458,8 +1457,8 @@ let compile_instr image fn (layout : Loader.frame_layout) ret_addr
        fun st fr ->
          Cost.add st.cost Cost.alu;
          set_reg fr dst k km)
-  | I.Call { dst; callee; args = a; fty = _; cfi_checked; cfi_set } ->
-    let dst = Option.map chk dst and args = args a in
+  | I.Call { dst; callee; args; fty = _; cfi_checked; cfi_set } ->
+    let dst = Option.map chk dst and args = Array.of_list (List.map opr args) in
     (match callee with
      | I.Direct name ->
        (* The callee is compiled when the call first runs, not here, so
@@ -1483,8 +1482,8 @@ let compile_instr image fn (layout : Loader.frame_layout) ret_addr
            cfi_set
        in
        fun st fr -> do_call st fr dst o args cfi_checked cfi_set ret_addr)
-  | I.Intrin { dst; op; args = a } ->
-    let dst = Option.map chk dst and args = args a in
+  | I.Intrin { dst; op; args } ->
+    let dst = Option.map chk dst and args = Array.of_list (List.map opr args) in
     fun st fr -> do_intrin st fr dst op args
 
 let[@inline] goto fr b =
@@ -1524,8 +1523,7 @@ let compile_switch o cases dflt : op =
         goto fr (try Hashtbl.find tbl (eval_v fr o) with Not_found -> dflt)
     end
 
-let compile_term image fn (t : I.term) : op =
-  let opr = operand image fn in
+let compile_term opr (t : I.term) : op =
   match t with
   | I.Ret None -> fun st _ -> do_ret st 0 None
   | I.Ret (Some o) ->
@@ -1555,14 +1553,14 @@ let compile_term image fn (t : I.term) : op =
 (* A straight-line stretch ends before a call or an intrinsic (they push
    frames, block, spawn or reschedule) and takes in the terminator only
    when it stays in the frame. [base] is the block's code address. *)
-let compile_block image fn layout base (b : Prog.block) =
+let compile_block image layout opr chk base (b : Prog.block) =
   let n = Array.length b.Prog.instrs in
   let ops =
     Array.append
       (Array.mapi
-         (fun ip i -> compile_instr image fn layout (base + ip + 1) i)
+         (fun ip i -> compile_instr image layout opr chk (base + ip + 1) i)
          b.Prog.instrs)
-      [| compile_term image fn b.Prog.term |]
+      [| compile_term opr b.Prog.term |]
   in
   let span = Array.make (n + 1) 0 in
   (match b.Prog.term with
@@ -1581,11 +1579,12 @@ let () =
   compile_fwd :=
     fun image idx layout ->
       let fn = image.Loader.funcs.(idx) in
+      let opr = operand image fn and chk = check_reg fn in
       let bases = image.Loader.block_base.(idx) in
       { nregs = fn.Prog.nregs;
         blocks =
           Array.mapi
-            (fun b blk -> compile_block image fn layout bases.(b) blk)
+            (fun b blk -> compile_block image layout opr chk bases.(b) blk)
             fn.Prog.blocks }
 
 (* ---------- Fault injection ---------- *)

@@ -583,7 +583,8 @@ let reg_main ~dst ~src =
 
 let test_register_range () =
   Alcotest.(check int) "r0 in range" 42
-    (exit_code (M.Interp.run_program (reg_main ~dst:0 ~src:0) M.Config.vanilla));
+    (exit_code
+       (M.Interp.run_program (reg_main ~dst:0 ~src:0) M.Config.vanilla));
   List.iter
     (fun r ->
       List.iter
