@@ -20,24 +20,21 @@
     against the function's [nregs]. The code is cached on the
     [Loader.image], so every run of an image shares it.
 
-    One set of closures, two drivers:
-    - the single-step driver runs one instruction per step, testing fuel,
-      then scheduled faults, then preemption before it, exactly as the
-      step semantics define;
-    - the straight-line driver runs a whole stretch of a block (a run of
-      instructions with no call or intrinsic, ending at a [Br], [Jmp] or
-      [Switch] terminator if it reaches one) with those tests made once:
-      it is taken only when the fuel covers the stretch, no fault is
-      scheduled inside it and the scheduler quantum cannot expire inside
-      it, so no boundary can fall within it. It still decrements fuel per
-      instruction, so a trap inside a stretch reports the same [instrs]
-      and [cycles] as single-stepping would.
-    Everywhere else (calls, intrinsics, returns, and any step a boundary
-    may fall on) the single-step driver runs. Simulated cycles,
-    instruction counts, footprints and checksums are byte-identical to
-    the decode-per-step interpreter; only host wall-clock changes (the
-    golden rows and simulation digests of the determinism test, and the
-    step-boundary sweeps of the interpreter test, assert this). *)
+    One driver, [run_loop], runs the closures. Each turn makes the step
+    semantics' tests once, in their order (fuel, then the faults
+    scheduled for this step, then preemption), then runs the stretch at
+    the frame's [ip]: a run of a block's instructions with no call or
+    intrinsic, through its [Br]/[Jmp]/[Switch] terminator if it reaches
+    one, or the one instruction there when none starts at it. The turn
+    is clipped so that it ends before the fuel runs out, before the next
+    scheduled fault and before the quantum expires, so no boundary falls
+    inside it; fuel is still counted per instruction, so a trap inside a
+    stretch reports the same [instrs] and [cycles] as single-stepping
+    would. Simulated cycles, instruction counts, footprints and checksums
+    are byte-identical to the decode-per-step interpreter; only host
+    wall-clock changes (the golden rows and simulation digests of the
+    determinism test, and the step-boundary sweeps of the interpreter
+    test, assert this). *)
 
 module Ty = Levee_ir.Ty
 module I = Levee_ir.Instr
@@ -113,12 +110,12 @@ type frame = {
 
 (* One compiled block: [ops.(ip)] executes instruction [ip], and
    [ops.(n)] (n instructions) the terminator, so a frame's [ip] always
-   indexes [ops] and [span]. No closure moves [ip]: the drivers advance
-   it, calls and intrinsics included, so the callee or the intrinsic sees
-   the caller already past its instruction.
-   [span.(ip)] is the number of steps in the straight-line stretch that
-   starts at [ip], 0 where a call, intrinsic, return or [Unreachable]
-   must be single-stepped. *)
+   indexes [ops] and [span]. No closure moves [ip] forward: the driver
+   does, past a call or intrinsic before it runs, so the callee or the
+   intrinsic sees the caller already past its instruction.
+   [span.(ip)] is the number of steps in the stretch that starts at [ip],
+   0 at a call, intrinsic, return or [Unreachable], which the driver runs
+   alone. *)
 and block_code = {
   ops : op array;
   span : int array;
@@ -163,7 +160,7 @@ and t = {
   mutable threads : thread array;  (* index = tid; slot 0 = the main thread *)
   mutable nthreads : int;
   (* Deterministic scheduling: [mt] flips on at the first thread_spawn;
-     until then the hot loop pays one boolean test per step and the
+     until then the driver pays two boolean tests per turn and the
      machine is observationally identical to the single-threaded one.
      [sched_left] counts instructions down to the next preemption. *)
   sched : Sched.t;
@@ -189,9 +186,9 @@ and t = {
      checks (Section 3.2.2). A paged table of 256-slot pages, so the hot
      path never hashes. *)
   shadow : meta Safestore.Paged.t;
-  (* Scheduled fault injection: [faults] is sorted by step; the hot loop
-     pays one integer compare against [next_fault_fuel] (the fuel value
-     at which the next fault fires; min_int = none pending). *)
+  (* Scheduled fault injection: [faults] is sorted by step; the driver
+     pays two integer compares per turn against [next_fault_fuel] (the
+     fuel value at which the next fault fires; min_int = none pending). *)
   faults : (int * fault) array;
   mutable fault_pos : int;
   mutable next_fault_fuel : int;
@@ -1550,7 +1547,7 @@ let compile_term opr (t : I.term) : op =
   | I.Switch (o, cases, dflt) -> compile_switch (opr o) cases dflt
   | I.Unreachable -> fun _ _ -> stop (Crash "unreachable executed")
 
-(* A straight-line stretch ends before a call or an intrinsic (they push
+(* A stretch ends before a call or an intrinsic (they push
    frames, block, spawn or reschedule) and takes in the terminator only
    when it stays in the frame. [base] is the block's code address. *)
 let compile_block image layout opr chk base (b : Prog.block) =
@@ -1658,53 +1655,47 @@ let inject_faults st =
     if st.fault_pos < n then st.fuel0 - fst st.faults.(st.fault_pos)
     else min_int
 
-(* ---------- Drivers ---------- *)
+(* ---------- Driver ---------- *)
 
-(* The single-step driver: one step of the step semantics. The tests
-   come in a fixed order (fuel, then the faults scheduled for this step,
-   then preemption) and each may end the run or switch threads, so the
-   frame is read only after them. *)
-let step st =
-  if st.fuel <= 0 then stop Fuel_exhausted;
-  if st.fuel = st.next_fault_fuel then inject_faults st;
-  (* Preemption check: a single decrement-and-test per step while the
-     machine is multithreaded, one boolean test before that. *)
-  if st.mt then begin
-    if st.sched_left <= 0 then reschedule st
-    else st.sched_left <- st.sched_left - 1
-  end;
-  st.fuel <- st.fuel - 1;
-  let fr = st.running.cur in
-  let ip = fr.ip in
-  fr.ip <- ip + 1;
-  (Array.unsafe_get fr.code.(fr.block).ops ip) st fr
-
-(* The straight-line driver runs the stretch of [n] steps at the current
-   position in one go when no step of it can meet a boundary: the fuel
-   lasts all [n] steps, the next scheduled fault fires after them, and
-   the quantum outlasts them (so every one of the [n] preemption checks
-   would just decrement). Otherwise it single-steps. Nothing inside a
-   stretch switches threads or frames. *)
+(* One turn of the step semantics. The tests come first, once, in a fixed
+   order (fuel, then the faults scheduled for this step, then preemption);
+   each may end the run or switch threads, so the frame is read only after
+   them. The turn then runs [n] ops: the stretch at [ip] ([span.(ip)],
+   or the one op there where no stretch starts), clipped to the fuel
+   left, to the steps before the next scheduled fault and to the quantum
+   left, so no boundary falls inside it. Fuel is counted per op, so a
+   trap reports the step it happened on. A turn of more than one op never
+   calls, returns or switches threads, so [fr] stays the running frame. *)
 let rec run_loop st =
+  let fuel = st.fuel in
+  if fuel <= 0 then stop Fuel_exhausted;
+  if fuel = st.next_fault_fuel then inject_faults st;
+  (* Preemption: the step on which the scheduler preempts is not charged
+     to the new quantum, hence the one added back. *)
+  if st.mt && st.sched_left <= 0 then begin
+    reschedule st;
+    st.sched_left <- st.sched_left + 1
+  end;
   let fr = st.running.cur in
   let bc = fr.code.(fr.block) in
   let ip = fr.ip in
   let n = Array.unsafe_get bc.span ip in
-  let fuel = st.fuel in
-  if n > 0 && fuel >= n && st.next_fault_fuel <= fuel - n
-     && ((not st.mt) || st.sched_left >= n)
-  then begin
-    if st.mt then st.sched_left <- st.sched_left - n;
-    let ops = bc.ops in
-    for i = ip to ip + n - 1 do
-      st.fuel <- st.fuel - 1;
-      (Array.unsafe_get ops i) st fr
-    done;
-    (* A stretch that ran its terminator left the frame at the branch
-       target; one that stopped at a call or intrinsic resumes there. *)
-    if ip + n < Array.length ops then fr.ip <- ip + n
-  end
-  else step st;
+  (* Clipped with int compares: [min] is polymorphic. *)
+  let n = if n = 0 then 1 else n in
+  let n = if fuel < n then fuel else n in
+  let n =
+    if st.next_fault_fuel > fuel - n then fuel - st.next_fault_fuel else n
+  in
+  let n = if st.mt && st.sched_left < n then st.sched_left else n in
+  if st.mt then st.sched_left <- st.sched_left - n;
+  (* Set before the first op: a call or intrinsic sees its caller already
+     past it, and a terminator's jump overrides it. *)
+  fr.ip <- ip + n;
+  let ops = bc.ops in
+  for i = ip to ip + n - 1 do
+    st.fuel <- st.fuel - 1;
+    (Array.unsafe_get ops i) st fr
+  done;
   run_loop st
 
 (* ---------- Top level ---------- *)

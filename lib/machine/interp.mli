@@ -10,22 +10,20 @@
     Execution model. A function is compiled straight from its IR on its
     first entry into one closure per instruction and terminator, and the
     code is cached on the [Loader.image]: every run of an image shares it,
-    and each function is compiled at most once per image. Two drivers run
-    the same closures:
+    and each function is compiled at most once per image. One driver runs
+    the closures. Each turn of it first makes, in this order, the fuel test
+    ([Trap.Fuel_exhausted] when it is spent), the faults scheduled for
+    that step, and the preemption check of a multithreaded machine; then
+    it runs a stretch: a run of a block's instructions with no call or
+    intrinsic, through its [Br]/[Jmp]/[Switch] terminator if it reaches
+    one, or the single instruction at hand where no stretch starts. The
+    stretch is cut short so that it ends before the fuel runs out, before
+    the next scheduled fault and before the scheduler quantum expires, so
+    no test can fall due inside it; fuel is still counted per instruction,
+    so a trap inside a stretch reports the same [instrs] and [cycles].
 
-    - single-step: before every instruction, in this order, the fuel test
-      ([Trap.Fuel_exhausted] when it is spent), the faults scheduled for
-      that step, and the preemption check of a multithreaded machine;
-    - straight-line: a run of a block's instructions with no call or
-      intrinsic, through its [Br]/[Jmp]/[Switch] terminator if it reaches
-      one, executed with those tests made once. It is used only when the
-      fuel covers every step of the run, no fault is scheduled inside it
-      and the scheduler quantum cannot expire inside it; fuel is still
-      counted per instruction, so a trap inside the run reports the same
-      [instrs] and [cycles].
-
-    The driver never changes a result: every field of {!result} is
-    exactly what single-stepping the whole run would produce. *)
+    Every field of {!result} is exactly what single-stepping the whole
+    run, with the tests before every instruction, would produce. *)
 
 (** A scheduled corruption for deterministic fault-injection campaigns.
     Addresses are absolute machine addresses (after any ASLR slide);
