@@ -41,21 +41,11 @@ module I = Levee_ir.Instr
 module Prog = Levee_ir.Prog
 open Trap
 
-(* Based-on metadata of a register value: bounds, temporal id and kind. *)
-type meta = { lower : int; upper : int; tid : int; kind : Safestore.kind }
-
-let meta_of_entry (e : Safestore.entry) =
-  match e.Safestore.kind with
-  | Safestore.Invalid -> None
-  | k ->
-    Some { lower = e.Safestore.lower; upper = e.Safestore.upper;
-           tid = e.Safestore.tid; kind = k }
-
-let entry_of_meta value = function
-  | Some m ->
-    { Safestore.value; lower = m.lower; upper = m.upper; tid = m.tid;
-      kind = m.kind }
-  | None -> Safestore.invalid_entry value
+(* Based-on metadata of a register value: bounds, temporal id and kind.
+   It is the safe store's record, so loads and stores move it between
+   registers and entries as is. *)
+type meta = Safestore.meta = {
+  lower : int; upper : int; tid : int; kind : Safestore.kind }
 
 (* An operand as the compiled code reads it: a register, or a constant
    with its value and metadata ([Imm], [Nullp], and the address of a
@@ -346,7 +336,6 @@ let check_deref st addr meta ~size ~what =
   | None -> stop (Trapped (Missing_metadata what))
   | Some m ->
     (match m.kind with
-     | Safestore.Invalid -> stop (Trapped (Bounds_violation "invalid metadata"))
      | Safestore.Code ->
        (* Dereferencing a code pointer as data is never safe. *)
        stop (Trapped (Bounds_violation "code pointer used as data"))
@@ -809,8 +798,9 @@ let do_intrin st fr dst (op : I.intrin) (args : operand array) =
     if st.cfg.Config.enforce_code_meta then begin
       Cost.charge_safe_store st.cost st.cfg.Config.store_impl;
       Safestore.set st.store buf
-        { Safestore.value = resume; lower = resume; upper = resume + 1;
-          tid = 0; kind = Safestore.Code }
+        { Safestore.value = resume;
+          meta = Some { lower = resume; upper = resume + 1; tid = 0;
+                        kind = Safestore.Code } }
     end;
     (* cpi-crypt: the saved PC is a code pointer in ordinary memory —
        keep it as ciphertext so a jmp_buf smash garbles instead of
@@ -831,7 +821,8 @@ let do_intrin st fr dst (op : I.intrin) (args : operand array) =
       if st.cfg.Config.enforce_code_meta then begin
         Cost.charge_safe_store st.cost st.cfg.Config.store_impl;
         match Safestore.get st.store buf with
-        | Some { Safestore.kind = Safestore.Code; value; _ } -> value
+        | Some { Safestore.value; meta = Some { kind = Safestore.Code; _ } } ->
+          value
         | Some _ | None -> stop (Trapped Invalid_code_pointer)
       end
       else if st.cfg.Config.crypt_ptrs then begin
@@ -1026,7 +1017,7 @@ let do_load st fr dst ~what ~universal addr_op where checked =
          let mirror = Mem.read st.mem a in
          if mirror <> e.Safestore.value then stop (Trapped Debug_mismatch)
        end;
-       set_reg fr dst e.Safestore.value (meta_of_entry e)
+       set_reg fr dst e.Safestore.value e.Safestore.meta
      | None ->
        (* No protected value here: universal pointer currently holding a
           regular value; fall back to the regular region. *)
@@ -1048,7 +1039,7 @@ let do_load st fr dst ~what ~universal addr_op where checked =
     Cost.charge_mem st.cost ~instrumented:true 0;
     race_meta st a ~write:false;
     (match Safestore.get st.store a with
-     | Some e -> set_reg fr dst e.Safestore.value (meta_of_entry e)
+     | Some e -> set_reg fr dst e.Safestore.value e.Safestore.meta
      | None ->
        Cost.add st.cost Cost.load_base;
        set_reg fr dst (plain_read st a ma) None)
@@ -1059,7 +1050,7 @@ let do_load st fr dst ~what ~universal addr_op where checked =
     let v = plain_read st a ma in
     let m =
       match Safestore.get st.store a with
-      | Some e when e.Safestore.value = v -> meta_of_entry e
+      | Some e when e.Safestore.value = v -> e.Safestore.meta
       | Some _ | None -> None
     in
     set_reg fr dst v m
@@ -1071,6 +1062,9 @@ let do_load st fr dst ~what ~universal addr_op where checked =
     Cost.charge_mem st.cost ~instrumented:true
       (Cost.load_base + Cost.crypt_cost);
     set_reg fr dst (Ptrcipher.decrypt st.key (plain_read st a ma)) None
+
+(* The empty bounds SafeData stores with a value that has no metadata. *)
+let degenerate_data = Some { lower = 0; upper = 0; tid = 0; kind = Safestore.Data }
 
 let do_store st fr ~what ~universal v_op addr_op where checked =
   let vv = eval_v fr v_op in
@@ -1085,8 +1079,8 @@ let do_store st fr ~what ~universal v_op addr_op where checked =
     Cost.charge_mem st.cost ~instrumented:true 0;
     race_meta st a ~write:true;
     (match vm with
-     | Some m ->
-       Safestore.set st.store a (entry_of_meta vv (Some m));
+     | Some _ ->
+       Safestore.set st.store a { Safestore.value = vv; meta = vm };
        if where = I.SafeDebug then begin
          Cost.add st.cost Cost.store_base;
          Mem.write st.mem a vv   (* mirror copy for non-instrumented readers *)
@@ -1105,8 +1099,9 @@ let do_store st fr ~what ~universal v_op addr_op where checked =
     (match vm with
      | Some { kind = Safestore.Code; _ } ->
        Safestore.set st.store a
-         { Safestore.value = vv; lower = vv; upper = vv + 1; tid = 0;
-           kind = Safestore.Code }
+         { Safestore.value = vv;
+           meta = Some { lower = vv; upper = vv + 1; tid = 0;
+                         kind = Safestore.Code } }
      | Some _ | None ->
        Safestore.clear_at st.store a;
        Cost.add st.cost Cost.store_base;
@@ -1118,18 +1113,15 @@ let do_store st fr ~what ~universal v_op addr_op where checked =
     Cost.charge_safe_store st.cost st.cfg.Config.store_impl;
     Cost.charge_mem st.cost ~instrumented:true 0;
     race_meta st a ~write:true;
-    (match vm with
-     | Some m -> Safestore.set st.store a (entry_of_meta vv (Some m))
-     | None ->
-       Safestore.set st.store a
-         { Safestore.value = vv; lower = 0; upper = 0; tid = 0;
-           kind = Safestore.Data })
+    Safestore.set st.store a
+      { Safestore.value = vv;
+        meta = (match vm with Some _ -> vm | None -> degenerate_data) }
   | I.RegularMeta ->
     Cost.charge_mem st.cost ~instrumented:true Cost.store_base;
     Cost.charge_safe_store st.cost st.cfg.Config.store_impl;
     race_meta st a ~write:true;
     plain_write st a ma vv;
-    Safestore.set st.store a (entry_of_meta vv vm)
+    Safestore.set st.store a { Safestore.value = vv; meta = vm }
   | I.Crypt ->
     (* cpi-crypt: encrypt the value in place; no metadata survives the
        cipher (bounds/provenance are deliberately not modelled — the

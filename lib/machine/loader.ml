@@ -247,13 +247,15 @@ let init_globals (image : image) (mem : Mem.t) (store : Safestore.t) =
           match cell with
           | Prog.Cfun _ when init_cells_into_store ->
             Safestore.set store (base + i)
-              { Safestore.value = v; lower = v; upper = v + 1; tid = 0;
-                kind = Safestore.Code }
+              { Safestore.value = v;
+                meta = Some { lower = v; upper = v + 1; tid = 0;
+                              kind = Safestore.Code } }
           | Prog.Cglob (name, off) when init_cells_into_store ->
             let lo, hi = Hashtbl.find image.global_bounds name in
             Safestore.set store (base + i)
-              { Safestore.value = v; lower = lo + off; upper = hi; tid = 0;
-                kind = Safestore.Data }
+              { Safestore.value = v;
+                meta = Some { lower = lo + off; upper = hi; tid = 0;
+                              kind = Safestore.Data } }
           | Prog.Cint _ | Prog.Cfun _ | Prog.Cglob _ -> ())
         g.Prog.init)
     image.prog.Prog.globals

@@ -15,17 +15,19 @@
 type kind =
   | Data                  (* ordinary sensitive data pointer *)
   | Code                  (* code pointer: bounds degenerate to exact target *)
-  | Invalid               (* "invalid" metadata: lower > upper; never passes *)
 
-type entry = {
-  value : int;
+(* Based-on metadata, the one record registers, the safe-stack shadow and
+   the store share. *)
+type meta = {
   lower : int;
   upper : int;            (* exclusive upper bound *)
   tid : int;              (* temporal id of the target object; 0 = static *)
   kind : kind;
 }
 
-let invalid_entry value = { value; lower = 1; upper = 0; tid = 0; kind = Invalid }
+(* [meta = None] is invalid metadata: the entry is present, and no check
+   accepts it. *)
+type entry = { value : int; meta : meta option }
 
 type impl = Simple_array | Two_level | Hashtable | Mpx
 

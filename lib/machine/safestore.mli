@@ -9,18 +9,21 @@
 type kind =
   | Data      (** ordinary sensitive data pointer *)
   | Code      (** code pointer: bounds degenerate to the exact target *)
-  | Invalid   (** "invalid" metadata (lower > upper): never passes checks *)
 
-type entry = {
-  value : int;
+(** Based-on metadata: the bounds and temporal id of the object a pointer
+    is based on. Registers, the interpreter's safe-stack shadow and the
+    store's entries all carry this one immutable record, so a load that
+    finds an entry hands its metadata to the register as is. *)
+type meta = {
   lower : int;
   upper : int;    (** exclusive *)
   tid : int;      (** temporal id of the target object; 0 = static *)
   kind : kind;
 }
 
-(** An entry with invalid metadata holding [value]. *)
-val invalid_entry : int -> entry
+(** A stored value and its metadata. [meta = None] is invalid metadata:
+    the entry is present, and no check accepts it. *)
+type entry = { value : int; meta : meta option }
 
 type impl =
   | Simple_array   (** sparse mmap-backed flat table: fastest, most memory *)

@@ -33,7 +33,8 @@ let test_mem_footprint () =
 
 (* ---------- safe pointer store ---------- *)
 
-let entry v = { SS.value = v; lower = v; upper = v + 4; tid = 7; kind = SS.Data }
+let entry v =
+  { SS.value = v; meta = Some { lower = v; upper = v + 4; tid = 7; kind = SS.Data } }
 
 let test_store_basic impl () =
   let s = SS.create impl in
@@ -42,7 +43,8 @@ let test_store_basic impl () =
   (match SS.get s 42 with
    | Some e ->
      Alcotest.(check int) "value" 1000 e.SS.value;
-     Alcotest.(check int) "tid" 7 e.SS.tid
+     Alcotest.(check (option int)) "tid" (Some 7)
+       (Option.map (fun m -> m.SS.tid) e.SS.meta)
    | None -> Alcotest.fail "entry lost");
   SS.clear_at s 42;
   Alcotest.(check bool) "cleared" true (SS.get s 42 = None);

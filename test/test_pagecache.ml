@@ -165,8 +165,8 @@ let impls =
     M.Safestore.Mpx ]
 
 let entry v =
-  { M.Safestore.value = v; lower = v; upper = v + 8; tid = 0;
-    kind = M.Safestore.Data }
+  { M.Safestore.value = v;
+    meta = Some { lower = v; upper = v + 8; tid = 0; kind = M.Safestore.Data } }
 
 let check_entry what expected actual =
   match (expected, actual) with
