@@ -148,7 +148,6 @@ and t = {
   cost : Cost.t;
   mutable running : thread;    (* the thread the hot loop is executing *)
   mutable threads : thread array;  (* index = tid; slot 0 = the main thread *)
-  mutable nthreads : int;
   (* Deterministic scheduling: [mt] flips on at the first thread_spawn;
      until then the driver pays two boolean tests per turn and the
      machine is observationally identical to the single-threaded one.
@@ -398,7 +397,7 @@ let compile image idx =
    instruction runs). [th] is the running thread everywhere except
    thread_spawn, which pushes the outermost frame of the thread it
    creates. A function entered before costs one test of its slot. *)
-let push_frame_empty st th idx ~ret_dst ~pushed_ret ~entry =
+let push_frame st th idx ~ret_dst ~pushed_ret ~entry =
   let c =
     match (Array.unsafe_get st.image.Loader.fns idx).Loader.code with
     | Compiled c -> c
@@ -453,16 +452,6 @@ let push_frame_empty st th idx ~ret_dst ~pushed_ret ~entry =
   th.cur <- fr;
   fr
 
-let push_frame st th idx ~args ~ret_dst ~pushed_ret ~entry =
-  let fr = push_frame_empty st th idx ~ret_dst ~pushed_ret ~entry in
-  Array.iteri
-    (fun i (v, m) ->
-      if i < Array.length fr.regs then begin
-        fr.regs.(i) <- v;
-        fr.rmeta.(i) <- m
-      end)
-    args
-
 let pop_frame th =
   match th.frames with
   | f :: rest ->
@@ -481,11 +470,11 @@ let pop_frame th =
    once the machine is multithreaded, so single-threaded runs draw nothing
    from the scheduler streams. *)
 let reschedule st =
-  let cur_id = st.running.t_id in
+  let cur_id = st.running.t_id and n = Array.length st.threads in
   let runnable i =
     match st.threads.(i).status with Runnable -> true | _ -> false
   in
-  match Sched.pick st.sched ~current:cur_id ~runnable ~n:st.nthreads with
+  match Sched.pick st.sched ~current:cur_id ~runnable ~n with
   | None -> stop (Crash "deadlock: no runnable thread")
   | Some tid ->
     st.sched_left <- Sched.quantum st.sched;
@@ -495,18 +484,19 @@ let reschedule st =
       st.running <- st.threads.(tid)
     end
 
-(* Thread termination: record the value, wake joiners, schedule away.
-   (Thread 0 never comes here — its exit ends the program.) *)
+(* Thread termination, by return or by a kill: record the value, wake
+   joiners, and schedule away if the thread was running. (Thread 0 never
+   comes here — its exit ends the program.) *)
 let finish_thread st th rv =
   th.status <- Finished rv;
   st.live <- st.live - 1;
-  for i = 0 to st.nthreads - 1 do
+  for i = 0 to Array.length st.threads - 1 do
     let o = st.threads.(i) in
     match o.status with
     | Blocked_join j when j = th.t_id -> o.status <- Runnable
     | _ -> ()
   done;
-  reschedule st
+  if st.running == th then reschedule st
 
 (* ---------- Control-flow diversion ---------- *)
 
@@ -523,10 +513,11 @@ let divert st target ~via =
     (* A function entry (block 0, ip 0) runs the function with garbage
        arguments; any other point is a gadget in the middle of one. Either
        way the registers hold garbage (zeroes). *)
-    push_frame st st.running
-      (Hashtbl.find st.image.Loader.fn_index cp.Loader.cp_fn)
-      ~args:[||] ~ret_dst:None ~pushed_ret:exit_sentinel
-      ~entry:(cp.Loader.cp_block, cp.Loader.cp_ip)
+    ignore
+      (push_frame st st.running
+         (Hashtbl.find st.image.Loader.fn_index cp.Loader.cp_fn)
+         ~ret_dst:None ~pushed_ret:exit_sentinel
+         ~entry:(cp.Loader.cp_block, cp.Loader.cp_ip))
   | None ->
     if Layout.in_code_s st.slide target then
       stop (Crash "jump into code padding")
@@ -551,7 +542,7 @@ let in_cfi_set (set : int array) v =
 let invoke st fr dst args ret_addr idx =
   (* Operand evaluation is pure, so the arguments can be read out of the
      caller's (still live) registers directly into the callee's. *)
-  let nf = push_frame_empty st st.running idx ~ret_dst:dst
+  let nf = push_frame st st.running idx ~ret_dst:dst
       ~pushed_ret:ret_addr ~entry:(0, 0) in
   let nregs = Array.length nf.regs in
   for i = 0 to Array.length args - 1 do
@@ -870,16 +861,17 @@ let do_intrin st fr dst (op : I.intrin) (args : operand array) =
     (match Loader.entry_index st.image fv with
      | -1 -> stop (Crash "thread_spawn: target is not a function entry")
      | idx ->
-       if st.nthreads >= Layout.max_threads then
+       let tid = Array.length st.threads in
+       if tid >= Layout.max_threads then
          stop (Crash "thread_spawn: thread limit exceeded");
-       let tid = st.nthreads in
        let th = fresh_thread ~slide:st.slide tid in
        st.threads <- Array.append st.threads [| th |];
-       st.nthreads <- tid + 1;
        st.live <- st.live + 1;
-       push_frame st th idx
-         ~args:[| (argv, argm) |]
-         ~ret_dst:None ~pushed_ret:exit_sentinel ~entry:(0, 0);
+       let nf =
+         push_frame st th idx ~ret_dst:None ~pushed_ret:exit_sentinel
+           ~entry:(0, 0)
+       in
+       set_reg nf 0 argv argm;
        if not st.mt then begin
          st.mt <- true;
          st.sched_left <- Sched.quantum st.sched
@@ -890,7 +882,7 @@ let do_intrin st fr dst (op : I.intrin) (args : operand array) =
        Blocking rewinds ip so the join re-executes after wake-up. *)
     Cost.add st.cost Cost.join_cost;
     let tid = v 0 in
-    if tid <= 0 || tid >= st.nthreads then
+    if tid <= 0 || tid >= Array.length st.threads then
       stop (Crash "thread_join: invalid thread id");
     (match st.threads.(tid).status with
      | Finished rv -> ret rv None
@@ -923,7 +915,7 @@ let do_intrin st fr dst (op : I.intrin) (args : operand array) =
        Hashtbl.remove st.mutexes a;
        th.locks <- List.filter (fun x -> x <> a) th.locks;
        (* Wake every waiter; the scheduler decides who retries first. *)
-       for i = 0 to st.nthreads - 1 do
+       for i = 0 to Array.length st.threads - 1 do
          let o = st.threads.(i) in
          match o.status with
          | Blocked_mutex b when b = a -> o.status <- Runnable
@@ -1006,7 +998,7 @@ let do_load st fr dst ~what ~universal addr_op where checked =
     check_deref st a ma ~size ~what;
   match where with
   | I.Regular -> load_regular st fr dst a ma
-  | I.SafeFull | I.SafeDebug ->
+  | I.SafeFull | I.SafeDebug | I.SafeData ->
     Cost.charge_safe_store st.cost st.cfg.Config.store_impl;
     Cost.charge_mem st.cost ~instrumented:true 0;
     race_meta st a ~write:false;
@@ -1034,15 +1026,6 @@ let do_load st fr dst ~what ~universal addr_op where checked =
          (Some { lower = e.Safestore.value; upper = e.Safestore.value + 1;
                  tid = 0; kind = Safestore.Code })
      | None -> set_reg fr dst (plain_read st a ma) None)
-  | I.SafeData ->
-    Cost.charge_safe_store st.cost st.cfg.Config.store_impl;
-    Cost.charge_mem st.cost ~instrumented:true 0;
-    race_meta st a ~write:false;
-    (match Safestore.get st.store a with
-     | Some e -> set_reg fr dst e.Safestore.value e.Safestore.meta
-     | None ->
-       Cost.add st.cost Cost.load_base;
-       set_reg fr dst (plain_read st a ma) None)
   | I.RegularMeta ->
     Cost.charge_mem st.cost ~instrumented:true Cost.load_base;
     Cost.charge_safe_store st.cost st.cfg.Config.store_impl;
@@ -1610,20 +1593,11 @@ let apply_fault st = function
        survive. Killing the main thread kills the process; a tid that is
        invalid or already finished is a no-op. *)
     if tid = 0 then stop (Crash "worker-kill: main thread killed")
-    else if tid > 0 && tid < st.nthreads then begin
+    else if tid > 0 && tid < Array.length st.threads then begin
       let th = st.threads.(tid) in
       match th.status with
       | Finished _ -> ()
-      | Runnable | Blocked_join _ | Blocked_mutex _ ->
-        th.status <- Finished (-1);
-        st.live <- st.live - 1;
-        for i = 0 to st.nthreads - 1 do
-          let o = st.threads.(i) in
-          match o.status with
-          | Blocked_join j when j = tid -> o.status <- Runnable
-          | _ -> ()
-        done;
-        if st.running == th then reschedule st
+      | Runnable | Blocked_join _ | Blocked_mutex _ -> finish_thread st th (-1)
     end
 
 (* Fire every fault scheduled for the current step, then re-arm the
@@ -1738,7 +1712,7 @@ let create ?(input = [||]) ?(fuel = 60_000_000) ?(faults = [])
   in
   let main_thread = fresh_thread ~slide 0 in
   { image; cfg; slide; key; mem; store; heap; cost = Cost.create ();
-    running = main_thread; threads = [| main_thread |]; nthreads = 1;
+    running = main_thread; threads = [| main_thread |];
     sched = Sched.create ~seed:sched_seed; mt = false; sched_left = max_int;
     live = 1;
     mutexes = Hashtbl.create 8; race = Race.create (); race_mute = false;
@@ -1760,7 +1734,7 @@ let result_of st outcome =
       Safestore.footprint_words ~entry_words:st.cfg.Config.cps_entry_words st.store;
     store_accesses = Safestore.access_count st.store;
     heap_peak = st.heap.Heap.peak_words;
-    threads = st.nthreads;
+    threads = Array.length st.threads;
     ctx_switches = st.cost.Cost.ctx_switches;
     races = Race.count st.race;
     race_reports = List.map Race.describe (Race.reports st.race);
@@ -1774,13 +1748,13 @@ let run ?input ?fuel ?faults ?sched_seed (image : Loader.image) : result =
     invalid_arg "Interp.run: program has no main";
   let st = create ?input ?fuel ?faults ?sched_seed image in
   let main = Hashtbl.find image.Loader.fn_index "main" in
-  let nparams = List.length image.Loader.funcs.(main).Prog.params in
-  (* A synthetic outermost frame is not needed: push main with the exit
-     sentinel as its return address. *)
+  (* A synthetic outermost frame is not needed: push main, its parameters
+     zero, with the exit sentinel as its return address. *)
   let outcome =
     try
-      push_frame st st.running main ~args:(Array.make nparams (0, None))
-        ~ret_dst:None ~pushed_ret:exit_sentinel ~entry:(0, 0);
+      ignore
+        (push_frame st st.running main ~ret_dst:None
+           ~pushed_ret:exit_sentinel ~entry:(0, 0));
       run_loop st
     with Machine_stop outcome -> outcome
   in
