@@ -1360,12 +1360,36 @@ let compile_store image ty v addr (where : I.where) checked : op =
     let what = Ty.to_string ty and universal = Ty.is_universal_pointer ty in
     fun st fr -> do_store st fr ~what ~universal v addr where checked
 
+(* Compiling a function refuses what its code could not run: a register
+   outside its file, a jump to a block it does not have, a name the image
+   does not define. Each is an [Invalid_argument] naming the function and
+   the target, raised when the function is first entered. *)
 let check_reg (fn : Prog.func) r =
   if r < 0 || r >= fn.Prog.nregs then
     invalid_arg
       (Printf.sprintf "Interp: register r%d out of range in %s (nregs %d)" r
          fn.Prog.fname fn.Prog.nregs);
   r
+
+let check_block (fn : Prog.func) b =
+  let n = Array.length fn.Prog.blocks in
+  if b < 0 || b >= n then
+    invalid_arg
+      (Printf.sprintf "Interp: block b%d out of range in %s (blocks %d)" b
+         fn.Prog.fname n);
+  b
+
+let unknown (fn : Prog.func) what name =
+  invalid_arg
+    (Printf.sprintf "Interp: unknown %s %s in %s" what name fn.Prog.fname)
+
+let fn_index (image : Loader.image) fn name =
+  match Hashtbl.find_opt image.Loader.fn_index name with
+  | Some idx -> idx
+  | None -> unknown fn "function" name
+
+let entry_addr (image : Loader.image) fn name =
+  image.Loader.entries.(fn_index image fn name)
 
 (* Resolve an operand of [fn]: immediates and null become bare constants,
    global and function references (address, metadata) constants; a
@@ -1377,19 +1401,23 @@ let operand (image : Loader.image) fn (o : I.operand) =
   | I.Imm n -> Const (n, None)
   | I.Nullp -> Const (0, None)
   | I.Glob g ->
-    let lo, hi = Hashtbl.find image.Loader.global_bounds g in
+    let lo, hi =
+      match Hashtbl.find_opt image.Loader.global_bounds g with
+      | Some bounds -> bounds
+      | None -> unknown fn "global" g
+    in
     Const (lo, Some { lower = lo; upper = hi; tid = 0; kind = Safestore.Data })
   | I.Fun f ->
-    let a = Loader.entry_addr image f in
+    let a = entry_addr image fn f in
     Const (a, Some { lower = a; upper = a + 1; tid = 0; kind = Safestore.Code })
 
-(* Compile one instruction. [opr] resolves its function's operands and
-   [chk] checks its registers; [ret_addr] is the code address of the
+(* Compile one instruction of [fn]. [opr] resolves its operands and [chk]
+   checks its registers; [ret_addr] is the code address of the
    instruction after it, the return address a call there pushes.
    [where], [checked] and the cfi fields are mutable in the IR: they are
    read here, once, which is why a program must not change after
    [Loader.load]. *)
-let compile_instr image (layout : Loader.frame_layout) opr chk ret_addr
+let compile_instr image fn (layout : Loader.frame_layout) opr chk ret_addr
     (i : I.instr) : op =
   match i with
   | I.Alloca { dst; _ } ->
@@ -1435,7 +1463,7 @@ let compile_instr image (layout : Loader.frame_layout) opr chk ret_addr
      | I.Direct name ->
        (* The callee is compiled when the call first runs, not here, so
           compiling a function never cascades down its calls. *)
-       let idx = Hashtbl.find image.Loader.fn_index name in
+       let idx = fn_index image fn name in
        let nargs = Array.length args in
        fun st fr ->
          Cost.add st.cost nargs;
@@ -1447,7 +1475,7 @@ let compile_instr image (layout : Loader.frame_layout) opr chk ret_addr
          Option.map
            (fun names ->
              let set =
-               Array.of_list (List.map (Loader.entry_addr image) names)
+               Array.of_list (List.map (entry_addr image fn) names)
              in
              Array.sort compare set;
              set)
@@ -1495,7 +1523,7 @@ let compile_switch o cases dflt : op =
         goto fr (try Hashtbl.find tbl (eval_v fr o) with Not_found -> dflt)
     end
 
-let compile_term opr (t : I.term) : op =
+let compile_term opr chkb (t : I.term) : op =
   match t with
   | I.Ret None -> fun st _ -> do_ret st 0 None
   | I.Ret (Some o) ->
@@ -1505,6 +1533,7 @@ let compile_term opr (t : I.term) : op =
          do_ret st (Array.unsafe_get fr.regs r) (Array.unsafe_get fr.rmeta r)
      | Const (k, km) -> fun st _ -> do_ret st k km)
   | I.Br (c, bt, bf) ->
+    let bt = chkb bt and bf = chkb bf in
     (match opr c with
      | Reg c ->
        fun st fr ->
@@ -1516,23 +1545,28 @@ let compile_term opr (t : I.term) : op =
          Cost.add st.cost Cost.branch;
          goto fr b)
   | I.Jmp b ->
+    let b = chkb b in
     fun st fr ->
       Cost.add st.cost Cost.branch;
       goto fr b
-  | I.Switch (o, cases, dflt) -> compile_switch (opr o) cases dflt
+  | I.Switch (o, cases, dflt) ->
+    compile_switch (opr o)
+      (List.map (fun (v, b) -> (v, chkb b)) cases)
+      (chkb dflt)
   | I.Unreachable -> fun _ _ -> stop (Crash "unreachable executed")
 
 (* A stretch ends before a call or an intrinsic (they push
    frames, block, spawn or reschedule) and takes in the terminator only
    when it stays in the frame. [base] is the block's code address. *)
-let compile_block image layout opr chk base (b : Prog.block) =
+let compile_block image fn layout opr chk chkb base (b : Prog.block) =
   let n = Array.length b.Prog.instrs in
   let ops =
     Array.append
       (Array.mapi
-         (fun ip i -> compile_instr image layout opr chk (base + ip + 1) i)
+         (fun ip i ->
+           compile_instr image fn layout opr chk (base + ip + 1) i)
          b.Prog.instrs)
-      [| compile_term opr b.Prog.term |]
+      [| compile_term opr chkb b.Prog.term |]
   in
   let span = Array.make (n + 1) 0 in
   (match b.Prog.term with
@@ -1551,12 +1585,14 @@ let () =
   compile_fwd :=
     fun image idx layout ->
       let fn = image.Loader.funcs.(idx) in
-      let opr = operand image fn and chk = check_reg fn in
+      let opr = operand image fn and chk = check_reg fn
+      and chkb = check_block fn in
       let bases = image.Loader.block_base.(idx) in
       { nregs = fn.Prog.nregs;
         blocks =
           Array.mapi
-            (fun b blk -> compile_block image layout opr chk bases.(b) blk)
+            (fun b blk ->
+              compile_block image fn layout opr chk chkb bases.(b) blk)
             fn.Prog.blocks }
 
 (* ---------- Fault injection ---------- *)

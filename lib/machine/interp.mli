@@ -96,9 +96,11 @@ type result = {
     a machine stop leaves its pages to the GC.
     @raise Invalid_argument if the program has no [main], before any
            machine state is built; or when a function is about to be
-           entered for the first time and one of its instructions or
-           terminators names a register outside [0, nregs) (compiling it
-           checks every register operand and destination). *)
+           entered for the first time and compiling it finds a register
+           outside [0, nregs), a branch, jump or switch target outside
+           its blocks, or a global, function operand, direct callee or
+           cfi-type target the image does not define. The message names
+           the function and the target. *)
 val run :
   ?input:int array -> ?fuel:int -> ?faults:(int * fault) list ->
   ?sched_seed:int -> Loader.image -> result

@@ -600,6 +600,51 @@ let test_register_range () =
         [ ("destination", r, 0); ("source", 0, r) ])
     [ 1; 3; -5; 100_000 ]
 
+(* ---------- Block targets and names ----------
+
+   Compiling a function also refuses a jump to a block it does not have
+   and a name the image does not define, naming the function and the
+   target. Each program is a one-block [main] that [Verify] rejects: it
+   jumps to b5, branches to b-1, switches to b7, reads a global that does
+   not exist or calls a function that does not exist. *)
+let one_block_main instrs term =
+  let fn =
+    { Levee_ir.Prog.fname = "main"; params = []; ret_ty = Ty.Int;
+      blocks = [| { Levee_ir.Prog.bid = 0; instrs; term } |];
+      nregs = 1; cookie = false; address_taken = false }
+  in
+  let prog = Levee_ir.Prog.create () in
+  Levee_ir.Prog.add_func prog fn;
+  prog
+
+let test_unknown_targets () =
+  let ret0 = I.Ret (Some (I.Imm 0)) in
+  let read_global =
+    I.Bin { dst = 0; op = I.Add; l = I.Glob "no_such_global"; r = I.Imm 0 }
+  in
+  let call =
+    I.Call { dst = None; callee = I.Direct "no_such_fn"; args = [];
+             fty = Ty.Fn ([], Ty.Int); cfi_checked = false; cfi_set = None }
+  in
+  List.iter
+    (fun (what, target, instrs, term) ->
+      let prog = one_block_main instrs term in
+      Alcotest.(check bool) (what ^ ": invalid IR") true
+        (Result.is_error (Levee_ir.Verify.program_result prog));
+      match M.Interp.run_program prog M.Config.vanilla with
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names %s and main" what msg target) true
+          (contains msg (target ^ " ") && contains msg "main")
+      | res ->
+        Alcotest.failf "%s: ran to %s" what
+          (M.Trap.outcome_to_string res.M.Interp.outcome))
+    [ ("jmp", "b5", [||], I.Jmp 5);
+      ("br", "b-1", [||], I.Br (I.Imm 1, -1, 0));
+      ("switch", "b7", [||], I.Switch (I.Imm 3, [ (3, 7) ], 0));
+      ("global", "no_such_global", [| read_global |], ret0);
+      ("callee", "no_such_fn", [| call |], ret0) ]
+
 let two_thread_src =
   {|int n; int lk;
     int worker(int w) {
@@ -697,6 +742,7 @@ let () =
       ("runs",
        [ t "program without main" test_no_main;
          t "out-of-range registers refused" test_register_range;
+         t "unknown blocks and names refused" test_unknown_targets;
          t "no memory from an earlier run" test_no_stale_memory ]);
       ("threads",
        [ t "locked counter" test_locked_counter;
