@@ -318,19 +318,10 @@ let bench_fig5 () =
 
 let bench_memtable () =
   header "Memory overhead of the safe region (Section 5.2, measured medians)";
-  let impls = [ M.Safestore.Simple_array; M.Safestore.Hashtable; M.Safestore.Two_level ] in
   Printf.printf "%-14s %16s %16s %16s\n" "configuration" "array" "hashtable" "two-level";
   (* memory overhead = safe-store footprint relative to the program's own
      data footprint (heap peak + globals + stacks actually touched), on the
      pointer-heavy half of the suite where the safe region is exercised *)
-  let subset =
-    List.filter
-      (fun (w : W.Workload.t) ->
-        List.mem w.W.Workload.name
-          [ "400.perlbench"; "403.gcc"; "447.dealII"; "450.soplex";
-            "453.povray"; "471.omnetpp"; "483.xalancbmk"; "429.mcf" ])
-      W.Spec.all
-  in
   let mean_ov prot =
     List.map
       (fun impl ->
@@ -341,10 +332,10 @@ let bench_memtable () =
               let data = max 1 (base.M.Interp.heap_peak + 4096) in
               let r = run_workload ~store_impl:impl w prot in
               100. *. float_of_int r.M.Interp.store_footprint /. float_of_int data)
-            subset
+            Targets.memtable_workloads
         in
         SupStats.mean l)
-      impls
+      Targets.memtable_stores
   in
   (match mean_ov P.Cps with
    | [ a; h; t ] ->
@@ -365,7 +356,7 @@ let bench_memtable () =
 let bench_ablation () =
   header "Ablations: design choices called out in DESIGN.md";
   (* (a) safe-store organisation: runtime on dispatch-heavy workloads *)
-  let subset = [ W.Spec.find "400.perlbench"; W.Spec.find "471.omnetpp" ] in
+  let subset = Targets.ablation_workloads in
   Printf.printf "(a) safe pointer store organisation (CPI overhead vs vanilla):\n";
   List.iter
     (fun impl ->
@@ -380,8 +371,7 @@ let bench_ablation () =
              subset)
       in
       Printf.printf "    %-12s %6.2f%%\n" (M.Safestore.impl_name impl) ov)
-    [ M.Safestore.Simple_array; M.Safestore.Two_level; M.Safestore.Hashtable;
-      M.Safestore.Mpx ];
+    Targets.ablation_stores;
   print_endline
     "    (paper: the superpage-backed array was fastest; 'mpx' models the\n\
     \     Section-4 future hardware-assisted bound tables)";
@@ -426,9 +416,7 @@ let bench_distro () =
      (SPEC-like + Phoronix-like + web stack) must compile, instrument,\n\
      verify and run to completion with identical output under every\n\
      configuration.\n";
-  let packages =
-    W.Spec.all @ W.Phoronix.all @ W.Webstack.all @ W.Base_system.all
-  in
+  let packages = Targets.distro_packages in
   let configs = [ P.Safe_stack; P.Cps; P.Cpi ] in
   let failures = ref 0 in
   List.iter

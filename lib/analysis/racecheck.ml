@@ -200,7 +200,6 @@ type unproven = {
 
 type separation = {
   sp_plain : int;
-  sp_safe : int;
   sp_certs : V.separation_cert list;
   sp_unproven : unproven list;
   sp_model : V.separation_model;
@@ -221,7 +220,6 @@ let separation (prog : Prog.t) : separation =
   let safe_objs : (Pointsto.obj, unit) Hashtbl.t = Hashtbl.create 16 in
   let safe_unmodelled = ref false in
   let sm_safe = ref [] and sm_opaque = ref [] in
-  let nsafe = ref 0 in
   Prog.iter_funcs prog (fun fn ->
       let fname = fn.Prog.fname in
       let walk = V.local_roots fn in
@@ -238,7 +236,6 @@ let separation (prog : Prog.t) : separation =
               match addr with
               | None -> ()
               | Some addr ->
-                incr nsafe;
                 let objs = Pointsto.points_to pt ~fname addr in
                 if objs = [] || List.mem Pointsto.O_unknown objs then
                   safe_unmodelled := true;
@@ -304,7 +301,6 @@ let separation (prog : Prog.t) : separation =
         fn.Prog.blocks);
   let certs = List.rev !certs in
   { sp_plain = !nplain;
-    sp_safe = !nsafe;
     sp_certs = certs;
     sp_unproven = List.rev !unproven;
     sp_model = model;

@@ -54,7 +54,6 @@ type unproven = {
 
 type separation = {
   sp_plain : int;      (** plain stores examined *)
-  sp_safe : int;       (** safe-routed accesses (the protected set) *)
   sp_certs : V.separation_cert list;   (** certified stores *)
   sp_unproven : unproven list;
   sp_model : V.separation_model;

@@ -35,16 +35,6 @@ type payload =
   | Shellcode            (* injected code in a data page (needs DEP off) *)
   | To_function_leak     (* function entry, ASLR slide known via info leak *)
 
-let technique_name = function
-  | Direct_overflow -> "direct"
-  | Indirect_ptr -> "indirect"
-  | Use_after_free -> "uaf"
-
-let location_name = function
-  | Stack_loc -> "stack"
-  | Heap_loc -> "heap"
-  | Global_loc -> "global"
-
 let target_name = function
   | Ret_addr -> "ret-addr"
   | Fptr_stack -> "fptr-stack"
@@ -196,8 +186,3 @@ let overflow_payload ?(fill = 0x41) ~dist value =
   let p = Array.make (dist + 1) fill in
   p.(dist) <- value;
   p
-
-(** Distance in words from buffer slot [buf] to target slot [tgt] within
-    one frame (both on the regular stack; the buffer overflows upward). *)
-let stack_distance (buf : M.Loader.slot) (tgt_offset : int) =
-  buf.M.Loader.sl_offset - tgt_offset

@@ -31,8 +31,6 @@ type payload =
   | Shellcode            (** injected code in a data page (needs DEP off) *)
   | To_function_leak     (** function entry, ASLR slide leaked *)
 
-val technique_name : technique -> string
-val location_name : location -> string
 val target_name : target -> string
 val payload_name : payload -> string
 
@@ -83,5 +81,3 @@ val global_distance : view -> from:string -> to_:string -> int
 
 (** [overflow_payload ~dist v] = [dist] filler words then [v]. *)
 val overflow_payload : ?fill:int -> dist:int -> int -> int array
-
-val stack_distance : M.Loader.slot -> int -> int

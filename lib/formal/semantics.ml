@@ -246,7 +246,6 @@ let rec exec env ~depth (c : cmd) : unit =
 
 type run = {
   outcome : outcome;
-  final_mu : (int, int) Hashtbl.t;
   checked_derefs : int;
   oob_slipped : int;        (* sensitive accesses outside their object *)
 }
@@ -274,5 +273,5 @@ let run ?sensitive (p : program) : run =
       Done
     with Stop o -> o
   in
-  { outcome; final_mu = env.mu; checked_derefs = env.sensitive_derefs;
+  { outcome; checked_derefs = env.sensitive_derefs;
     oob_slipped = env.oob_accesses }

@@ -17,7 +17,6 @@ exception Stop of outcome
 
 type run = {
   outcome : outcome;
-  final_mu : (int, int) Hashtbl.t;   (** final regular memory *)
   checked_derefs : int;              (** sensitive accesses performed *)
   oob_slipped : int;                 (** completed sensitive accesses found
                                          outside their based-on object: the

@@ -9,7 +9,6 @@ type t = {
   fn : Prog.func;
   mutable cur : Prog.block;                 (* current insertion block *)
   mutable pending : Instr.instr list;       (* reversed *)
-  mutable sealed : bool;
 }
 
 let func t = t.fn
@@ -21,7 +20,7 @@ let create ~name ~params ~ret_ty =
     { Prog.fname = name; params; ret_ty; blocks = [| entry |];
       nregs = List.length params; cookie = false; address_taken = false }
   in
-  { fn; cur = entry; pending = []; sealed = false }
+  { fn; cur = entry; pending = [] }
 
 let fresh_reg t =
   let r = t.fn.nregs in
@@ -101,5 +100,4 @@ let intrin t ?dst_ty op args =
     through this builder. *)
 let finish t =
   flush t;
-  t.sealed <- true;
   t.fn

@@ -65,11 +65,6 @@ let fold_funcs p f acc =
 let iter_instrs (fn : func) f =
   Array.iter (fun b -> Array.iter f b.instrs) fn.blocks
 
-(** Map every instruction array of a function in place, allowing
-    instrumentation passes to insert or remove instructions. *)
-let rewrite_blocks (fn : func) f =
-  Array.iter (fun b -> b.instrs <- f b.instrs) fn.blocks
-
 (** Copy of an instruction for another program copy: the variants with
     mutable fields are copied, so passes never share them between program
     copies; the immutable ones are shared. *)

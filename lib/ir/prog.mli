@@ -55,9 +55,6 @@ val fold_funcs : t -> ('a -> func -> 'a) -> 'a -> 'a
 (** Iterate over every instruction of a function. *)
 val iter_instrs : func -> (Instr.instr -> unit) -> unit
 
-(** Map every instruction array of a function in place. *)
-val rewrite_blocks : func -> (Instr.instr array -> Instr.instr array) -> unit
-
 (** Copy of an instruction: the variants with mutable fields are copied,
     the immutable ones returned as they are. *)
 val clone_instr : Instr.instr -> Instr.instr

@@ -85,5 +85,3 @@ let free t addr =
 
 (** Is the temporal id [tid] dead (its object freed)? *)
 let tid_dead t tid = tid <> 0 && Mem.Tbl.mem t.dead_tids tid
-
-let block_at t addr = Mem.Tbl.find_opt t.blocks addr

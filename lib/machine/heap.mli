@@ -32,5 +32,3 @@ val free : t -> int -> unit
 
 (** Is the temporal id dead (its object freed)? *)
 val tid_dead : t -> int -> bool
-
-val block_at : t -> int -> block option

@@ -198,7 +198,6 @@ type result = {
   threads : int;               (* total threads, including main (>= 1) *)
   ctx_switches : int;          (* scheduler context switches *)
   races : int;                 (* data races reported by the lockset detector *)
-  race_reports : string list;  (* human-readable race descriptions, in order *)
   race_details : Race.report list;  (* the structured reports, in order *)
 }
 
@@ -1773,7 +1772,6 @@ let result_of st outcome =
     threads = Array.length st.threads;
     ctx_switches = st.cost.Cost.ctx_switches;
     races = Race.count st.race;
-    race_reports = List.map Race.describe (Race.reports st.race);
     race_details = Race.reports st.race }
 
 (** Run [main] to completion, then return the machine's memory and

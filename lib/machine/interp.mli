@@ -68,10 +68,9 @@ type result = {
   threads : int;             (** total threads, including main (>= 1) *)
   ctx_switches : int;        (** scheduler context switches *)
   races : int;               (** races reported by the lockset detector *)
-  race_reports : string list;(** one line per race, in occurrence order *)
   race_details : Race.report list;
-      (** the structured reports behind [race_reports], for projection
-          back onto program objects ({!Raceproj}) *)
+      (** the races in occurrence order ({!Race.describe} prints one), for
+          projection back onto program objects ({!Raceproj}) *)
 }
 
 (** Run [main] of a loaded image to completion.

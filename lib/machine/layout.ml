@@ -52,10 +52,7 @@ let aslr_slide = 0x0002_A000
 
 type region = Null | Globals | Heap | Stack | Safe | Code | Other
 
-(* The [_s] variants take the slide as a plain argument: optional arguments
-   are boxed at every call site, which the interpreter's per-access hot
-   path cannot afford. *)
-let[@inline] region_of_s slide addr =
+let region_of ?(slide = 0) addr =
   let a = addr - slide in
   if a >= code_base && a < code_end then Code
   else if a >= safe_base && a < safe_end then Safe
@@ -65,14 +62,12 @@ let[@inline] region_of_s slide addr =
   else if a >= stack_limit && a <= stack_top then Stack
   else Other
 
-let[@inline] in_safe_region_s slide addr =
+let in_safe_region ?(slide = 0) addr =
   let a = addr - slide in
   a >= safe_base && a < safe_end
 
+(* The slide is a plain argument: an optional one is boxed at every call
+   site. *)
 let[@inline] in_code_s slide addr =
   let a = addr - slide in
   a >= code_base && a < code_end
-
-let region_of ?(slide = 0) addr = region_of_s slide addr
-let in_safe_region ?(slide = 0) addr = in_safe_region_s slide addr
-let in_code ?(slide = 0) addr = in_code_s slide addr

@@ -41,10 +41,9 @@ type region = Null | Globals | Heap | Stack | Safe | Code | Other
 
 val region_of : ?slide:int -> int -> region
 val in_safe_region : ?slide:int -> int -> bool
-val in_code : ?slide:int -> int -> bool
 
-(** Unboxed-slide variants for per-access hot paths (optional arguments
-    are boxed at every call site). *)
-val region_of_s : int -> int -> region
-val in_safe_region_s : int -> int -> bool
+(** Whether an address lies in the code segment slid by the first
+    argument, which is plain rather than optional because an optional
+    argument is boxed at every call site (the interpreter's [divert]
+    tests every diverted target). *)
 val in_code_s : int -> int -> bool

@@ -30,8 +30,6 @@ type frame_layout = {
   fl_ret_on_safe : bool;
   fl_ret_offset : int;               (* from the frame base of its stack *)
   fl_cookie_offset : int option;     (* always on the regular stack *)
-  fl_hot_words : int;                (* scalar locals: the cache-hot area *)
-  fl_array_words : int;              (* aggregate locals *)
   fl_has_unsafe : bool;              (* needs a separate unsafe frame *)
 }
 
@@ -63,7 +61,6 @@ type image = {
 
 let layout_of_func tenv (cfg : Config.t) (fn : Prog.func) =
   let slots = Hashtbl.create 16 in
-  let hot = ref 0 and arrays = ref 0 in
   let safe_off = ref 0 and reg_off = ref 0 in
   (* Return slot sits at the very top of its frame (offset 1 from base),
      the cookie just below it; buffers grow upward toward them. *)
@@ -91,9 +88,6 @@ let layout_of_func tenv (cfg : Config.t) (fn : Prog.func) =
   List.iter
     (fun (dst, ty, slot_kind) ->
       let size = Ty.size_of tenv ty in
-      (match ty with
-       | Ty.Arr _ | Ty.Struct _ -> arrays := !arrays + size
-       | _ -> hot := !hot + size);
       let on_safe =
         match slot_kind with
         | Instr.SafeSlot -> cfg.Config.safe_stack
@@ -110,8 +104,6 @@ let layout_of_func tenv (cfg : Config.t) (fn : Prog.func) =
     fl_ret_on_safe = ret_on_safe;
     fl_ret_offset = ret_offset;
     fl_cookie_offset = cookie_offset;
-    fl_hot_words = !hot;
-    fl_array_words = !arrays;
     fl_has_unsafe = !has_unsafe }
 
 (* ---------- Code addresses ---------- *)
@@ -166,7 +158,7 @@ let untouched =
   { layout =
       { fl_slots = Hashtbl.create 1; fl_regular_size = 0; fl_safe_size = 0;
         fl_ret_on_safe = false; fl_ret_offset = 0; fl_cookie_offset = None;
-        fl_hot_words = 0; fl_array_words = 0; fl_has_unsafe = false };
+        fl_has_unsafe = false };
     code = Not_compiled }
 
 let fn image i =

@@ -43,8 +43,6 @@ type frame_layout = {
   fl_ret_on_safe : bool;
   fl_ret_offset : int;
   fl_cookie_offset : int option;     (** always on the regular stack *)
-  fl_hot_words : int;                (** scalar locals (cache-hot area) *)
-  fl_array_words : int;
   fl_has_unsafe : bool;              (** needs a separate unsafe frame *)
 }
 

@@ -223,15 +223,6 @@ let field name = function
      | None -> raise (Bad ("missing field " ^ name)))
   | _ -> raise (Bad "expected object")
 
-let field_opt name = function
-  | Jobj kvs -> List.assoc_opt name kvs
-  | _ -> None
-
 let as_str = function Jstr s -> s | _ -> raise (Bad "expected string")
 let as_int = function Jint i -> i | _ -> raise (Bad "expected int")
-let as_float = function
-  | Jfloat f -> f
-  | Jint i -> float_of_int i
-  | _ -> raise (Bad "expected number")
-let as_bool = function Jbool b -> b | _ -> raise (Bad "expected bool")
 let as_list = function Jlist l -> l | _ -> raise (Bad "expected array")

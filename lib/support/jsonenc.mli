@@ -56,12 +56,6 @@ val parse : string -> json
 (** Project a field out of an object. @raise Bad if absent. *)
 val field : string -> json -> json
 
-val field_opt : string -> json -> json option
 val as_str : json -> string
 val as_int : json -> int
-
-(** Accepts both [Jfloat] and [Jint]. *)
-val as_float : json -> float
-
-val as_bool : json -> bool
 val as_list : json -> json list

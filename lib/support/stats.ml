@@ -18,17 +18,6 @@ let maximum = function
   | [] -> 0.0
   | x :: rest -> List.fold_left max x rest
 
-let minimum = function
-  | [] -> 0.0
-  | x :: rest -> List.fold_left min x rest
-
-(** Geometric mean of ratios; inputs must be positive. *)
-let geomean = function
-  | [] -> 1.0
-  | l ->
-    let s = List.fold_left (fun acc x -> acc +. log x) 0.0 l in
-    exp (s /. float_of_int (List.length l))
-
 (** [overhead_pct ~base ~instrumented] is the percent slowdown of
     [instrumented] relative to [base]; negative means a speedup. *)
 let overhead_pct ~base ~instrumented =

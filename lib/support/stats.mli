@@ -4,10 +4,6 @@
 val mean : float list -> float
 val median : float list -> float
 val maximum : float list -> float
-val minimum : float list -> float
-
-(** Geometric mean of positive ratios. *)
-val geomean : float list -> float
 
 (** Percent slowdown of [instrumented] relative to [base]; negative means
     a speedup. *)

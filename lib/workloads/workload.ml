@@ -19,8 +19,6 @@ type t = {
   fuel : int;
 }
 
-let lang_name = function C -> "C" | Cpp -> "C++"
-
 (* Compilation is deterministic and pure; cache per workload. The bench
    harness compiles from several domains at once, so the table is guarded
    by a mutex (compilation itself runs outside the lock — a duplicate

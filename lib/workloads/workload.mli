@@ -16,8 +16,6 @@ type t = {
   fuel : int;
 }
 
-val lang_name : lang -> string
-
 (** Compile (memoized per workload name: every call for one name returns
     the same program, physically). *)
 val compile : t -> Levee_ir.Prog.t

@@ -479,7 +479,7 @@ let add_result buf (r : M.Interp.result) =
     r.M.Interp.checksum r.M.Interp.mem_footprint r.M.Interp.store_footprint
     r.M.Interp.store_accesses r.M.Interp.heap_peak r.M.Interp.threads
     r.M.Interp.ctx_switches
-    (String.concat "; " r.M.Interp.race_reports)
+    (String.concat "; " (List.map M.Race.describe r.M.Interp.race_details))
 
 let golden_results =
   [ ("vanilla", "291ea795fedc5c553ffba64c8585b652");

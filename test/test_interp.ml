@@ -322,7 +322,8 @@ let test_unlocked_counter_races () =
    | o -> Alcotest.failf "racy run: %s" (M.Trap.outcome_to_string o));
   Alcotest.(check bool) "race reported" true (r.M.Interp.races > 0);
   Alcotest.(check bool) "report describes shared data" true
-    (List.exists (fun s -> contains s "shared-data") r.M.Interp.race_reports)
+    (List.exists (fun d -> contains (M.Race.describe d) "shared-data")
+       r.M.Interp.race_details)
 
 let test_atomic_add () =
   let src =
