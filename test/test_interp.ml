@@ -434,13 +434,13 @@ let test_concurrent_workload () =
 
 (* ---------- Step boundaries ----------
 
-   The machine runs straight-line stretches of a block without the
-   per-step fuel, fault and preemption tests, and falls back to single
-   steps wherever one of those can fire. These sweeps put a boundary on
-   every step of small programs and check that none is skipped: every
-   fuel cap stops on exactly that step, a stall fault at any step costs
-   exactly its cycles, and a zero-cycle stall on every step (which forces
-   single-stepping everywhere) changes nothing at all. *)
+   The machine makes the fuel, fault and preemption tests once per
+   straight-line stretch of a block, and cuts a stretch short where one
+   of them falls due. These sweeps put a boundary on every step of small
+   programs and check that none is skipped: every fuel cap stops on
+   exactly that step, a stall fault at any step costs exactly its
+   cycles, and a zero-cycle stall on every step (which cuts every
+   stretch to one instruction) changes nothing at all. *)
 
 module B = Levee_ir.Builder
 module I = Levee_ir.Instr
