@@ -1,14 +1,11 @@
-(** Per-function control-flow graphs, dominator trees and a generic
-    forward worklist solver.
+(** Per-function control-flow graphs and a generic forward worklist
+    solver.
 
-    This is the reusable substrate for the flow-sensitive analyses: the
+    This is the substrate for the flow-sensitive analyses: the
     redundant-check elision pass solves a must-availability problem over
-    it, and the diagnostics front end uses the dominator tree to report
-    instrumentation structure. CFGs in this IR are tiny (every function
-    is lowered from a single MiniC body), so the implementations favour
-    clarity over asymptotic heroics: dominators are the classic iterative
-    Cooper–Harvey–Kennedy scheme over a reverse postorder, and the solver
-    is a plain worklist that reuses that order. *)
+    it. CFGs in this IR are tiny (every function is lowered from a single
+    MiniC body), so the implementation favours clarity over asymptotic
+    heroics: the solver is a plain worklist over a reverse postorder. *)
 
 module I = Levee_ir.Instr
 module Prog = Levee_ir.Prog
@@ -60,63 +57,6 @@ let build (fn : Prog.func) : cfg =
   let rpo_index = Array.make n (-1) in
   Array.iteri (fun i b -> rpo_index.(b) <- i) rpo;
   { nblocks = n; succs; preds; rpo; rpo_index }
-
-(* ---------- dominators ---------- *)
-
-(** [idom.(b)] is the immediate dominator of [b]; the entry block is its
-    own idom, unreachable blocks carry -1. *)
-let dominators (g : cfg) : int array =
-  let idom = Array.make g.nblocks (-1) in
-  if g.nblocks = 0 then idom
-  else begin
-    idom.(0) <- 0;
-    let intersect a b =
-      if a = b then a
-      else begin
-        (* walk up the tree: "lower" means later in reverse postorder *)
-        let a = ref a and b = ref b in
-        while !a <> !b do
-          while g.rpo_index.(!a) > g.rpo_index.(!b) do a := idom.(!a) done;
-          while g.rpo_index.(!b) > g.rpo_index.(!a) do b := idom.(!b) done
-        done;
-        !a
-      end
-    in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      Array.iter
-        (fun b ->
-          if b <> 0 then begin
-            let processed p = idom.(p) <> -1 in
-            match List.filter processed g.preds.(b) with
-            | [] -> ()
-            | first :: rest ->
-              let new_idom = List.fold_left intersect first rest in
-              if idom.(b) <> new_idom then begin
-                idom.(b) <- new_idom;
-                changed := true
-              end
-          end)
-        g.rpo
-    done;
-    idom
-  end
-
-(** [dominates idom a b]: does block [a] dominate block [b]? Reflexive;
-    false when either block is unreachable. *)
-let dominates (idom : int array) a b =
-  if a < 0 || b < 0 || a >= Array.length idom || b >= Array.length idom then
-    false
-  else if idom.(a) = -1 || idom.(b) = -1 then false
-  else begin
-    let rec walk x =
-      if x = a then true
-      else if x = 0 then a = 0
-      else walk idom.(x)
-    in
-    walk b
-  end
 
 (* ---------- generic forward solver ---------- *)
 

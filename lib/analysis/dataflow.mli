@@ -1,6 +1,5 @@
-(** Per-function CFG, dominator tree and generic forward worklist solver:
-    the substrate shared by the flow-sensitive analyses (redundant-check
-    elision, diagnostics). *)
+(** Per-function CFG and generic forward worklist solver: the substrate
+    of the flow-sensitive analyses (redundant-check elision). *)
 
 type cfg = {
   nblocks : int;
@@ -14,13 +13,6 @@ type cfg = {
 val successors : Levee_ir.Instr.term -> int list
 
 val build : Levee_ir.Prog.func -> cfg
-
-(** Immediate-dominator array (iterative Cooper–Harvey–Kennedy).
-    [idom.(0) = 0]; unreachable blocks carry -1. *)
-val dominators : cfg -> int array
-
-(** [dominates idom a b]: block [a] dominates block [b] (reflexive). *)
-val dominates : int array -> int -> int -> bool
 
 (** Forward dataflow returning the fixpoint block-entry states. [entry]
     seeds block 0, [bottom] is the unvisited state (identity of [join]);

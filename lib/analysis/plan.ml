@@ -32,9 +32,9 @@ type t = {
 (* Registers holding the address of a proven-safe stack slot. *)
 let safe_slot_regs (fn : Prog.func) =
   let t = Array.make fn.Prog.nregs false in
-  Prog.iter_instrs fn (fun i ->
-      match i with
-      | I.Alloca { dst; slot = I.SafeSlot; _ } -> t.(dst) <- true
+  Prog.iteri_instrs fn (fun bid idx i ->
+      match i, Prog.knob fn bid idx with
+      | I.Alloca { dst; _ }, I.Slot I.SafeSlot -> t.(dst) <- true
       | _ -> ());
   t
 

@@ -28,11 +28,11 @@ type access =
 (** [create ~refine ~pinned ~points_to ~usedef prog]: with [refine], the
     points-to refinement runs; it never demotes an access that may reach
     a global named in [pinned]. [points_to] yields the solve for [prog]
-    (or for the program [prog] was cloned from, before any pass rewrote
-    it); it is called at most once, and only if a consumer reads the
-    solve. [usedef] hands out the use-def of each function of [prog]; the
-    plan keeps exactly those. A plan reads [Alloca.slot] from [prog], so
-    it belongs to that one program and is never shared. *)
+    (or for the program [prog] is a build of); it is called at most once,
+    and only if a consumer reads the solve. [usedef] hands out the
+    use-def of each function of [prog]; the plan keeps exactly those. A
+    plan reads the slot knobs of [prog], so it belongs to that one build
+    and is never shared. *)
 val create :
   refine:bool -> pinned:string list -> points_to:(unit -> Pointsto.t) ->
   usedef:(string -> Usedef.t) -> Levee_ir.Prog.t -> t

@@ -297,7 +297,7 @@ let analyze (prog : Prog.t) : t =
                        seed (base + d)
                          (site_obj (O_malloc (fname, b.Prog.bid, idx))))
                      dst
-                 | (I.I_memcpy | I.I_cpi_memcpy | I.I_strcpy), d :: s :: _ ->
+                 | (I.I_memcpy | I.I_strcpy), d :: s :: _ ->
                    move_contents (src d) (src s);
                    hazard d;
                    hazard s
@@ -516,8 +516,8 @@ let audit_ok_intrin (op : I.intrin) =
   match op with
   | I.I_strlen | I.I_strcmp | I.I_print_int | I.I_print_str | I.I_checksum
   | I.I_free | I.I_exit | I.I_abort | I.I_malloc | I.I_read_int
-  | I.I_read_input | I.I_memset | I.I_cpi_memset -> true
-  | I.I_memcpy | I.I_cpi_memcpy | I.I_strcpy | I.I_setjmp | I.I_longjmp
+  | I.I_read_input | I.I_memset -> true
+  | I.I_memcpy | I.I_strcpy | I.I_setjmp | I.I_longjmp
   | I.I_system | I.I_thread_spawn | I.I_thread_join | I.I_mutex_lock
   | I.I_mutex_unlock | I.I_atomic_add -> false
 

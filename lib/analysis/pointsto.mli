@@ -83,8 +83,9 @@ val signature_class : t -> fty:Ty.t -> arity:int -> string list
     demoted only when every transitive use of the loaded value is
     metadata-blind, judged on [usedef fname]'s use-def chains. The
     accesses are read from the program given, the one being instrumented:
-    a clone of the solved program, not yet rewritten. The fixpoint has no
-    round cap: it only ever removes objects from the demotable set. *)
+    a build of the solved program, sharing its instructions. The fixpoint
+    has no round cap: it only ever removes objects from the demotable
+    set. *)
 val refine_cpi :
   t ->
   Prog.t ->

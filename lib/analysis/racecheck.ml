@@ -36,8 +36,8 @@ type ev = {
    for its RMW, so the static model treats it as synchronised too. *)
 let intrin_effects (op : I.intrin) : (int * bool) list =
   match op with
-  | I.I_memcpy | I.I_cpi_memcpy | I.I_strcpy -> [ (0, true); (1, false) ]
-  | I.I_memset | I.I_cpi_memset | I.I_read_input | I.I_setjmp -> [ (0, true) ]
+  | I.I_memcpy | I.I_strcpy -> [ (0, true); (1, false) ]
+  | I.I_memset | I.I_read_input | I.I_setjmp -> [ (0, true) ]
   | I.I_strlen | I.I_longjmp -> [ (0, false) ]
   | I.I_strcmp -> [ (0, false); (1, false) ]
   | _ -> []
@@ -223,36 +223,26 @@ let separation (prog : Prog.t) : separation =
   Prog.iter_funcs prog (fun fn ->
       let fname = fn.Prog.fname in
       let walk = V.local_roots fn in
-      Array.iter
-        (fun (b : Prog.block) ->
-          Array.iteri
-            (fun idx ins ->
-              let addr =
-                match ins with
-                | I.Load { addr; where; _ } | I.Store { addr; where; _ }
-                  when is_safe_where where -> Some addr
-                | _ -> None
-              in
-              match addr with
-              | None -> ()
-              | Some addr ->
-                let objs = Pointsto.points_to pt ~fname addr in
-                if objs = [] || List.mem Pointsto.O_unknown objs then
-                  safe_unmodelled := true;
-                List.iter (fun o -> Hashtbl.replace safe_objs o ()) objs;
-                (match walk addr with
-                 | Some roots ->
-                   List.iter
-                     (fun r ->
-                       sm_safe :=
-                         (match r with
-                          | V.Sr_global _ -> ("", r)
-                          | _ -> (fname, r))
-                         :: !sm_safe)
-                     roots
-                 | None -> sm_opaque := (fname, b.Prog.bid, idx) :: !sm_opaque))
-            b.Prog.instrs)
-        fn.Prog.blocks);
+      Prog.iteri_instrs fn (fun bid idx ins ->
+          match ins with
+          | (I.Load { addr; _ } | I.Store { addr; _ })
+            when is_safe_where (fst (Prog.access fn bid idx)) ->
+            let objs = Pointsto.points_to pt ~fname addr in
+            if objs = [] || List.mem Pointsto.O_unknown objs then
+              safe_unmodelled := true;
+            List.iter (fun o -> Hashtbl.replace safe_objs o ()) objs;
+            (match walk addr with
+             | Some roots ->
+               List.iter
+                 (fun r ->
+                   sm_safe :=
+                     (match r with
+                      | V.Sr_global _ -> ("", r)
+                      | _ -> (fname, r))
+                     :: !sm_safe)
+                 roots
+             | None -> sm_opaque := (fname, bid, idx) :: !sm_opaque)
+          | _ -> ()));
   let model =
     { V.sm_safe = List.sort_uniq compare !sm_safe;
       V.sm_opaque = List.sort_uniq compare !sm_opaque }
@@ -262,43 +252,37 @@ let separation (prog : Prog.t) : separation =
   Prog.iter_funcs prog (fun fn ->
       let fname = fn.Prog.fname in
       let walk = V.local_roots fn in
-      Array.iter
-        (fun (b : Prog.block) ->
-          Array.iteri
-            (fun idx ins ->
-              match ins with
-              | I.Store { addr; where = I.Regular; _ } ->
-                incr nplain;
-                let fail reason =
-                  unproven :=
-                    { up_func = fname; up_block = b.Prog.bid; up_idx = idx;
-                      up_reason = reason }
-                    :: !unproven
-                in
-                let objs = Pointsto.points_to pt ~fname addr in
-                if !safe_unmodelled then
-                  fail "a safe-routed access is unmodelled by points-to"
-                else if objs = [] then
-                  fail "store address is unmodelled by points-to"
-                else if List.mem Pointsto.O_unknown objs then
-                  fail "store address may reach unmodelled memory"
-                else if List.exists (Hashtbl.mem safe_objs) objs then
-                  fail
-                    "store may alias safe-region storage (authoritative copy \
-                     shielded by the safe store)"
-                else begin
-                  match walk addr with
-                  | Some roots ->
-                    certs :=
-                      { V.sc_func = fname; V.sc_block = b.Prog.bid;
-                        V.sc_idx = idx;
-                        V.sc_roots = List.sort_uniq compare roots }
-                      :: !certs
-                  | None -> fail "store address has opaque local provenance"
-                end
-              | _ -> ())
-            b.Prog.instrs)
-        fn.Prog.blocks);
+      Prog.iteri_instrs fn (fun bid idx ins ->
+          match ins with
+          | I.Store { addr; _ } when fst (Prog.access fn bid idx) = I.Regular ->
+            incr nplain;
+            let fail reason =
+              unproven :=
+                { up_func = fname; up_block = bid; up_idx = idx;
+                  up_reason = reason }
+                :: !unproven
+            in
+            let objs = Pointsto.points_to pt ~fname addr in
+            if !safe_unmodelled then
+              fail "a safe-routed access is unmodelled by points-to"
+            else if objs = [] then
+              fail "store address is unmodelled by points-to"
+            else if List.mem Pointsto.O_unknown objs then
+              fail "store address may reach unmodelled memory"
+            else if List.exists (Hashtbl.mem safe_objs) objs then
+              fail
+                "store may alias safe-region storage (authoritative copy \
+                 shielded by the safe store)"
+            else begin
+              match walk addr with
+              | Some roots ->
+                certs :=
+                  { V.sc_func = fname; V.sc_block = bid; V.sc_idx = idx;
+                    V.sc_roots = List.sort_uniq compare roots }
+                  :: !certs
+              | None -> fail "store address has opaque local provenance"
+            end
+          | _ -> ()));
   let certs = List.rev !certs in
   { sp_plain = !nplain;
     sp_certs = certs;

@@ -26,10 +26,9 @@ let string_intrinsic (op : I.intrin) =
   match op with
   | I.I_strcpy | I.I_strlen | I.I_strcmp | I.I_print_str | I.I_read_input
   | I.I_system | I.I_memcpy | I.I_memset | I.I_free -> true
-  | I.I_malloc | I.I_cpi_memcpy | I.I_cpi_memset | I.I_read_int
-  | I.I_print_int | I.I_checksum | I.I_setjmp | I.I_longjmp | I.I_exit
-  | I.I_abort | I.I_thread_spawn | I.I_thread_join | I.I_mutex_lock
-  | I.I_mutex_unlock | I.I_atomic_add -> false
+  | I.I_malloc | I.I_read_int | I.I_print_int | I.I_checksum | I.I_setjmp
+  | I.I_longjmp | I.I_exit | I.I_abort | I.I_thread_spawn | I.I_thread_join
+  | I.I_mutex_lock | I.I_mutex_unlock | I.I_atomic_add -> false
 
 let stringy_global (prog : Prog.t) g =
   is_string_global g

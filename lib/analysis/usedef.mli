@@ -26,8 +26,7 @@ type use =
 
 (** Arrays indexed by register: where each register is last defined and
     where it is used. Instructions are read from the function when asked
-    for, so replacing one in place by another with the same operands
-    (the CPI pass's [memcpy] to [cpi_memcpy]) keeps the use-def valid. *)
+    for. *)
 type t
 
 val build : Prog.func -> t

@@ -12,7 +12,8 @@ module Prog = Levee_ir.Prog
 
 let run (prog : Prog.t) =
   Prog.iter_funcs prog (fun fn ->
-      Prog.iter_instrs fn (fun i ->
+      Prog.iteri_instrs fn (fun bid idx i ->
           match i with
-          | I.Call ({ callee = I.Indirect _; _ } as c) -> c.cfi_checked <- true
+          | I.Call { callee = I.Indirect _; _ } ->
+            Prog.decide fn bid idx (I.Cfi None)
           | _ -> ()))

@@ -16,7 +16,7 @@
 
     The machine enforces membership on top of the coarse entry check when
     a call site carries a set; sites with no usable information keep
-    [cfi_set = None] and degrade to coarse behaviour. *)
+    the coarse [Cfi None] knob. *)
 
 module I = Levee_ir.Instr
 module Prog = Levee_ir.Prog
@@ -29,9 +29,9 @@ let run pt (prog : Prog.t) : int =
   Cfi_pass.run prog;
   let count = ref 0 in
   Prog.iter_funcs prog (fun fn ->
-      Prog.iter_instrs fn (fun i ->
+      Prog.iteri_instrs fn (fun bid idx i ->
           match i with
-          | I.Call ({ callee = I.Indirect o; fty; args; _ } as c) ->
+          | I.Call { callee = I.Indirect o; fty; args; _ } ->
             let sig_class =
               An.Pointsto.signature_class pt ~fty ~arity:(List.length args)
             in
@@ -43,7 +43,7 @@ let run pt (prog : Prog.t) : int =
             (match List.sort_uniq compare names with
              | [] -> () (* no information: coarse check only *)
              | names ->
-               c.cfi_set <- Some names;
+               Prog.decide fn bid idx (I.Cfi (Some names));
                incr count)
           | _ -> ()));
   !count

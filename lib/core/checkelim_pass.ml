@@ -60,10 +60,9 @@ let benign_intrin (op : I.intrin) =
   match op with
   | I.I_strlen | I.I_strcmp | I.I_print_int | I.I_print_str | I.I_checksum
   | I.I_read_int | I.I_malloc | I.I_exit | I.I_abort -> true
-  | I.I_free | I.I_memcpy | I.I_memset | I.I_strcpy | I.I_cpi_memcpy
-  | I.I_cpi_memset | I.I_read_input | I.I_setjmp | I.I_longjmp | I.I_system
-  | I.I_thread_spawn | I.I_thread_join | I.I_mutex_lock | I.I_mutex_unlock
-  | I.I_atomic_add ->
+  | I.I_free | I.I_memcpy | I.I_memset | I.I_strcpy | I.I_read_input
+  | I.I_setjmp | I.I_longjmp | I.I_system | I.I_thread_spawn
+  | I.I_thread_join | I.I_mutex_lock | I.I_mutex_unlock | I.I_atomic_add ->
     false
 
 (* Does executing this instruction invalidate every fact (call / free) or
@@ -283,8 +282,8 @@ let run (prog : Prog.t) : Verify.elision_cert list =
               Array.mapi
                 (fun idx (i : I.instr) ->
                   match i with
-                  | I.Load { addr; checked = true; _ }
-                  | I.Store { addr; checked = true; _ } ->
+                  | I.Load { addr; _ } | I.Store { addr; _ }
+                    when snd (Prog.access fn b.Prog.bid idx) ->
                     Option.map
                       (fun si ->
                         { cs_is_store =
@@ -354,22 +353,17 @@ let run (prog : Prog.t) : Verify.elision_cert list =
               if g.An.Dataflow.rpo_index.(bid) >= 0 then begin
                 let s = ref avail_in.(bid) in
                 Array.iteri
-                  (fun idx (i : I.instr) ->
+                  (fun idx _ ->
                     let site = sites.(bid).(idx) in
-                    (match site, i with
-                     | Some c, I.Load l when c.cs_fresh && ISet.mem c.cs_id !s ->
-                       l.checked <- false;
+                    (match site with
+                     | Some c when c.cs_fresh && ISet.mem c.cs_id !s ->
+                       let where, _ = Prog.access fn bid idx in
+                       Prog.decide fn bid idx (I.Access (where, false));
                        certs :=
                          { Verify.ce_func = fn.Prog.fname; ce_block = bid;
                            ce_idx = idx }
                          :: !certs
-                     | Some c, I.Store st when c.cs_fresh && ISet.mem c.cs_id !s ->
-                       st.checked <- false;
-                       certs :=
-                         { Verify.ce_func = fn.Prog.fname; ce_block = bid;
-                           ce_idx = idx }
-                         :: !certs
-                     | _ -> ());
+                     | Some _ | None -> ());
                     s := step b idx !s site)
                   b.Prog.instrs
               end)

@@ -10,7 +10,8 @@
     points-to demotion of accesses that provably never reach a code
     pointer; [run] returns the number of accesses demoted that way. libc
     memory-manipulation calls whose arguments cannot be proven
-    non-sensitive are replaced with their safe-store-aware variants. *)
+    non-sensitive are marked [Safe_memop], their safe-store-aware
+    variants. *)
 
 module I = Levee_ir.Instr
 module Ty = Levee_ir.Ty
@@ -60,9 +61,9 @@ let run ?(debug = false) ?(refine = true) ~points_to ~usedef (prog : Prog.t) :
       in
       let route here =
         match An.Plan.access f here with
-        | An.Plan.Sensitive -> Some safe_where
-        | An.Plan.Annotated -> Some I.SafeData
-        | An.Plan.Plain -> None
+        | An.Plan.Sensitive -> safe_where
+        | An.Plan.Annotated -> I.SafeData
+        | An.Plan.Plain -> I.Regular
       in
       let needs_check ty addr here =
         An.Plan.annotated f addr
@@ -73,29 +74,18 @@ let run ?(debug = false) ?(refine = true) ~points_to ~usedef (prog : Prog.t) :
           An.Sensitivity.deref_needs_check ctx ty
           && not (An.Plan.demoted f here)
       in
-      Array.iter
-        (fun (b : Prog.block) ->
-          Array.iteri
-            (fun idx (i : I.instr) ->
-              let here = (b.Prog.bid, idx) in
-              match i with
-              | I.Load ({ ty; addr; _ } as l)
-                when not (An.Plan.on_safe_slot f addr) ->
-                Option.iter (fun w -> l.where <- w) (route here);
-                if needs_check ty addr here then l.checked <- true
-              | I.Store ({ ty; addr; _ } as s)
-                when not (An.Plan.on_safe_slot f addr) ->
-                Option.iter (fun w -> s.where <- w) (route here);
-                if needs_check ty addr here then s.checked <- true
-              | I.Intrin { dst; op = I.I_memcpy; args = [ d; s; n ] } ->
-                if not (non_sensitive d && non_sensitive s) then
-                  b.Prog.instrs.(idx) <-
-                    I.Intrin { dst; op = I.I_cpi_memcpy; args = [ d; s; n ] }
-              | I.Intrin { dst; op = I.I_memset; args = [ d; x; n ] } ->
-                if not (non_sensitive d) then
-                  b.Prog.instrs.(idx) <-
-                    I.Intrin { dst; op = I.I_cpi_memset; args = [ d; x; n ] }
-              | _ -> ())
-            b.Prog.instrs)
-        fn.Prog.blocks);
+      Prog.iteri_instrs fn (fun bid idx i ->
+          let here = (bid, idx) in
+          match i with
+          | (I.Load { ty; addr; _ } | I.Store { ty; addr; _ })
+            when not (An.Plan.on_safe_slot f addr) ->
+            Prog.decide fn bid idx
+              (I.Access (route here, needs_check ty addr here))
+          | I.Intrin { op = I.I_memcpy; args = [ d; s; _ ]; _ }
+            when not (non_sensitive d && non_sensitive s) ->
+            Prog.decide fn bid idx I.Safe_memop
+          | I.Intrin { op = I.I_memset; args = [ d; _; _ ]; _ }
+            when not (non_sensitive d) ->
+            Prog.decide fn bid idx I.Safe_memop
+          | _ -> ()));
   demoted

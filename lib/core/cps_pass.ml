@@ -13,7 +13,7 @@
     points-to result come from the plan ([Levee_analysis.Plan]).
 
     A code pointer lives only in the safe store, so a [memcpy]/[memset]
-    whose memory may hold one is rewritten to the safe-store-aware
+    whose memory may hold one is marked [Safe_memop], the safe-store-aware
     variant: a plain copy would drop it, a plain clear leave it behind.
     The rule reads the points-to result whether or not [refine] is set. *)
 
@@ -40,29 +40,20 @@ let run ?(refine = true) ~points_to ~usedef (prog : Prog.t) : int =
       let may_hold_code = An.Pointsto.addr_may_reach_code pt ~fname in
       let skip = skip fname in
       let refined = Option.value ~default:[||] (Hashtbl.find_opt refined fname) in
-      Array.iter
-        (fun (b : Prog.block) ->
-          Array.iteri
-            (fun idx (i : I.instr) ->
-              let routed ty =
-                instrumented ty
-                && (not (skip (b.Prog.bid, idx)))
-                && not (An.Usedef.marked refined (b.Prog.bid, idx))
-              in
-              match i with
-              | I.Load ({ ty; _ } as l) when routed ty ->
-                l.where <- I.SafeValue
-              | I.Store ({ ty; _ } as s) when routed ty ->
-                s.where <- I.SafeValue
-              | I.Intrin { dst; op = I.I_memcpy; args = [ d; s; _ ] as args }
-                when may_hold_code d || may_hold_code s ->
-                b.Prog.instrs.(idx) <-
-                  I.Intrin { dst; op = I.I_cpi_memcpy; args }
-              | I.Intrin { dst; op = I.I_memset; args = [ d; _; _ ] as args }
-                when may_hold_code d ->
-                b.Prog.instrs.(idx) <-
-                  I.Intrin { dst; op = I.I_cpi_memset; args }
-              | _ -> ())
-            b.Prog.instrs)
-        fn.Prog.blocks);
+      Prog.iteri_instrs fn (fun bid idx i ->
+          let routed ty =
+            instrumented ty
+            && (not (skip (bid, idx)))
+            && not (An.Usedef.marked refined (bid, idx))
+          in
+          match i with
+          | I.Load { ty; _ } | I.Store { ty; _ } when routed ty ->
+            Prog.decide fn bid idx (I.Access (I.SafeValue, false))
+          | I.Intrin { op = I.I_memcpy; args = [ d; s; _ ]; _ }
+            when may_hold_code d || may_hold_code s ->
+            Prog.decide fn bid idx I.Safe_memop
+          | I.Intrin { op = I.I_memset; args = [ d; _; _ ]; _ }
+            when may_hold_code d ->
+            Prog.decide fn bid idx I.Safe_memop
+          | _ -> ()));
   Hashtbl.fold (fun _ m n -> n + List.length (An.Usedef.positions m)) refined 0

@@ -94,17 +94,10 @@ let run ?(refine = true) ~points_to ~usedef (prog : Prog.t) :
   let demoted = An.Plan.demoted_count plan in
   Prog.iter_funcs prog (fun fn ->
       let f = An.Plan.func plan fn.Prog.fname in
-      Array.iter
-        (fun (b : Prog.block) ->
-          Array.iteri
-            (fun idx (i : I.instr) ->
-              let crypt () =
-                An.Plan.access f (b.Prog.bid, idx) <> An.Plan.Plain
-              in
-              match i with
-              | I.Load l when crypt () -> l.where <- I.Crypt
-              | I.Store s when crypt () -> s.where <- I.Crypt
-              | _ -> ())
-            b.Prog.instrs)
-        fn.Prog.blocks);
+      Prog.iteri_instrs fn (fun bid idx i ->
+          match i with
+          | (I.Load _ | I.Store _)
+            when An.Plan.access f (bid, idx) <> An.Plan.Plain ->
+            Prog.decide fn bid idx (I.Access (I.Crypt, false))
+          | _ -> ()));
   (demoted, cells)

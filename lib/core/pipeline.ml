@@ -1,9 +1,10 @@
 (** The protection pipeline: the analogue of Levee's compiler driver flags
     (-fcpi, -fcps, -fstack-protector-safe), plus the baselines the
-    evaluation compares against. [build] clones the input module,
-    runs the passes for the requested protection, verifies the result, and
-    returns it together with the matching machine configuration and the
-    static instrumentation statistics. *)
+    evaluation compares against. [build] makes a build of the input
+    module (its shared instructions plus one knob each), runs the passes
+    for the requested protection, which decide only knobs and cookies,
+    and returns it together with the matching machine configuration and
+    the static instrumentation statistics. *)
 
 module Prog = Levee_ir.Prog
 module Config = Levee_machine.Config
@@ -50,7 +51,7 @@ type built = {
 }
 
 (** [build ?store_impl ?isolation ?refine ?elide protection prog]
-    instruments a copy of [prog]. Programmer-marked sensitive structs
+    instruments a build of [prog]. Programmer-marked sensitive structs
     (Section 3.2.1) travel in [prog.tenv]; [store_impl] selects the
     safe-pointer-store organisation; [isolation] the safe-region isolation
     mechanism. [refine] (default on) enables the points-to sensitivity
@@ -62,9 +63,9 @@ type built = {
 let build ?(store_impl = Safestore.Simple_array)
     ?(isolation = Config.Info_hiding) ?(refine = true) ?(elide = true)
     ?points_to protection (src : Prog.t) : built =
-  let prog = Prog.clone src in
-  (* The passes before the solve is read only set [Alloca.slot] and
-     [cfi_checked], which the analysis never reads, so a solve of [src]
+  let prog = Prog.build src in
+  (* A build shares [src]'s instructions and the passes write only knobs
+     and cookies, which the analysis never reads, so a solve of [src]
      answers for [prog]. *)
   let points_to () =
     match points_to with
@@ -77,7 +78,7 @@ let build ?(store_impl = Safestore.Simple_array)
   in
   (* One use-def per function for the builds that analyse: the safe-stack
      analysis, the char* heuristic and the plan all read these. The
-     safe-stack pass only sets [Alloca.slot], which they never look at. *)
+     safe-stack pass only sets slot knobs, which they never look at. *)
   let usedef () = Levee_analysis.Usedef.of_prog prog in
   let demoted = ref 0 in
   let config =
@@ -97,7 +98,7 @@ let build ?(store_impl = Safestore.Simple_array)
       Config.cfi
     | Cfi_type ->
       ignore (Cfi_type_pass.run (points_to ()) prog);
-      Config.cfi_type
+      Config.cfi
     | Cpi_crypt ->
       let d, crypt_cells =
         Crypt_pass.run ~refine ~points_to ~usedef:(usedef ()) prog
@@ -118,34 +119,22 @@ let build ?(store_impl = Safestore.Simple_array)
       let usedef = usedef () in
       Safestack_pass.run ~usedef prog;
       demoted := Cpi_pass.run ~debug:true ~refine ~points_to ~usedef prog;
-      { (Config.cpi ~store_impl ()) with Config.name = "cpi-debug" }
+      Config.cpi ~store_impl ()
     | Softbound ->
       Softbound_pass.run prog;
       { Config.softbound with Config.store_impl = store_impl }
   in
   let config = { config with Config.isolation } in
-  (match Levee_ir.Verify.program_result prog with
-   | Ok () -> ()
-   | Error e ->
-     failwith (Printf.sprintf "pipeline(%s): invalid IR after instrumentation: %s"
-                 (protection_name protection) e));
   let certs =
     match protection with
     | (Cpi | Cpi_debug) when elide -> Checkelim_pass.run prog
     | _ -> []
   in
   if certs <> [] then begin
-    (match Levee_ir.Verify.check_elision prog certs with
-     | Ok () -> ()
-     | Error e ->
-       failwith (Printf.sprintf "pipeline(%s): unjustified check elision: %s"
-                   (protection_name protection) e));
-    (* Elision only clears [checked] flags, but re-verify anyway: the
-       structural invariants must survive every pass. *)
-    match Levee_ir.Verify.program_result prog with
+    match Levee_ir.Verify.check_elision prog certs with
     | Ok () -> ()
     | Error e ->
-      failwith (Printf.sprintf "pipeline(%s): invalid IR after check elision: %s"
+      failwith (Printf.sprintf "pipeline(%s): unjustified check elision: %s"
                   (protection_name protection) e)
   end;
   { protection; prog; config;

@@ -24,13 +24,15 @@ val all_protections : protection list
 
 type built = {
   protection : protection;
-  prog : Prog.t;        (** instrumented clone of the input module *)
+  prog : Prog.t;        (** the build: the input's instructions, its knobs *)
   config : Config.t;    (** the matching machine configuration *)
   stats : Stats.t;      (** Table-2-style instrumentation statistics *)
 }
 
-(** [build ?store_impl ?isolation protection prog] instruments a deep copy
-    of [prog] and verifies the result. Structs the programmer marked
+(** [build ?store_impl ?isolation protection prog] instruments a build
+    of [prog] ({!Prog.build}): the passes decide its knobs and cookies
+    and never write [prog], so one program serves every protection and
+    stays as [Lower.compile] verified it. Structs the programmer marked
     [sensitive] (Section 3.2.1's struct-ucred case) are read from
     [prog.tenv].
 
@@ -50,8 +52,11 @@ type built = {
            build. Pass the strict solution only: a build never shares
            its plan or anything lazy.
     @raise Invalid_argument if [points_to] is called and returns the
-           solve of another program (checked physically against [prog])
-    @raise Failure if the instrumented IR fails verification (a pass bug) *)
+           solve of another program (checked physically against [prog]),
+           or if a pass decides a knob that does not fit its instruction
+           (a pass bug)
+    @raise Failure if [Verify.check_elision] rejects an elision (a pass
+           bug) *)
 val build :
   ?store_impl:Safestore.impl ->
   ?isolation:Config.isolation ->

@@ -16,11 +16,12 @@ let run ~usedef (prog : Prog.t) =
       let verdicts, _needs =
         Levee_analysis.Stackanalysis.classify prog.Prog.tenv (usedef fn.Prog.fname)
       in
-      Prog.iter_instrs fn (fun i ->
+      Prog.iteri_instrs fn (fun bid idx i ->
+          let slot k = Prog.decide fn bid idx (I.Slot k) in
           match i with
-          | I.Alloca ({ dst; _ } as a) ->
+          | I.Alloca { dst; _ } ->
             (match Hashtbl.find_opt verdicts dst with
-             | Some Levee_analysis.Stackanalysis.Safe -> a.slot <- I.SafeSlot
-             | Some Levee_analysis.Stackanalysis.Unsafe -> a.slot <- I.UnsafeSlot
+             | Some Levee_analysis.Stackanalysis.Safe -> slot I.SafeSlot
+             | Some Levee_analysis.Stackanalysis.Unsafe -> slot I.UnsafeSlot
              | None -> ())
           | _ -> ()))

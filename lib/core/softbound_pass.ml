@@ -13,12 +13,9 @@ module Prog = Levee_ir.Prog
 
 let run (prog : Prog.t) =
   Prog.iter_funcs prog (fun fn ->
-      Prog.iter_instrs fn (fun i ->
+      Prog.iteri_instrs fn (fun bid idx i ->
           match i with
-          | I.Load ({ ty; _ } as l) ->
-            l.checked <- true;
-            if Ty.is_pointer ty then l.where <- I.RegularMeta
-          | I.Store ({ ty; _ } as s) ->
-            s.checked <- true;
-            if Ty.is_pointer ty then s.where <- I.RegularMeta
+          | I.Load { ty; _ } | I.Store { ty; _ } ->
+            let where = if Ty.is_pointer ty then I.RegularMeta else I.Regular in
+            Prog.decide fn bid idx (I.Access (where, true))
           | _ -> ()))

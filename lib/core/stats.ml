@@ -24,14 +24,15 @@ let collect (prog : Prog.t) : t =
   Prog.iter_funcs prog (fun fn ->
       incr funcs_total;
       let unsafe = ref false in
-      Prog.iter_instrs fn (fun i ->
-          match i with
-          | I.Alloca { slot = I.UnsafeSlot; _ } -> unsafe := true
-          | I.Load { where; checked; _ } | I.Store { where; checked; _ } ->
+      Prog.iteri_instrs fn (fun bid idx i ->
+          match i, Prog.knob fn bid idx with
+          | I.Alloca _, I.Slot I.UnsafeSlot -> unsafe := true
+          | (I.Load _ | I.Store _), _ ->
+            let where, checked = Prog.access fn bid idx in
             incr mem_total;
             if where <> I.Regular then incr mem_instr;
             if checked then incr mem_checked
-          | I.Call { callee = I.Indirect _; _ } -> incr icalls
+          | I.Call { callee = I.Indirect _; _ }, _ -> incr icalls
           | _ -> ());
       if !unsafe then incr funcs_unsafe);
   { funcs_total = !funcs_total;

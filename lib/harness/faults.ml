@@ -2,10 +2,10 @@
 
    Parallel structure mirrors Engine: the submitting domain compiles each
    subject once, and each (subject, config) pair is one pool task that
-   builds the images from that shared program ([P.build] clones it, so
-   the tasks only read it), runs the un-faulted baseline and then every
-   plan; the submitting domain integrates results in submission order,
-   so the report is independent of [jobs]. Images are built per task:
+   builds the images from that shared program ([P.build] writes only its
+   own knobs, so the tasks only read it), runs the un-faulted baseline
+   and then every plan; the submitting domain integrates results in
+   submission order, so the report is independent of [jobs]. Images are built per task:
    they lay out and compile functions on first use, so they are never
    shared. *)
 

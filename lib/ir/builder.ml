@@ -18,7 +18,8 @@ let create ~name ~params ~ret_ty =
   let entry = { Prog.bid = 0; instrs = [||]; term = Unreachable } in
   let fn =
     { Prog.fname = name; params; ret_ty; blocks = [| entry |];
-      nregs = List.length params; cookie = false; address_taken = false }
+      nregs = List.length params; cookie = false; address_taken = false;
+      knobs = [||] }
   in
   { fn; cur = entry; pending = [] }
 
@@ -56,7 +57,7 @@ let set_term t term =
 
 let alloca t ty =
   let dst = fresh_reg t in
-  emit t (Alloca { dst; ty; slot = Auto });
+  emit t (Alloca { dst; ty });
   dst
 
 let bin t op l r =
@@ -71,10 +72,10 @@ let cmp t op l r =
 
 let load t ty addr =
   let dst = fresh_reg t in
-  emit t (Load { dst; ty; addr; where = Regular; checked = false });
+  emit t (Load { dst; ty; addr });
   dst
 
-let store t ty v addr = emit t (Store { ty; v; addr; where = Regular; checked = false })
+let store t ty v addr = emit t (Store { ty; v; addr })
 
 let gep t ~base_ty ~base path =
   let dst = fresh_reg t in
@@ -88,7 +89,7 @@ let cast t kind ty v =
 
 let call t ?(fty = Ty.Fn ([], Ty.Void)) ~ret_ty callee args =
   let dst = if Ty.equal ret_ty Ty.Void then None else Some (fresh_reg t) in
-  emit t (Call { dst; callee; args; fty; cfi_checked = false; cfi_set = None });
+  emit t (Call { dst; callee; args; fty });
   dst
 
 let intrin t ?dst_ty op args =

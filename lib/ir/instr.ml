@@ -1,10 +1,11 @@
 (** IR instructions.
 
     The IR is register-based and non-SSA (like LLVM IR before mem2reg):
-    locals live in allocas, virtual registers hold temporaries. The
-    instrumentation passes of the paper are expressed as rewrites of the
-    [where] and [checked] attributes of memory operations, plus slot-kind
-    changes on allocas — exactly the three knobs Levee turns. *)
+    locals live in allocas, virtual registers hold temporaries.
+    Instructions are immutable: the instrumentation passes of the paper
+    decide a [knob] per instruction, kept beside it in a build
+    ([Prog.func]'s [knobs]) — exactly the three knobs Levee turns, plus
+    the CFI baselines' call checks and the safe-store memcpy/memset. *)
 
 type operand =
   | Reg of int          (* virtual register *)
@@ -63,7 +64,6 @@ type callee = Direct of string | Indirect of operand
 type intrin =
   | I_malloc | I_free
   | I_memcpy | I_memset | I_strcpy | I_strlen | I_strcmp
-  | I_cpi_memcpy | I_cpi_memset   (* safe-store-aware variants *)
   | I_read_input                  (* attacker-controlled byte stream *)
   | I_read_int
   | I_print_int | I_print_str
@@ -78,22 +78,26 @@ type intrin =
   | I_atomic_add
 
 type instr =
-  | Alloca of { dst : int; ty : Ty.t; mutable slot : slot_kind }
+  | Alloca of { dst : int; ty : Ty.t }
   | Bin of { dst : int; op : binop; l : operand; r : operand }
   | Cmp of { dst : int; op : cmpop; l : operand; r : operand }
-  | Load of { dst : int; ty : Ty.t; addr : operand;
-              mutable where : where; mutable checked : bool }
-  | Store of { ty : Ty.t; v : operand; addr : operand;
-               mutable where : where; mutable checked : bool }
+  | Load of { dst : int; ty : Ty.t; addr : operand }
+  | Store of { ty : Ty.t; v : operand; addr : operand }
   | Gep of { dst : int; base_ty : Ty.t; base : operand; path : gep_step list }
   | Cast of { dst : int; kind : castkind; ty : Ty.t; v : operand }
   | Call of { dst : int option; callee : callee; args : operand list;
-              fty : Ty.t; mutable cfi_checked : bool;
-              (* cfi-type: allowed target functions for this indirect call
-                 site (signature class ∩ Andersen callee set); [None] means
-                 the coarse any-function-entry check only. *)
-              mutable cfi_set : string list option }
+              fty : Ty.t }
   | Intrin of { dst : int option; op : intrin; args : operand list }
+
+(** One instruction's instrumentation decision in a build. *)
+type knob =
+  | Plain                     (* as lowered: [Regular], unchecked, [Auto] *)
+  | Access of where * bool    (* a load's or store's routing; checked? *)
+  | Slot of slot_kind         (* an alloca's placement *)
+  | Cfi of string list option (* an indirect call checked against any
+                                 function entry, or also cfi-type's set *)
+  | Safe_memop                (* a memcpy/memset that moves or clears the
+                                 safe-store entries too (Section 3.2.2) *)
 
 type term =
   | Ret of operand option
@@ -106,7 +110,6 @@ let intrin_name = function
   | I_malloc -> "malloc" | I_free -> "free"
   | I_memcpy -> "memcpy" | I_memset -> "memset"
   | I_strcpy -> "strcpy" | I_strlen -> "strlen" | I_strcmp -> "strcmp"
-  | I_cpi_memcpy -> "cpi_memcpy" | I_cpi_memset -> "cpi_memset"
   | I_read_input -> "read_input" | I_read_int -> "read_int"
   | I_print_int -> "print_int" | I_print_str -> "print_str"
   | I_checksum -> "checksum"

@@ -14,26 +14,28 @@ let gep_step = function
   | Field (name, off, _) -> Printf.sprintf ".%s(+%d)" name off
   | Index (ty, o) -> Printf.sprintf "[%s x %s]" (operand o) (Ty.to_string ty)
 
-let attrs where checked =
-  let w = match where with Regular -> "" | w -> " !" ^ where_name w in
-  let c = if checked then " !chk" else "" in
-  w ^ c
+let attrs (k : knob) =
+  match k with
+  | Access (w, c) ->
+    (if w = Regular then "" else " !" ^ where_name w) ^ if c then " !chk" else ""
+  | Slot SafeSlot -> " !safe"
+  | Slot UnsafeSlot -> " !unsafe"
+  | Cfi _ -> " !cfi"
+  | Plain | Slot Auto | Safe_memop -> ""
 
-let instr (i : instr) =
+(* [k] picks the safe-store variant of a memcpy/memset; the rest of a
+   knob prints after the instruction ([attrs]). *)
+let instr (k : knob) (i : instr) =
   match i with
-  | Alloca { dst; ty; slot } ->
-    let s = match slot with Auto -> "" | SafeSlot -> " !safe" | UnsafeSlot -> " !unsafe" in
-    Printf.sprintf "%%r%d = alloca %s%s" dst (Ty.to_string ty) s
+  | Alloca { dst; ty } -> Printf.sprintf "%%r%d = alloca %s" dst (Ty.to_string ty)
   | Bin { dst; op; l; r } ->
     Printf.sprintf "%%r%d = %s %s, %s" dst (binop_name op) (operand l) (operand r)
   | Cmp { dst; op; l; r } ->
     Printf.sprintf "%%r%d = cmp.%s %s, %s" dst (cmpop_name op) (operand l) (operand r)
-  | Load { dst; ty; addr; where; checked } ->
-    Printf.sprintf "%%r%d = load %s, %s%s" dst (Ty.to_string ty) (operand addr)
-      (attrs where checked)
-  | Store { ty; v; addr; where; checked } ->
-    Printf.sprintf "store %s %s, %s%s" (Ty.to_string ty) (operand v) (operand addr)
-      (attrs where checked)
+  | Load { dst; ty; addr } ->
+    Printf.sprintf "%%r%d = load %s, %s" dst (Ty.to_string ty) (operand addr)
+  | Store { ty; v; addr } ->
+    Printf.sprintf "store %s %s, %s" (Ty.to_string ty) (operand v) (operand addr)
   | Gep { dst; base_ty; base; path } ->
     Printf.sprintf "%%r%d = gep %s %s %s" dst (Ty.to_string base_ty) (operand base)
       (String.concat " " (List.map gep_step path))
@@ -42,19 +44,17 @@ let instr (i : instr) =
       | Bitcast -> "bitcast" | PtrToInt -> "ptrtoint" | IntToPtr -> "inttoptr"
     in
     Printf.sprintf "%%r%d = %s %s to %s" dst k (operand v) (Ty.to_string ty)
-  | Call { dst; callee; args; cfi_checked; _ } ->
+  | Call { dst; callee; args; _ } ->
     let d = match dst with Some r -> Printf.sprintf "%%r%d = " r | None -> "" in
     let c = match callee with
       | Direct f -> f
       | Indirect o -> "*" ^ operand o
     in
-    Printf.sprintf "%scall %s(%s)%s" d c
-      (String.concat ", " (List.map operand args))
-      (if cfi_checked then " !cfi" else "")
+    Printf.sprintf "%scall %s(%s)" d c (String.concat ", " (List.map operand args))
   | Intrin { dst; op; args } ->
     let d = match dst with Some r -> Printf.sprintf "%%r%d = " r | None -> "" in
-    Printf.sprintf "%s%s(%s)" d (intrin_name op)
-      (String.concat ", " (List.map operand args))
+    Printf.sprintf "%s%s%s(%s)" d (if k = Safe_memop then "cpi_" else "")
+      (intrin_name op) (String.concat ", " (List.map operand args))
 
 let term = function
   | Ret None -> "ret"
@@ -78,7 +78,11 @@ let func (fn : Prog.func) =
   Array.iter
     (fun (b : Prog.block) ->
       Buffer.add_string buf (Printf.sprintf "b%d:\n" b.bid);
-      Array.iter (fun i -> Buffer.add_string buf ("  " ^ instr i ^ "\n")) b.instrs;
+      Array.iteri
+        (fun idx i ->
+          let k = Prog.knob fn b.bid idx in
+          Buffer.add_string buf ("  " ^ instr k i ^ attrs k ^ "\n"))
+        b.instrs;
       Buffer.add_string buf ("  " ^ term b.term ^ "\n"))
     fn.blocks;
   Buffer.add_string buf "}\n";

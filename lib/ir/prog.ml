@@ -14,6 +14,8 @@ type func = {
   mutable nregs : int;
   mutable cookie : bool;            (* stack-cookie pass: guard this frame *)
   mutable address_taken : bool;     (* is a legitimate indirect-call target *)
+  knobs : Instr.knob array array;   (* a build's decisions, .(bid).(idx);
+                                       [||] in a source function *)
 }
 
 (** Initial contents of one word of a global object. *)
@@ -65,34 +67,50 @@ let fold_funcs p f acc =
 let iter_instrs (fn : func) f =
   Array.iter (fun b -> Array.iter f b.instrs) fn.blocks
 
-(** Copy of an instruction for another program copy: the variants with
-    mutable fields are copied, so passes never share them between program
-    copies; the immutable ones are shared. *)
-let clone_instr (i : Instr.instr) : Instr.instr =
-  match i with
-  | Instr.Alloca { dst; ty; slot } -> Instr.Alloca { dst; ty; slot }
-  | Instr.Load { dst; ty; addr; where; checked } ->
-    Instr.Load { dst; ty; addr; where; checked }
-  | Instr.Store { ty; v; addr; where; checked } ->
-    Instr.Store { ty; v; addr; where; checked }
-  | Instr.Call { dst; callee; args; fty; cfi_checked; cfi_set } ->
-    Instr.Call { dst; callee; args; fty; cfi_checked; cfi_set }
-  | Instr.Bin _ | Instr.Cmp _ | Instr.Gep _ | Instr.Cast _ | Instr.Intrin _ -> i
+(** Iterate over every instruction of a function with its position
+    (block id, index in the block). *)
+let iteri_instrs (fn : func) f =
+  Array.iter (fun b -> Array.iteri (fun idx i -> f b.bid idx i) b.instrs) fn.blocks
 
-let clone_func (fn : func) : func =
-  { fn with
-    blocks =
-      Array.map
-        (fun b -> { b with instrs = Array.map clone_instr b.instrs })
-        fn.blocks }
+(** A build of a program: each function gets a fresh record with one
+    [Plain] knob per instruction; blocks, instructions, the type
+    environment and the globals are shared with [src]. *)
+let build (src : t) : t =
+  let funcs = Hashtbl.copy src.funcs in
+  Hashtbl.filter_map_inplace
+    (fun _ fn ->
+      let plain b = Array.make (Array.length b.instrs) Instr.Plain in
+      Some { fn with knobs = Array.map plain fn.blocks })
+    funcs;
+  { src with funcs }
 
-(** Copy of a program, for instrumenting the same module under several
-    protection configurations. The immutable instructions, the type
-    environment and the globals are shared. *)
-let clone (p : t) : t =
-  let funcs = Hashtbl.create (Hashtbl.length p.funcs) in
-  Hashtbl.iter (fun name fn -> Hashtbl.replace funcs name (clone_func fn)) p.funcs;
-  { tenv = p.tenv; globals = p.globals; funcs; func_order = p.func_order }
+let knob (fn : func) bid idx =
+  if Array.length fn.knobs = 0 then Instr.Plain else fn.knobs.(bid).(idx)
+
+let access fn bid idx =
+  match knob fn bid idx with
+  | Instr.Access (w, c) -> (w, c)
+  | Instr.Plain | Instr.Slot _ | Instr.Cfi _ | Instr.Safe_memop ->
+    (Instr.Regular, false)
+
+let decide (fn : func) bid idx (k : Instr.knob) =
+  let refuse what =
+    invalid_arg
+      (Printf.sprintf "Prog.decide: %s at b%d.%d in %s" what bid idx fn.fname)
+  in
+  if Array.length fn.knobs = 0 then refuse "no knobs (a source function)";
+  (match k, fn.blocks.(bid).instrs.(idx) with
+   | Instr.Plain, _
+   | Instr.Access _, (Instr.Load _ | Instr.Store _)
+   | Instr.Slot _, Instr.Alloca _
+   | Instr.Cfi _, Instr.Call { callee = Instr.Indirect _; _ }
+   | Instr.Safe_memop, Instr.Intrin { op = Instr.I_memcpy | Instr.I_memset; _ }
+     -> ()
+   | Instr.Access _, _ -> refuse "an access knob off a load or store"
+   | Instr.Slot _, _ -> refuse "a slot knob off an alloca"
+   | Instr.Cfi _, _ -> refuse "a cfi knob off an indirect call"
+   | Instr.Safe_memop, _ -> refuse "a safe-memop knob off memcpy/memset");
+  fn.knobs.(bid).(idx) <- k
 
 (** Functions whose address is taken anywhere in the program (operand
     [Fun f] outside of direct calls, or stored in global initializers).

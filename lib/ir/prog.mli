@@ -14,6 +14,9 @@ type func = {
   mutable nregs : int;
   mutable cookie : bool;            (** stack-cookie pass: guard this frame *)
   mutable address_taken : bool;     (** legitimate indirect-call target *)
+  knobs : Instr.knob array array;
+    (** a build's decisions, [knobs.(bid).(idx)] for [blocks.(bid)]'s
+        [idx]-th instruction; [[||]] in a function no build made *)
 }
 
 (** Initial contents of one word of a global object. *)
@@ -55,18 +58,30 @@ val fold_funcs : t -> ('a -> func -> 'a) -> 'a -> 'a
 (** Iterate over every instruction of a function. *)
 val iter_instrs : func -> (Instr.instr -> unit) -> unit
 
-(** Copy of an instruction: the variants with mutable fields are copied,
-    the immutable ones returned as they are. *)
-val clone_instr : Instr.instr -> Instr.instr
+(** [iteri_instrs fn f] calls [f bid idx i] for every instruction [i],
+    at index [idx] of block [bid]. *)
+val iteri_instrs : func -> (int -> int -> Instr.instr -> unit) -> unit
 
-val clone_func : func -> func
+(** A build of [src], to instrument under one protection: each function
+    is a fresh record (its own [cookie]) with one [Plain] knob per
+    instruction, sharing [src]'s blocks and instructions, which no pass
+    writes; the type environment and the globals are shared too. *)
+val build : t -> t
 
-(** Copy of a program, for instrumenting the same module under several
-    protection configurations: every mutable part (functions, blocks,
-    instruction arrays, instructions with mutable fields) is fresh; the
-    immutable instructions, the type environment and the globals are
-    shared. *)
-val clone : t -> t
+(** The knob of an instruction; [Plain] in a function without knobs. *)
+val knob : func -> int -> int -> Instr.knob
+
+(** A load's or store's routing and check: [(Regular, false)] unless its
+    knob is an [Access]. *)
+val access : func -> int -> int -> Instr.where * bool
+
+(** [decide fn bid idx k] sets an instruction's knob, the only way a pass
+    records a decision.
+    @raise Invalid_argument naming the function and the position when
+    [fn] has no knobs or [k] does not fit the instruction: [Access] only
+    on loads and stores, [Slot] only on allocas, [Cfi] only on indirect
+    calls, [Safe_memop] only on [memcpy]/[memset]. *)
+val decide : func -> int -> int -> Instr.knob -> unit
 
 (** Compute the set of functions whose address is taken anywhere in the
     program and set their [address_taken] flags; returns the name set. *)

@@ -1,6 +1,8 @@
-(** Structural IR verifier, run after lowering and after every
-    instrumentation pass (the analogue of LLVM's module verifier). A
-    verification failure indicates a compiler bug, not a user error. *)
+(** Structural IR verifier, run after lowering (the analogue of LLVM's
+    module verifier): a build shares the lowered instructions and the
+    passes write only its knobs, so nothing after lowering can break what
+    it checks. A verification failure indicates a compiler bug, not a
+    user error. *)
 
 type error = { func : string; block : int; msg : string }
 
@@ -25,8 +27,8 @@ let check_block_id fname bid fn target =
     fail fname bid "branch to unknown block b%d" target
 
 (* Operand well-formedness (registers and destinations in range, known
-   globals, functions and blocks), which is what the passes can break.
-   Whether a register is defined before it is used is not checked. *)
+   globals, functions and blocks). Whether a register is defined before
+   it is used is not checked. *)
 let check_func (p : Prog.t) globals (fn : Prog.func) =
   let fname = fn.fname in
   let def r bid =
@@ -147,8 +149,7 @@ module Elim = struct
     | Instr.I_checksum | Instr.I_read_int | Instr.I_malloc | Instr.I_exit
     | Instr.I_abort -> true
     | Instr.I_free | Instr.I_memcpy | Instr.I_memset | Instr.I_strcpy
-    | Instr.I_cpi_memcpy | Instr.I_cpi_memset | Instr.I_read_input
-    | Instr.I_setjmp | Instr.I_longjmp | Instr.I_system
+    | Instr.I_read_input | Instr.I_setjmp | Instr.I_longjmp | Instr.I_system
     | Instr.I_thread_spawn | Instr.I_thread_join | Instr.I_mutex_lock
     | Instr.I_mutex_unlock | Instr.I_atomic_add -> false
 
@@ -322,8 +323,8 @@ let check_elision (p : Prog.t) (certs : elision_cert list) :
         (* the certificate's access and its symbolic address *)
         let addr_of =
           match b.Prog.instrs.(c.ce_idx) with
-          | Instr.Load { addr; checked = false; _ }
-          | Instr.Store { addr; checked = false; _ } -> Some addr
+          | Instr.Load { addr; _ } | Instr.Store { addr; _ }
+            when not (snd (Prog.access fn c.ce_block c.ce_idx)) -> Some addr
           | Instr.Load _ | Instr.Store _ | Instr.Alloca _ | Instr.Bin _
           | Instr.Cmp _ | Instr.Gep _ | Instr.Cast _ | Instr.Call _
           | Instr.Intrin _ -> None
@@ -359,8 +360,8 @@ let check_elision (p : Prog.t) (certs : elision_cert list) :
                else begin
                  let gen_here (blk : Prog.block) idx (i : Instr.instr) =
                    match i with
-                   | Instr.Load { addr = a; checked = true; _ }
-                   | Instr.Store { addr = a; checked = true; _ } ->
+                   | Instr.Load { addr = a; _ } | Instr.Store { addr = a; _ }
+                     when snd (Prog.access fn blk.Prog.bid idx) ->
                      (match sym_of a with
                       | Some si2 ->
                         si2.s_sym = si.s_sym
@@ -473,8 +474,8 @@ let check_elision (p : Prog.t) (certs : elision_cert list) :
    are rooted in the listed allocation sites, and none of those sites
    backs safe-region (CPI-protected) storage. The replay rebuilds both
    halves from the instrumented program alone — a local, single-def
-   provenance walk for the roots, and the [where] attributes for the set
-   of safe-resident sites — so a bug in the emitting analysis cannot
+   provenance walk for the roots, and the access knobs for the set of
+   safe-resident sites — so a bug in the emitting analysis cannot
    vouch for itself. Addresses whose provenance is not locally decidable
    (loaded pointers, call results) are *not* certifiable; the model
    records safe accesses with such addresses as opaque, and the checker
@@ -619,10 +620,10 @@ let check_separation (p : Prog.t) ~(model : separation_model)
                   match acc with
                   | Error _ -> acc
                   | Ok () ->
+                    let where, _ = Prog.access fn bid idx in
                     let addr =
                       match b.Prog.instrs.(idx) with
-                      | Instr.Load { addr; where; _ }
-                      | Instr.Store { addr; where; _ }
+                      | Instr.Load { addr; _ } | Instr.Store { addr; _ }
                         when Sep.is_safe_where where -> Some addr
                       | _ -> None
                     in
@@ -684,8 +685,9 @@ let check_separation (p : Prog.t) ~(model : separation_model)
                 err "%s: separation certificate for unknown instr b%d.%d"
                   c.sc_func c.sc_block c.sc_idx
               else begin
+                let where, _ = Prog.access fn c.sc_block c.sc_idx in
                 match b.Prog.instrs.(c.sc_idx) with
-                | Instr.Store { addr; where = Instr.Regular; _ } ->
+                | Instr.Store { addr; _ } when where = Instr.Regular ->
                   (match walker c.sc_func addr with
                    | None ->
                      err

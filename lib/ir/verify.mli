@@ -1,5 +1,6 @@
-(** Structural IR verifier, run after lowering and after every
-    instrumentation pass (the analogue of LLVM's module verifier). A
+(** Structural IR verifier, run after lowering (the analogue of LLVM's
+    module verifier), plus the replays of the certificates that check
+    elision and the race analysis emit over a build's knobs. A
     verification failure indicates a compiler bug, not a user error. *)
 
 type error = { func : string; block : int; msg : string }
@@ -13,8 +14,8 @@ val program : Prog.t -> unit
 val program_result : Prog.t -> (unit, string) result
 
 (** One elided dereference check: the access at [ce_block.ce_idx] of
-    [ce_func] had its [checked] flag cleared by the redundant-check
-    elision pass. *)
+    [ce_func] had its check cleared (its knob set to an unchecked
+    [Access]) by the redundant-check elision pass. *)
 type elision_cert = { ce_func : string; ce_block : int; ce_idx : int }
 
 (** Independently re-justify every elision: rebuild the symbolic address

@@ -1,10 +1,10 @@
 (** Machine-level protection configuration.
 
     Most of a protection mechanism lives in the *instrumented IR* (the
-    [where]/[checked] attributes, slot kinds, cookie and CFI flags set by
-    the passes in [Levee_core]); this record carries the runtime switches
-    the loader and interpreter need. The pass pipeline produces matched
-    (program, config) pairs. *)
+    knobs and cookie flags the passes in [Levee_core] decide); this
+    record carries the runtime switches the loader and interpreter
+    need. The pass pipeline produces matched (program, config)
+    pairs. *)
 
 type isolation =
   | Segments      (* x86-32 segment-style: free isolation *)
@@ -12,13 +12,12 @@ type isolation =
   | Sfi           (* software fault isolation: one mask per memory op *)
 
 type t = {
-  name : string;
   safe_stack : bool;        (* return addresses + proven-safe slots in safe region *)
   enforce_code_meta : bool; (* CPI/CPS: indirect calls require protected code
                                ptrs; setjmp's saved PC goes through the safe
                                store *)
-  cfi_checks : bool;        (* CFI: honor the cfi_checked flag on indirect
-                               calls; returns must target a call site *)
+  cfi_checks : bool;        (* CFI: honor the [Cfi] knob on indirect calls;
+                               returns must target a call site *)
   dep : bool;               (* non-executable data *)
   aslr : bool;              (* apply the ASLR slide to the layout *)
   store_impl : Safestore.impl;
@@ -37,7 +36,7 @@ type t = {
 (** Completely unprotected baseline (DEP off, ASLR off): the paper's
     "vanilla Ubuntu 6.06" reference point for RIPE. *)
 let vanilla =
-  { name = "vanilla"; safe_stack = false; enforce_code_meta = false;
+  { safe_stack = false; enforce_code_meta = false;
     cfi_checks = false; dep = false; aslr = false;
     store_impl = Safestore.Simple_array; isolation = Info_hiding;
     check_cookies = false; check_libc = false; cps_entry_words = 4;
@@ -46,32 +45,27 @@ let vanilla =
 (** DEP + ASLR + cookies: a modern stock system ("vanilla Ubuntu 13.10,
     all protections enabled"). *)
 let hardened_baseline =
-  { vanilla with name = "dep+aslr+cookies"; dep = true; aslr = true;
-                 check_cookies = true }
+  { vanilla with dep = true; aslr = true; check_cookies = true }
 
 let safe_stack_only =
-  { vanilla with name = "safestack"; safe_stack = true; dep = true }
+  { vanilla with safe_stack = true; dep = true }
 
 let cps ?(store_impl = Safestore.Simple_array) () =
-  { vanilla with name = "cps"; safe_stack = true; enforce_code_meta = true;
-                 dep = true; store_impl;
-                 cps_entry_words = 1 }
+  { vanilla with safe_stack = true; enforce_code_meta = true; dep = true;
+                 store_impl; cps_entry_words = 1 }
 
 let cpi ?(store_impl = Safestore.Simple_array) () =
-  { vanilla with name = "cpi"; safe_stack = true; enforce_code_meta = true;
-                 dep = true; store_impl }
+  { vanilla with safe_stack = true; enforce_code_meta = true; dep = true;
+                 store_impl }
 
 let softbound =
-  { vanilla with name = "softbound"; dep = true; check_libc = true;
+  { vanilla with dep = true; check_libc = true;
                  store_impl = Safestore.Hashtable }
 
-let cfi =
-  { vanilla with name = "cfi"; cfi_checks = true; dep = true }
-
-(** Per-signature CFI (Burow et al.'s "graded precision" middle point):
-    same runtime switches as coarse CFI — the precision lives in the
-    per-call-site target sets the [cfi-type] pass bakes into the IR. *)
-let cfi_type = { cfi with name = "cfi-type" }
+(** Coarse CFI, and per-signature CFI (Burow et al.'s "graded precision"
+    middle point) too: the precision lives in the per-call-site target
+    sets the [cfi-type] pass decides. *)
+let cfi = { vanilla with cfi_checks = true; dep = true }
 
 (** In-place pointer encryption (LIPPEN / CryptSan / PAC-style): no safe
     region and no safe stack — sensitive pointers stay in ordinary memory
@@ -79,6 +73,6 @@ let cfi_type = { cfi with name = "cfi-type" }
     included. DEP stays on so a garbled decrypt traps instead of
     executing data. [crypt_cells] is filled in per program by the pass. *)
 let cpi_crypt =
-  { vanilla with name = "cpi-crypt"; dep = true; crypt_ptrs = true }
+  { vanilla with dep = true; crypt_ptrs = true }
 
-let cookies_only = { vanilla with name = "cookies"; check_cookies = true }
+let cookies_only = { vanilla with check_cookies = true }

@@ -12,13 +12,12 @@ type isolation =
   | Sfi           (** software fault isolation: one mask per store *)
 
 type t = {
-  name : string;
   safe_stack : bool;        (** return addresses + safe slots in safe region *)
   enforce_code_meta : bool; (** CPI/CPS: indirect calls need protected
                                 pointers; setjmp's saved PC goes through the
                                 safe store *)
-  cfi_checks : bool;        (** CFI: indirect calls honor [cfi_checked];
-                                returns must target a call site *)
+  cfi_checks : bool;        (** CFI: indirect calls honor their [Cfi]
+                                knob; returns must target a call site *)
   dep : bool;               (** non-executable data *)
   aslr : bool;
   store_impl : Safestore.impl;
@@ -42,11 +41,10 @@ val safe_stack_only : t
 val cps : ?store_impl:Safestore.impl -> unit -> t
 val cpi : ?store_impl:Safestore.impl -> unit -> t
 val softbound : t
-val cfi : t
 
-(** Per-signature CFI: same runtime switches as [cfi] — the precision is
-    in the per-call-site target sets the cfi-type pass bakes into the IR. *)
-val cfi_type : t
+(** Coarse CFI, and cfi-type too: its precision is in the per-call-site
+    target sets the cfi-type pass decides. *)
+val cfi : t
 
 (** In-place pointer encryption under a per-run key: no safe region, no
     safe stack. [crypt_cells] is filled in per program by the pass. *)

@@ -12,7 +12,7 @@
     The machine runs compiled code. The first time a function is entered,
     it is compiled straight from its IR: each instruction and terminator
     becomes one closure over the machine state, specialised on its
-    operand kinds (register or constant), operator, [where]/[checked] and
+    operand kinds (register or constant), operator, access knob and
     constant address; rare shapes compile to closures over the general
     [do_load]/[do_store]/[do_call]/[do_intrin]/[do_ret] helpers. Operands,
     alloca slots, GEP steps, callees, return addresses, cfi-type sets and
@@ -663,8 +663,9 @@ let libc_check st meta addr n what =
 
 (* Arguments are evaluated on demand out of the caller's registers; every
    arm reads its operands before any frame is pushed or popped, so the
-   caller frame is still live at each [v]/[m] use. *)
-let do_intrin st fr dst (op : I.intrin) (args : operand array) =
+   caller frame is still live at each [v]/[m] use. [safe] selects the
+   safe-store-aware [memcpy]/[memset] (a [Safe_memop] knob). *)
+let do_intrin st fr dst (op : I.intrin) ~safe (args : operand array) =
   let v i = eval_v fr args.(i) in
   let m i = eval_m fr args.(i) in
   let ret value meta =
@@ -681,7 +682,7 @@ let do_intrin st fr dst (op : I.intrin) (args : operand array) =
   | I.I_free ->
     let p = v 0 in
     if p = 0 then () else Heap.free st.heap p
-  | I.I_memcpy | I.I_cpi_memcpy ->
+  | I.I_memcpy ->
     let d = v 0 and s = v 1 and n = v 2 in
     libc_check st (m 0) d n "memcpy dst";
     libc_check st (m 1) s n "memcpy src";
@@ -689,7 +690,7 @@ let do_intrin st fr dst (op : I.intrin) (args : operand array) =
     for i = 0 to n - 1 do
       let w = plain_read st (s + i) (m 1) in
       plain_write st (d + i) (m 0) w;
-      if op = I.I_cpi_memcpy then begin
+      if safe then begin
         (* Type-unknown copy: move safe-store entries along with the data
            so protected pointers survive the copy (Section 3.2.2). *)
         Cost.add st.cost (Cost.cpi_memop_per_word st.cfg.Config.store_impl);
@@ -698,13 +699,13 @@ let do_intrin st fr dst (op : I.intrin) (args : operand array) =
         | None -> Safestore.clear_at st.store (d + i)
       end
     done
-  | I.I_memset | I.I_cpi_memset ->
+  | I.I_memset ->
     let d = v 0 and x = v 1 and n = v 2 in
     libc_check st (m 0) d n "memset dst";
     Cost.add st.cost (Cost.per_word_libc * max n 0);
     for i = 0 to n - 1 do
       plain_write st (d + i) (m 0) x;
-      if op = I.I_cpi_memset then begin
+      if safe then begin
         Cost.add st.cost (Cost.cpi_memop_per_word st.cfg.Config.store_impl);
         Safestore.clear_at st.store (d + i)
       end
@@ -1410,14 +1411,13 @@ let operand (image : Loader.image) fn (o : I.operand) =
     let a = entry_addr image fn f in
     Const (a, Some { lower = a; upper = a + 1; tid = 0; kind = Safestore.Code })
 
-(* Compile one instruction of [fn]. [opr] resolves its operands and [chk]
-   checks its registers; [ret_addr] is the code address of the
-   instruction after it, the return address a call there pushes.
-   [where], [checked] and the cfi fields are mutable in the IR: they are
-   read here, once, which is why a program must not change after
-   [Loader.load]. *)
+(* Compile instruction [ip] of block [bid] of [fn]. [opr] resolves its
+   operands and [chk] checks its registers; [ret_addr] is the code
+   address of the instruction after it, the return address a call there
+   pushes. Its knob is read here, once: a build's knobs must not change
+   after [Loader.load]. *)
 let compile_instr image fn (layout : Loader.frame_layout) opr chk ret_addr
-    (i : I.instr) : op =
+    bid ip (i : I.instr) : op =
   match i with
   | I.Alloca { dst; _ } ->
     let dst = chk dst in
@@ -1433,9 +1433,11 @@ let compile_instr image fn (layout : Loader.frame_layout) opr chk ret_addr
                 kind = Safestore.Data })
   | I.Bin { dst; op; l; r } -> compile_bin (chk dst) op (opr l) (opr r)
   | I.Cmp { dst; op; l; r } -> compile_cmp (chk dst) op (opr l) (opr r)
-  | I.Load { dst; ty; addr; where; checked } ->
+  | I.Load { dst; ty; addr } ->
+    let where, checked = Prog.access fn bid ip in
     compile_load image (chk dst) ty (opr addr) where checked
-  | I.Store { ty; v; addr; where; checked } ->
+  | I.Store { ty; v; addr } ->
+    let where, checked = Prog.access fn bid ip in
     compile_store image ty (opr v) (opr addr) where checked
   | I.Gep { dst; base_ty = _; base; path } ->
     let tenv = image.Loader.prog.Prog.tenv in
@@ -1456,7 +1458,7 @@ let compile_instr image fn (layout : Loader.frame_layout) opr chk ret_addr
        fun st fr ->
          Cost.add st.cost Cost.alu;
          set_reg fr dst k km)
-  | I.Call { dst; callee; args; fty = _; cfi_checked; cfi_set } ->
+  | I.Call { dst; callee; args; fty = _ } ->
     let dst = Option.map chk dst and args = Array.of_list (List.map opr args) in
     (match callee with
      | I.Direct name ->
@@ -1469,21 +1471,22 @@ let compile_instr image fn (layout : Loader.frame_layout) opr chk ret_addr
          invoke st fr dst args ret_addr idx
      | I.Indirect o ->
        let o = opr o in
-       (* The cfi-type target set, as sorted entry addresses. *)
-       let cfi_set =
-         Option.map
-           (fun names ->
-             let set =
-               Array.of_list (List.map (entry_addr image fn) names)
-             in
-             Array.sort compare set;
-             set)
-           cfi_set
+       (* The cfi check, and cfi-type's set as sorted entry addresses. *)
+       let entries names =
+         let set = Array.of_list (List.map (entry_addr image fn) names) in
+         Array.sort compare set;
+         set
+       in
+       let cfi_checked, cfi_set =
+         match Prog.knob fn bid ip with
+         | I.Cfi names -> (true, Option.map entries names)
+         | I.Plain | I.Access _ | I.Slot _ | I.Safe_memop -> (false, None)
        in
        fun st fr -> do_call st fr dst o args cfi_checked cfi_set ret_addr)
   | I.Intrin { dst; op; args } ->
     let dst = Option.map chk dst and args = Array.of_list (List.map opr args) in
-    fun st fr -> do_intrin st fr dst op args
+    let safe = Prog.knob fn bid ip = I.Safe_memop in
+    fun st fr -> do_intrin st fr dst op ~safe args
 
 let[@inline] goto fr b =
   fr.block <- b;
@@ -1563,7 +1566,8 @@ let compile_block image fn layout opr chk chkb base (b : Prog.block) =
     Array.append
       (Array.mapi
          (fun ip i ->
-           compile_instr image fn layout opr chk (base + ip + 1) i)
+           compile_instr image fn layout opr chk (base + ip + 1) b.Prog.bid
+             ip i)
          b.Prog.instrs)
       [| compile_term opr chkb b.Prog.term |]
   in

@@ -77,9 +77,11 @@ let layout_of_func tenv (cfg : Config.t) (fn : Prog.func) =
   (* Collect allocas in program order; later allocas end up closer to the
      cookie/return slot, so overflowing any buffer can reach them. *)
   let allocas = ref [] in
-  Prog.iter_instrs fn (fun i ->
-      match i with
-      | Instr.Alloca { dst; ty; slot } -> allocas := (dst, ty, slot) :: !allocas
+  Prog.iteri_instrs fn (fun bid idx i ->
+      match i, Prog.knob fn bid idx with
+      | Instr.Alloca { dst; ty }, Instr.Slot slot ->
+        allocas := (dst, ty, slot) :: !allocas
+      | Instr.Alloca { dst; ty }, _ -> allocas := (dst, ty, Instr.Auto) :: !allocas
       | _ -> ());
   let allocas = List.rev !allocas in
   let has_unsafe = ref false in

@@ -16,9 +16,9 @@
     its compiled code on its first entry; both are cached in its slot, at
     most once per function per image. This relies on three invariants:
     - the image reads its [Prog.t] lazily (the interpreter compiles each
-      function straight from it), so a program must not be mutated after
-      [load] (the passes mutate a clone inside [Pipeline.build], before
-      loading);
+      function straight from it and its knobs), so a program must not be
+      mutated after [load] (the passes decide a build's knobs inside
+      [Pipeline.build], before loading);
     - every function has at least one block and block ids are positions
       ([Verify] and [Builder] ensure both), so entries and block bases
       strictly increase;

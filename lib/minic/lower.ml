@@ -62,7 +62,7 @@ let lookup_var fe name =
     its address. *)
 let alloca_hoisted fe ty =
   let dst = B.fresh_reg fe.b in
-  fe.allocas <- Ir.Alloca { dst; ty; slot = Ir.Auto } :: fe.allocas;
+  fe.allocas <- Ir.Alloca { dst; ty } :: fe.allocas;
   dst
 
 (** Intern a string literal as a global char array; returns its name. *)

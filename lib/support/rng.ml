@@ -51,12 +51,6 @@ let pick t arr =
   assert (Array.length arr > 0);
   arr.(int t (Array.length arr))
 
-(** [pick_list t l] selects a uniformly random element of a non-empty list. *)
-let pick_list t l =
-  match l with
-  | [] -> invalid_arg "Rng.pick_list: empty list"
-  | _ -> List.nth l (int t (List.length l))
-
 (** [shuffle t arr] permutes [arr] in place (Fisher-Yates). *)
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

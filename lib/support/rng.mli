@@ -24,5 +24,4 @@ val range : t -> int -> int -> int
 
 val bool : t -> bool
 val pick : t -> 'a array -> 'a
-val pick_list : t -> 'a list -> 'a
 val shuffle : t -> 'a array -> unit

@@ -14,7 +14,8 @@
 # baseline the next CI run gates against, which is also how a deliberate
 # schema bump re-baselines without tripping the gate on shape changes.
 # Right after the build it fails if the interpreter is compiled with
-# -opaque, i.e. without cross-module inlining.
+# -opaque, i.e. without cross-module inlining, or if a lib/ file other
+# than the IR builder, the MiniC lowering and Prog.decide writes IR.
 # Host wall-clock speed is measured by `python3 benchmark/run.py`, not
 # here; the script only prints the wall time of its `dune runtest` step,
 # of the benchmark's `--self-test`, which it runs after the tests, and of
@@ -40,6 +41,17 @@ case $interp_rules in
     echo "ci: FAIL: interp.ml is compiled with -opaque (no dune-workspace, or a dev profile)"
     exit 1 ;;
 esac
+
+# A pass decides knobs through Prog.decide and writes no IR: only the
+# builder, the MiniC lowering and Prog.decide may assign a block's
+# instrs or term, a function's blocks, nregs or knobs, or an element of
+# an instruction or knob array.
+ir_writes=$(grep -rnE '\.(Prog\.)?(instrs|term|blocks|nregs|knobs) <-|(instrs|knobs)\.\([^)]*\)(\.\([^)]*\))? <-' lib \
+  | grep -vE '^lib/(ir/builder|minic/lower|ir/prog)\.ml:' | cut -d: -f1,2 | tr '\n' ' ' || true)
+if [ -n "$ir_writes" ]; then
+  echo "ci: FAIL: IR written outside Builder, Lower and Prog.decide: $ir_writes"
+  exit 1
+fi
 
 echo "== tests =="
 tests_start=$(date +%s)

@@ -1,7 +1,7 @@
 (* Unit tests for the reusable dataflow substrate (lib/analysis/dataflow):
-   CFG construction, iterative dominators and the forward worklist solver,
-   exercised on hand-built graphs — including an irreducible loop that
-   MiniC lowering can never produce. *)
+   CFG construction and the forward worklist solver, exercised on
+   hand-built graphs — including an irreducible loop that MiniC lowering
+   can never produce. *)
 
 module I = Levee_ir.Instr
 module Ty = Levee_ir.Ty
@@ -15,7 +15,7 @@ let blk bid term = { Prog.bid; instrs = [||]; term }
 let func blocks =
   { Prog.fname = "synthetic"; params = []; ret_ty = Ty.Int;
     blocks = Array.of_list blocks; nregs = 1; cookie = false;
-    address_taken = false }
+    address_taken = false; knobs = [||] }
 
 let ret = I.Ret (Some (I.Imm 0))
 let cond = I.Reg 0
@@ -33,8 +33,7 @@ let while_loop () =
 (* 0 branches into BOTH of {1, 2}, which form a cycle with each other:
    a two-entry (irreducible) loop. No single loop header dominates the
    cycle, so naive interval/structural analyses are off the table; the
-   iterative dominator algorithm and the worklist solver must still
-   converge. *)
+   worklist solver must still converge. *)
 let irreducible () =
   func [ blk 0 (I.Br (cond, 1, 2)); blk 1 (I.Br (cond, 2, 3));
          blk 2 (I.Jmp 1); blk 3 ret ]
@@ -73,41 +72,7 @@ let test_cfg_dead_block () =
   let cfg = D.build (with_dead_block ()) in
   Alcotest.(check (list int)) "dead block not in rpo" [ 0; 1 ]
     (sorted (Array.to_list cfg.D.rpo));
-  Alcotest.(check int) "dead rpo_index" (-1) cfg.D.rpo_index.(2);
-  let idom = D.dominators cfg in
-  Alcotest.(check int) "dead idom" (-1) idom.(2)
-
-let test_dominators_diamond () =
-  let cfg = D.build (diamond ()) in
-  let idom = D.dominators cfg in
-  Alcotest.(check int) "entry self" 0 idom.(0);
-  Alcotest.(check int) "idom 1" 0 idom.(1);
-  Alcotest.(check int) "idom 2" 0 idom.(2);
-  (* the join is dominated by the entry, not by either arm *)
-  Alcotest.(check int) "idom 3" 0 idom.(3);
-  Alcotest.(check bool) "0 dom 3" true (D.dominates idom 0 3);
-  Alcotest.(check bool) "1 !dom 3" false (D.dominates idom 1 3);
-  Alcotest.(check bool) "reflexive" true (D.dominates idom 2 2)
-
-let test_dominators_loop () =
-  let cfg = D.build (while_loop ()) in
-  let idom = D.dominators cfg in
-  Alcotest.(check int) "header idom" 0 idom.(1);
-  Alcotest.(check int) "body idom" 1 idom.(2);
-  Alcotest.(check int) "exit idom" 1 idom.(3);
-  Alcotest.(check bool) "header dom body" true (D.dominates idom 1 2);
-  Alcotest.(check bool) "body !dom header" false (D.dominates idom 2 1)
-
-let test_dominators_irreducible () =
-  let cfg = D.build (irreducible ()) in
-  let idom = D.dominators cfg in
-  (* neither cycle entry dominates the other: both hang off the branch *)
-  Alcotest.(check int) "idom 1" 0 idom.(1);
-  Alcotest.(check int) "idom 2" 0 idom.(2);
-  Alcotest.(check bool) "1 !dom 2" false (D.dominates idom 1 2);
-  Alcotest.(check bool) "2 !dom 1" false (D.dominates idom 2 1);
-  (* the exit is only reachable through block 1 *)
-  Alcotest.(check int) "idom 3" 1 idom.(3)
+  Alcotest.(check int) "dead rpo_index" (-1) cfg.D.rpo_index.(2)
 
 (* Path-set analysis: the entry state of a block is the set of block ids
    appearing on some path from the entry to it. Set union is a proper
@@ -202,10 +167,6 @@ let () =
        [ t "terminator successors" test_successors;
          t "edges and rpo" test_cfg_edges;
          t "dead block excluded" test_cfg_dead_block ]);
-      ("dominators",
-       [ t "diamond" test_dominators_diamond;
-         t "while loop" test_dominators_loop;
-         t "irreducible two-entry loop" test_dominators_irreducible ]);
       ("solver",
        [ t "diamond join" test_solver_diamond;
          t "loop converges" test_solver_loop_converges;

@@ -376,12 +376,12 @@ let add_build buf (b : P.built) =
            (Array.to_list (Array.map (fun c -> if c then "1" else "0") mask))))
     b.P.config.M.Config.crypt_cells;
   Prog.iter_funcs b.P.prog (fun fn ->
-      Prog.iter_instrs fn (function
-        | I.Call { cfi_set; _ } ->
+      Prog.iteri_instrs fn (fun bid idx -> function
+        | I.Call _ ->
           Printf.bprintf buf "cfi %s %s\n" fn.Prog.fname
-            (match cfi_set with
-             | None -> "-"
-             | Some names -> "[" ^ String.concat "," names ^ "]")
+            (match Prog.knob fn bid idx with
+             | I.Cfi (Some names) -> "[" ^ String.concat "," names ^ "]"
+             | _ -> "-")
         | _ -> ()))
 
 let golden_instrumentation =

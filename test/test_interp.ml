@@ -576,7 +576,7 @@ let reg_main ~dst ~src =
              instrs =
                [| I.Bin { dst; op = I.Add; l = I.Imm 40; r = I.Imm 2 } |];
              term = I.Ret (Some (I.Reg src)) } |];
-      nregs = 1; cookie = false; address_taken = false }
+      nregs = 1; cookie = false; address_taken = false; knobs = [||] }
   in
   let prog = Levee_ir.Prog.create () in
   Levee_ir.Prog.add_func prog fn;
@@ -612,7 +612,7 @@ let one_block_main instrs term =
   let fn =
     { Levee_ir.Prog.fname = "main"; params = []; ret_ty = Ty.Int;
       blocks = [| { Levee_ir.Prog.bid = 0; instrs; term } |];
-      nregs = 1; cookie = false; address_taken = false }
+      nregs = 1; cookie = false; address_taken = false; knobs = [||] }
   in
   let prog = Levee_ir.Prog.create () in
   Levee_ir.Prog.add_func prog fn;
@@ -625,7 +625,7 @@ let test_unknown_targets () =
   in
   let call =
     I.Call { dst = None; callee = I.Direct "no_such_fn"; args = [];
-             fty = Ty.Fn ([], Ty.Int); cfi_checked = false; cfi_set = None }
+             fty = Ty.Fn ([], Ty.Int) }
   in
   List.iter
     (fun (what, target, instrs, term) ->

@@ -1,5 +1,5 @@
 (* Unit tests for the IR substrate: types, layout arithmetic, builder,
-   printer, verifier and program cloning. *)
+   printer, verifier, and builds and their knobs. *)
 
 module Ty = Levee_ir.Ty
 module I = Levee_ir.Instr
@@ -107,25 +107,50 @@ let test_verifier_ret_mismatch () =
   | Ok () -> Alcotest.fail "verifier accepted ret-void from int function"
   | Error _ -> ()
 
-let test_clone_independent () =
+(* A build shares the source's blocks; its decisions and cookie are its
+   own. f's b0.2 is the load. *)
+let test_build_independent () =
   let p = build_simple () in
-  let q = Prog.clone p in
-  let fn_q = Prog.find_func q "f" in
-  (* mutate the clone's load to an instrumented access *)
-  Array.iter
-    (fun (i : I.instr) ->
-      match i with
-      | I.Load l -> l.where <- I.SafeFull
-      | _ -> ())
-    fn_q.Prog.blocks.(0).Prog.instrs;
-  let fn_p = Prog.find_func p "f" in
-  Array.iter
-    (fun (i : I.instr) ->
-      match i with
-      | I.Load { where; _ } ->
-        Alcotest.(check bool) "original untouched" true (where = I.Regular)
-      | _ -> ())
-    fn_p.Prog.blocks.(0).Prog.instrs
+  let before = Levee_ir.Printer.program p in
+  let q = Prog.build p in
+  let fn_p = Prog.find_func p "f" and fn_q = Prog.find_func q "f" in
+  Prog.decide fn_q 0 2 (I.Access (I.SafeFull, true));
+  fn_q.Prog.cookie <- true;
+  Alcotest.(check bool) "blocks shared" true (fn_q.Prog.blocks == fn_p.Prog.blocks);
+  Alcotest.(check bool) "build routes the load" true
+    (Prog.access fn_q 0 2 = (I.SafeFull, true));
+  Alcotest.(check bool) "build prints it" true
+    (Helpers.contains (Levee_ir.Printer.program q) "!cpi !chk");
+  Alcotest.(check bool) "source has no knobs" true (fn_p.Prog.knobs = [||]);
+  Alcotest.(check string) "source prints as before" before
+    (Levee_ir.Printer.program p)
+
+(* [Prog.decide] refuses a knob that does not fit its instruction, and
+   any knob on a source function, naming the function and the position.
+   g's b0 is an alloca, a direct call and a strcpy. *)
+let test_decide_refuses () =
+  let p = build_simple () in
+  let b = B.create ~name:"g" ~params:[] ~ret_ty:Ty.Void in
+  let buf = B.alloca b (Ty.Arr (Ty.Char, 4)) in
+  ignore (B.call b ~ret_ty:Ty.Int (I.Direct "f") [ I.Imm 1 ]);
+  ignore (B.intrin b I.I_strcpy [ I.Reg buf; I.Reg buf ]);
+  B.set_term b (I.Ret None);
+  Prog.add_func p (B.finish b);
+  let q = Prog.build p in
+  let refused (fn : Prog.func) bid idx k =
+    let at = Printf.sprintf "b%d.%d in %s" bid idx fn.Prog.fname in
+    match Prog.decide fn bid idx k with
+    | () -> Alcotest.failf "knob accepted at %s" at
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (msg ^ " names " ^ at) true (Helpers.contains msg at)
+  in
+  let f = Prog.find_func q "f" and g = Prog.find_func q "g" in
+  refused f 0 0 (I.Access (I.SafeFull, true));
+  refused f 0 2 (I.Slot I.SafeSlot);
+  refused g 0 1 (I.Cfi None);
+  refused g 0 2 I.Safe_memop;
+  List.iter (refused (Prog.find_func p "f") 0 2)
+    [ I.Plain; I.Access (I.SafeFull, false) ]
 
 let test_address_taken () =
   let p = Prog.create () in
@@ -160,5 +185,6 @@ let () =
        [ Alcotest.test_case "rejects bad programs" `Quick test_verifier_rejects;
          Alcotest.test_case "ret type mismatch" `Quick test_verifier_ret_mismatch ]);
       ("program",
-       [ Alcotest.test_case "clone independence" `Quick test_clone_independent;
+       [ Alcotest.test_case "build independence" `Quick test_build_independent;
+         Alcotest.test_case "decide refuses misfit knobs" `Quick test_decide_refuses;
          Alcotest.test_case "address-taken analysis" `Quick test_address_taken ]) ]

@@ -26,28 +26,26 @@ int main() {
 
 let build prot src = P.build prot (Levee_minic.Lower.compile src)
 
+(* Instructions [pred i knob] holds for. *)
 let count_instr prog pred =
   Prog.fold_funcs prog
     (fun acc fn ->
       let c = ref 0 in
-      Prog.iter_instrs fn (fun i -> if pred i then incr c);
+      Prog.iteri_instrs fn (fun bid idx i ->
+          if pred i (Prog.knob fn bid idx) then incr c);
       acc + !c)
     0
 
+let routed where prog =
+  count_instr prog (fun _ k ->
+      match k with I.Access (w, _) -> w = where | _ -> false)
+
+let checked prog =
+  count_instr prog (fun _ k -> match k with I.Access (_, c) -> c | _ -> false)
+
 let test_cpi_marks () =
   let b = build P.Cpi fptr_prog in
-  let safefull =
-    count_instr b.P.prog (fun i ->
-        match i with
-        | I.Load { where = I.SafeFull; _ } | I.Store { where = I.SafeFull; _ } -> true
-        | _ -> false)
-  in
-  let checked =
-    count_instr b.P.prog (fun i ->
-        match i with
-        | I.Load { checked = true; _ } | I.Store { checked = true; _ } -> true
-        | _ -> false)
-  in
+  let safefull = routed I.SafeFull b.P.prog and checked = checked b.P.prog in
   Alcotest.(check bool) "fptr table accesses instrumented" true (safefull > 0);
   Alcotest.(check bool) "derefs checked" true (checked > 0);
   (* plain int array accesses stay uninstrumented *)
@@ -56,20 +54,9 @@ let test_cpi_marks () =
 
 let test_cps_marks () =
   let b = build P.Cps fptr_prog in
-  let safeval =
-    count_instr b.P.prog (fun i ->
-        match i with
-        | I.Load { where = I.SafeValue; _ } | I.Store { where = I.SafeValue; _ } -> true
-        | _ -> false)
-  in
-  let checked =
-    count_instr b.P.prog (fun i ->
-        match i with
-        | I.Load { checked = true; _ } | I.Store { checked = true; _ } -> true
-        | _ -> false)
-  in
-  Alcotest.(check bool) "code ptr accesses via SafeValue" true (safeval > 0);
-  Alcotest.(check int) "CPS needs no checks" 0 checked
+  Alcotest.(check bool) "code ptr accesses via SafeValue" true
+    (routed I.SafeValue b.P.prog > 0);
+  Alcotest.(check int) "CPS needs no checks" 0 (checked b.P.prog)
 
 let test_cps_subset_of_cpi () =
   (* MOCPS <= MOCPI on every program (Table 2's key premise) *)
@@ -89,16 +76,19 @@ let test_cps_subset_of_cpi () =
    memory that may hold one must move or drop the entries too, and one
    whose memory never reaches code stays a plain libc call. *)
 let test_cps_copies () =
-  let intrin op prog =
-    count_instr prog (function I.Intrin { op = o; _ } -> o = op | _ -> false)
+  let intrin op safe prog =
+    count_instr prog (fun i k ->
+        match i with
+        | I.Intrin { op = o; _ } -> o = op && (k = I.Safe_memop) = safe
+        | _ -> false)
   in
   let src =
     In_channel.with_open_bin "../examples/minic/structcopy.c"
       In_channel.input_all
   in
   let b = build P.Cps src in
-  Alcotest.(check (pair int int)) "struct copy and clear rewritten" (1, 1)
-    (intrin I.I_cpi_memcpy b.P.prog, intrin I.I_cpi_memset b.P.prog);
+  Alcotest.(check (pair int int)) "struct copy and clear use the store" (1, 1)
+    (intrin I.I_memcpy true b.P.prog, intrin I.I_memset true b.P.prog);
   let plain = build P.Cps {|
 int a[4];
 int b[4];
@@ -110,7 +100,7 @@ int main() {
 }
 |} in
   Alcotest.(check (pair int int)) "data-only copy and clear stay plain" (1, 1)
-    (intrin I.I_memcpy plain.P.prog, intrin I.I_memset plain.P.prog);
+    (intrin I.I_memcpy false plain.P.prog, intrin I.I_memset false plain.P.prog);
   let r = M.Interp.run_program ~fuel:10_000 b.P.prog b.P.config in
   Alcotest.(check string) "benign run agrees with vanilla" "cleared\n42\n"
     r.M.Interp.output
@@ -143,13 +133,13 @@ let test_cpi_deep_copy () =
   let prog = Levee_minic.Lower.compile deep_copy_prog in
   let b = P.build P.Cpi prog in
   let copy6 = Prog.find_func b.P.prog "copy6" in
-  let ops = ref [] in
-  Prog.iter_instrs copy6 (function
-    | I.Intrin { op = (I.I_memcpy | I.I_cpi_memcpy) as op; _ } ->
-      ops := op :: !ops
+  let knobs = ref [] in
+  Prog.iteri_instrs copy6 (fun bid idx -> function
+    | I.Intrin { op = I.I_memcpy; _ } ->
+      knobs := Prog.knob copy6 bid idx :: !knobs
     | _ -> ());
   Alcotest.(check bool) "copy goes through cpi_memcpy" true
-    (!ops = [ I.I_cpi_memcpy ]);
+    (!knobs = [ I.Safe_memop ]);
   let run prot =
     let b = P.build prot prog in
     let r = M.Interp.run_program ~fuel:100_000 b.P.prog b.P.config in
@@ -181,12 +171,8 @@ int main() {
 }
 |}
   in
-  let safe = count_instr b.P.prog (fun i ->
-      match i with I.Alloca { slot = I.SafeSlot; _ } -> true | _ -> false)
-  in
-  let unsafe = count_instr b.P.prog (fun i ->
-      match i with I.Alloca { slot = I.UnsafeSlot; _ } -> true | _ -> false)
-  in
+  let safe = count_instr b.P.prog (fun _ k -> k = I.Slot I.SafeSlot) in
+  let unsafe = count_instr b.P.prog (fun _ k -> k = I.Slot I.UnsafeSlot) in
   Alcotest.(check bool) "has safe slots" true (safe > 0);
   Alcotest.(check bool) "has unsafe slots" true (unsafe > 0)
 
@@ -204,10 +190,7 @@ int main() { return no_buf(with_buf()); }
 
 let test_cfi_pass () =
   let b = build P.Cfi fptr_prog in
-  let marked = count_instr b.P.prog (fun i ->
-      match i with I.Call { callee = I.Indirect _; cfi_checked; _ } -> cfi_checked
-                 | _ -> false)
-  in
+  let marked = count_instr b.P.prog (fun _ k -> k = I.Cfi None) in
   Alcotest.(check bool) "indirect calls marked" true (marked > 0)
 
 let test_pipeline_verifies_all () =
@@ -219,6 +202,33 @@ let test_pipeline_verifies_all () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s: %s" (P.protection_name prot) e)
     P.all_protections
+
+(* A build never writes its source: after every protection's build of a
+   SPEC program, the source prints as before and has no knobs, and each
+   build's functions share its blocks. *)
+let test_source_untouched () =
+  List.iter
+    (fun (w : Levee_workloads.Workload.t) ->
+      let src = Levee_workloads.Workload.compile w in
+      let before = Levee_ir.Printer.program src in
+      List.iter
+        (fun prot ->
+          let b = P.build prot src in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: blocks shared" w.Levee_workloads.Workload.name
+               (P.protection_name prot))
+            true
+            (Prog.fold_funcs src
+               (fun ok fn ->
+                 ok && (Prog.find_func b.P.prog fn.Prog.fname).Prog.blocks
+                       == fn.Prog.blocks)
+               true))
+        P.all_protections;
+      Alcotest.(check string) (w.Levee_workloads.Workload.name ^ ": source as before")
+        before (Levee_ir.Printer.program src);
+      Alcotest.(check bool) (w.Levee_workloads.Workload.name ^ ": no knobs") true
+        (Prog.fold_funcs src (fun ok fn -> ok && fn.Prog.knobs = [||]) true))
+    Levee_workloads.Spec.all
 
 let test_behaviour_preserved () =
   (* all protections preserve the behaviour of a benign program *)
@@ -248,7 +258,7 @@ let test_one_usedef_per_build () =
       (In_channel.with_open_bin "../examples/minic/fptr_zoo.c"
          In_channel.input_all)
   in
-  let prog = Prog.clone src in
+  let prog = Prog.build src in
   let table = An.Usedef.of_prog prog in
   let asked = ref [] in
   let usedef who fname =
@@ -370,12 +380,6 @@ let test_elision_fires_and_counts () =
     (on.P.stats.Stats.checks_elided > 0);
   Alcotest.(check int) "elide:false reports zero" 0
     off.P.stats.Stats.checks_elided;
-  let checked prog =
-    count_instr prog (fun i ->
-        match i with
-        | I.Load { checked = true; _ } | I.Store { checked = true; _ } -> true
-        | _ -> false)
-  in
   Alcotest.(check int) "each cert removes exactly one runtime check"
     (checked off.P.prog - on.P.stats.Stats.checks_elided)
     (checked on.P.prog)
@@ -433,6 +437,7 @@ let () =
       ("pipeline",
        [ t "verifier passes for all protections" test_pipeline_verifies_all;
          t "behaviour preserved" test_behaviour_preserved;
+         t "builds never write the source" test_source_untouched;
          t "one use-def per function per build" test_one_usedef_per_build;
          t "statistics" test_stats_fields ]);
       ("elision",
